@@ -17,6 +17,7 @@ from fixedgp import (
     McmcConfig,
     gen_perturbed_grid,
     joint_limit_sampler,
+    likelihood_engine,
     log_joint_posterior,
     rwm_chain,
     sample_gp_path,
@@ -29,18 +30,19 @@ prior = cfg.prior
 for n in (50, 200, 400):
     design = gen_perturbed_grid(1, n, seed=21)
     data = sample_gp_path(design, cfg.truth, seed=n)
+    engine = likelihood_engine(data, cfg.nu, "ou")   # O(n) OU backend
 
     def target(p):
-        return log_joint_posterior(data, cfg.nu, prior, p[0], p[1], likelihood="ou")
+        return log_joint_posterior(engine, prior, p[0], p[1])
 
     mcmc = McmcConfig(n_samples=5000, n_burnin=1000,
                       step_sizes=(1.7 * np.sqrt(2 / n), 1.5), seed=n + 1)
     chain = rwm_chain(target, mcmc, np.array([11.0, 11.0]), "joint-posterior")
 
-    limit = joint_limit_sampler("joint-profile", data, cfg.nu, prior,
-                                cfg.theta_0, cfg.alpha_0, mcmc, likelihood="ou")
-    tilted = joint_limit_sampler("ou-tilted", data, cfg.nu, prior,
-                                 cfg.theta_0, cfg.alpha_0, mcmc, likelihood="ou")
+    limit = joint_limit_sampler("joint-profile", engine, prior,
+                                cfg.theta_0, cfg.alpha_0, mcmc)
+    tilted = joint_limit_sampler("ou-tilted", engine, prior,
+                                 cfg.theta_0, cfg.alpha_0, mcmc)
 
     print(f"n={n:>3}  E(theta)={chain.theta.mean():.4f}  E(alpha)={chain.alpha.mean():.3f}"
           f"  sd(alpha)={chain.alpha.std():.3f}  acc={chain.acceptance_rate:.2f}")

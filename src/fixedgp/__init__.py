@@ -9,17 +9,21 @@ the reference study at desk scale.
 
 __version__ = "0.1.0"
 
-from .kernels import MaternSpec, bessel_k, matern_correlation, spectral_density
+from .kernels import MaternSpec, bessel_k, matern_correlation, matern_kernel, spectral_density
 from .gp import (
     CovFactorization,
     DegenerateDataError,
+    DenseEngine,
     Design,
     GpDataset,
     NotPositiveDefiniteError,
+    OuEngine,
     OuStats,
     ProfileStats,
     build_correlation_matrix,
     factorize,
+    is_ou_model,
+    likelihood_engine,
     load_dataset,
     log_likelihood,
     ou_loglik_fast,

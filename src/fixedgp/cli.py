@@ -59,18 +59,21 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_FIELDS:
-            values[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(val)
-        elif key in _LIST_FIELDS:
-            values[key] = tuple(int(v) for v in val.split(",") if v.strip())
-        elif key in _BOOL_FIELDS:
-            values[key] = val.lower() in ("1", "true", "yes")
-        elif key in _STR_FIELDS:
-            values[key] = val
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            if key in _INT_FIELDS:
+                values[key] = int(val)
+            elif key in _FLOAT_FIELDS:
+                values[key] = float(val)
+            elif key in _LIST_FIELDS:
+                values[key] = _int_list(val)
+            elif key in _BOOL_FIELDS:
+                values[key] = val.lower() in ("1", "true", "yes")
+            elif key in _STR_FIELDS:
+                values[key] = val
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: cannot parse {key} = {val!r}") from None
     return values
 
 

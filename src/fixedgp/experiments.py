@@ -30,11 +30,12 @@ from .gp import (
     GpDataset,
     NotPositiveDefiniteError,
     DegenerateDataError,
+    OuEngine,
+    is_ou_model,
     build_correlation_matrix,
     factorize,
-    ou_profile_stats,
+    likelihood_engine,
     ou_stats,
-    profile_stats,
 )
 from .kernels import MaternSpec, matern_correlation
 from .kriging import PredictionQuery
@@ -233,7 +234,7 @@ def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
 def sample_ou_path_markov(design: Design, truth: MaternSpec, seed) -> GpDataset:
     """Sequential O(n) sampler for the nu = 1/2, d = 1 case; distributionally
     identical to :func:`sample_gp_path` and used to cross-validate it."""
-    if design.d != 1 or abs(truth.nu - 0.5) > 1e-14:
+    if not is_ou_model(design.d, truth.nu):
         raise ValueError("markov sampler requires d = 1 and nu = 1/2")
     rng = np.random.default_rng(seed)
     s = design.coords_1d
@@ -248,56 +249,15 @@ def sample_ou_path_markov(design: Design, truth: MaternSpec, seed) -> GpDataset:
 
 
 # ---------------------------------------------------------------------------
-# likelihood plumbing
+# replication engine
 
-def _make_joint_target(data: GpDataset, cfg: ExperimentConfig, likelihood: str):
-    """Joint log-posterior callable with the distance matrix cached for the
-    dense path."""
-    prior = cfg.prior
-    nu = cfg.nu
-    if likelihood == "ou":
-        def target(p):
-            return log_joint_posterior(data, nu, prior, p[0], p[1], likelihood="ou")
-        return target
-
-    dist = data.design.distance_matrix()
-    x = data.x
-
-    def dense_loglik(sigma2, alpha):
-        r = matern_correlation(alpha, nu, dist)
-        np.fill_diagonal(r, 1.0)
-        try:
-            fac = factorize(r, sigma2)
-        except NotPositiveDefiniteError:
-            return -np.inf
-        return -0.5 * fac.log_det - 0.5 * fac.quad_form(x)
-
-    def target(p):
-        theta, alpha = p
-        if theta <= 0 or alpha <= 0:
-            return -np.inf
-        sigma2 = theta / alpha ** (2.0 * nu)
-        if not np.isfinite(sigma2) or sigma2 <= 0:
-            return -np.inf
-        ll = dense_loglik(sigma2, alpha)
-        if not np.isfinite(ll):
-            return -np.inf
-        return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
-
-    return target
-
-
-def _chain_init(data: GpDataset, cfg: ExperimentConfig, target) -> np.ndarray:
+def _chain_init(engine, prior: PriorSpec, target) -> np.ndarray:
     """Deterministic start at the prior means, falling back to the profiled
     microergodic value at alpha = 1 if the prior mean is unusable."""
-    init = np.array([cfg.prior.theta_prior.mean, cfg.prior.alpha_prior.mean])
+    init = np.array([prior.theta_prior.mean, prior.alpha_prior.mean])
     if np.isfinite(target(init)):
         return init
-    if cfg.likelihood == "ou" and data.design.d == 1:
-        theta1 = ou_profile_stats(data, 1.0).theta_tilde
-    else:
-        theta1 = profile_stats(data, 1.0, cfg.nu).theta_tilde
-    return np.array([theta1, 1.0])
+    return np.array([engine.profile(1.0).theta_tilde, 1.0])
 
 
 def _default_steps(n: int) -> tuple:
@@ -306,18 +266,13 @@ def _default_steps(n: int) -> tuple:
     return (1.7 * np.sqrt(2.0 / n), 1.5)
 
 
-# ---------------------------------------------------------------------------
-# replication engine
-
 def _run_replication(cfg: ExperimentConfig, d: int, n_or_m: int, rep: int,
                      compute_ratios: bool) -> ReplicationResult:
-    likelihood = cfg.likelihood if (d == 1 and abs(cfg.nu - 0.5) < 1e-14) else "dense"
     n = n_or_m if d == 1 else n_or_m * n_or_m
     last_err = None
     for attempt in range(MAX_RETRIES):
         try:
-            return _run_replication_once(cfg, d, n_or_m, rep, attempt,
-                                         likelihood, compute_ratios)
+            return _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios)
         except (NotPositiveDefiniteError, DegenerateDataError, InitializationError) as err:
             last_err = err
             logger.warning("replication %d at n=%d failed (%s); retrying with "
@@ -327,7 +282,7 @@ def _run_replication(cfg: ExperimentConfig, d: int, n_or_m: int, rep: int,
     )
 
 
-def _run_replication_once(cfg, d, n_or_m, rep, attempt, likelihood, compute_ratios):
+def _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios):
     n = n_or_m if d == 1 else n_or_m * n_or_m
     master = cfg.master_seed
     design = gen_perturbed_grid(
@@ -335,8 +290,13 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, likelihood, compute_rati
     )
     data = sample_gp_path(design, cfg.truth, _seed_seq(master, d, n, rep, attempt, 2))
 
-    target = _make_joint_target(data, cfg, likelihood)
-    init = _chain_init(data, cfg, target)
+    engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
+    prior = cfg.prior
+
+    def target(p):
+        return log_joint_posterior(engine, prior, p[0], p[1])
+
+    init = _chain_init(engine, prior, target)
     joint_cfg = McmcConfig(
         n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
         step_sizes=_default_steps(n), seed=_seed_int(master, d, n, rep, attempt, 3),
@@ -349,19 +309,17 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, likelihood, compute_rati
         seed=_seed_int(master, d, n, rep, attempt, 4),
     )
     limit = joint_limit_sampler(
-        "joint-profile", data, cfg.nu, cfg.prior, cfg.theta_0, cfg.alpha_0,
-        limit_cfg, likelihood=likelihood,
+        "joint-profile", engine, prior, cfg.theta_0, cfg.alpha_0, limit_cfg,
     )
 
-    if d == 1 and abs(cfg.nu - 0.5) < 1e-14:
+    if engine.is_ou:
         tilted_cfg = McmcConfig(
             n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
             step_sizes=(1.7 * np.sqrt(2.0 / n), 2.0),
             seed=_seed_int(master, d, n, rep, attempt, 5),
         )
         tilted = joint_limit_sampler(
-            "ou-tilted", data, cfg.nu, cfg.prior, cfg.theta_0, cfg.alpha_0,
-            tilted_cfg, likelihood=likelihood,
+            "ou-tilted", engine, prior, cfg.theta_0, cfg.alpha_0, tilted_cfg,
         )
         tilted_mean_alpha = float(np.mean(tilted.alpha))
         w2_alpha_tilted = w2_distance(chain.alpha, tilted.alpha)
@@ -373,7 +331,7 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, likelihood, compute_rati
         queries = gen_lhs_testpoints(
             d, cfg.test_point_count(d), _seed_seq(master, d, n, rep, attempt, 6), design
         )
-        r1, r2 = _posterior_mean_max_ratios(cfg, data, chain, queries, likelihood)
+        r1, r2 = _posterior_mean_max_ratios(cfg, engine, chain, queries)
     else:
         r1 = r2 = np.nan
 
@@ -395,14 +353,14 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, likelihood, compute_rati
     )
 
 
-def _posterior_mean_max_ratios(cfg, data, chain, queries, likelihood):
+def _posterior_mean_max_ratios(cfg, engine, chain, queries):
     """Average over posterior draws of the max-over-test-points MSE ratios."""
     truth = cfg.truth
     pts = np.asarray([q.s_star for q in queries])
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]
-    if likelihood == "ou":
-        coords = data.design.coords_1d
+    if isinstance(engine, OuEngine):
+        coords = engine.data.design.coords_1d
         ev = _OuRatioEvaluator(coords, truth.alpha, pts[:, 0])
         max_r1 = np.empty(thetas.shape[0])
         max_r2 = np.empty(thetas.shape[0])
@@ -410,7 +368,7 @@ def _posterior_mean_max_ratios(cfg, data, chain, queries, likelihood):
             max_r1[i], max_r2[i] = ev.max_ratios(th / al, truth.sigma2, al)
         return float(np.mean(max_r1)), float(np.mean(max_r2))
 
-    ev = _DenseRatioEvaluator(data.design, cfg.nu, truth, pts)
+    ev = _DenseRatioEvaluator(engine, truth, pts)
     max_r1 = np.empty(thetas.shape[0])
     max_r2 = np.empty(thetas.shape[0])
     for i, (th, al) in enumerate(zip(thetas, alphas)):
@@ -422,10 +380,11 @@ class _DenseRatioEvaluator:
     """Max MSE ratios per posterior draw with all draw-independent pieces
     (distances, truth factorization, oracle MSEs) computed once."""
 
-    def __init__(self, design, nu, truth, pts):
-        self.nu = nu
+    def __init__(self, engine, truth, pts):
+        design = engine.data.design
+        self.nu = nu = engine.nu
         self.sigma2_0 = truth.sigma2
-        self.dist_nn = design.distance_matrix()
+        self.dist_nn = engine.dist
         diffs = design.points[None, :, :] - pts[:, None, :]
         self.dist_nk = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
         if self.dist_nk.min() == 0.0:
@@ -634,36 +593,28 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
 
     Returns a dict with the three (len(theta), len(alpha)) surfaces and the
     ridge; optionally writes ``contour_grid.csv`` and ``contour_ridge.csv``.
+    The tilted limit exists only for the OU model (nu = 1/2); for any other
+    smoothness its surface is NaN.
     """
     if data.design.d != 1:
         raise ValueError("contour grids are defined for d = 1 datasets")
     theta_grid = np.asarray(theta_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    likelihood = cfg.likelihood if abs(cfg.nu - 0.5) < 1e-14 else "dense"
+    engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
     prior = cfg.prior
-    nu = cfg.nu
     n = data.n
-
-    if likelihood == "ou":
-        ps = ou_profile_stats(data, cfg.alpha_0)
-    else:
-        ps = profile_stats(data, cfg.alpha_0, nu)
-    theta_tilde_alpha0 = ps.theta_tilde
-
-    tp = tilted_params(ou_stats(data), n)
+    theta_tilde_alpha0 = engine.profile(cfg.alpha_0).theta_tilde
+    tp = tilted_params(ou_stats(data), n) if engine.is_ou else None
     ridge = np.empty(alpha_grid.shape[0])
     log_true = np.empty((theta_grid.shape[0], alpha_grid.shape[0]))
     log_profile = np.empty_like(log_true)
     log_tilted = np.empty_like(log_true)
     for j, a in enumerate(alpha_grid):
-        if likelihood == "ou":
-            ridge[j] = ou_profile_stats(data, a).theta_tilde
-        else:
-            ridge[j] = profile_stats(data, a, nu).theta_tilde
-        prof_ld = profile_posterior_logdensity(data, nu, prior, cfg.theta_0, a, likelihood)
-        tilt_ld = tilted_logdensity(tp, prior, cfg.theta_0, a)
+        ridge[j] = engine.profile(a).theta_tilde
+        prof_ld = profile_posterior_logdensity(engine, prior, cfg.theta_0, a)
+        tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, cfg.theta_0, a)
         for i, t in enumerate(theta_grid):
-            log_true[i, j] = log_joint_posterior(data, nu, prior, t, a, likelihood)
+            log_true[i, j] = log_joint_posterior(engine, prior, t, a)
             norm_ld = conditional_bvm_logdensity(t, theta_tilde_alpha0, cfg.theta_0, n)
             log_profile[i, j] = norm_ld + prof_ld
             log_tilted[i, j] = norm_ld + tilt_ld

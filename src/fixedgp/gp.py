@@ -1,12 +1,17 @@
 """Sampling designs, Gaussian log-likelihoods, per-alpha profile statistics,
 and the O(n) Ornstein-Uhlenbeck fast path (nu = 1/2, d = 1).
 
+The likelihood of a dataset is evaluated by one engine, built once per
+dataset: :class:`DenseEngine` (dense Cholesky) or :class:`OuEngine` (O(n)
+Markov factorization), chosen by :func:`likelihood_engine`.  The module-level
+functions are thin wrappers that build a throwaway engine.
+
 The log-likelihood convention throughout drops the -(n/2) log(2 pi) constant:
 
     L_n(sigma2, alpha) = -(n/2) log sigma2 - (1/2) log|R_alpha|
                          - (1/(2 sigma2)) x' R_alpha^{-1} x
 
-``ou_loglik_fast`` subtracts the same constant so cross-checks against the
+The OU engine subtracts the same constant so cross-checks against the
 dense path are exact rather than up to a constant.
 """
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .kernels import MaternSpec, matern_correlation
+from .kernels import MaternSpec, matern_correlation, matern_kernel
 
 __all__ = [
     "Design",
@@ -28,6 +33,10 @@ __all__ = [
     "OuStats",
     "NotPositiveDefiniteError",
     "DegenerateDataError",
+    "DenseEngine",
+    "OuEngine",
+    "likelihood_engine",
+    "is_ou_model",
     "build_correlation_matrix",
     "factorize",
     "log_likelihood",
@@ -242,38 +251,147 @@ def factorize(cov: np.ndarray, sigma2: float, jitter: float = 0.0) -> CovFactori
     return CovFactorization(corr_chol=c, sigma2=float(sigma2))
 
 
-def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:
-    """Exact Gaussian log-likelihood (2 pi constant dropped).
+class _Engine:
+    """Likelihood of one dataset with its geometry validated once.
 
-    With the factorization of sigma2 * R in hand this is just
-    -(1/2) log|sigma2 R| - (1/2) x' (sigma2 R)^{-1} x, which equals the
-    -(n/2) log sigma2 - (1/2) log|R| - (1/(2 sigma2)) x' R^{-1} x form.
+    Subclasses provide ``_terms(alpha) -> (x' R^{-1} x, log|R|)`` and
+    ``loglik(sigma2, alpha)``; the profile is shared.
     """
-    r = build_correlation_matrix(data.design, spec.alpha, spec.nu)
-    fac = factorize(r, spec.sigma2)
-    return -0.5 * fac.log_det - 0.5 * fac.quad_form(data.x)
+
+    data: GpDataset
+    nu: float
+
+    @property
+    def n(self) -> int:
+        return self.data.n
+
+    @property
+    def is_ou(self) -> bool:
+        """True when the model is the OU process (d = 1, nu = 1/2), whichever
+        backend evaluates it."""
+        return is_ou_model(self.data.design.d, self.nu)
+
+    def profile(self, alpha: float) -> ProfileStats:
+        """Profile out the variance at fixed alpha.
+
+        sigma2_tilde = x' R^{-1} x / n,  theta_tilde = sigma2_tilde alpha^{2 nu},
+        profile_loglik = -(n/2) log(x' R^{-1} x / n) - (1/2) log|R|.
+        """
+        qf, log_det = self._terms(alpha)
+        if qf <= 0.0:
+            raise DegenerateDataError(f"x' R^{{-1}} x = {qf} is not positive")
+        n = self.n
+        sigma2_tilde = qf / n
+        return ProfileStats(
+            alpha=float(alpha),
+            nu=self.nu,
+            sigma2_tilde=sigma2_tilde,
+            theta_tilde=sigma2_tilde * alpha ** (2.0 * self.nu),
+            profile_loglik=-0.5 * n * np.log(sigma2_tilde) - 0.5 * log_det,
+        )
+
+
+class DenseEngine(_Engine):
+    """Dense Cholesky likelihood under Matern smoothness ``nu``.
+
+    The distance matrix is built once; distances are nonnegative by
+    construction, so the per-call checks of :func:`matern_correlation` are
+    not needed.  Each evaluation builds the correlation from the cached
+    distances, factorizes it in place with LAPACK ``dpotrf`` (the symmetric
+    matrix is passed as its Fortran-ordered transpose, so nothing is copied)
+    and whitens the data with ``dtrtrs``: the routines :func:`factorize` and
+    ``solve_triangular`` call, so the numbers are the same.
+    """
+
+    def __init__(self, data: GpDataset, nu: float):
+        if not np.all(np.isfinite(data.x)):
+            raise ValueError("observations must be finite")
+        self.data = data
+        self.nu = float(nu)
+        self.dist = data.design.distance_matrix()
+        self._corr = matern_kernel(self.nu)
+
+    def _terms(self, alpha):
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        r = self._corr(alpha * self.dist)
+        np.fill_diagonal(r, 1.0)
+        chol, info = lapack.dpotrf(r.T, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefiniteError(int(info))
+        # a successful dpotrf leaves a positive diagonal, so dtrtrs cannot fail
+        y, _ = lapack.dtrtrs(chol, self.data.x, lower=1)
+        return float(y @ y), 2.0 * np.sum(np.log(np.diag(chol)))
+
+    def loglik(self, sigma2: float, alpha: float) -> float:
+        """-(1/2) log|sigma2 R| - (1/2) x' (sigma2 R)^{-1} x."""
+        if not sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        qf, log_det = self._terms(alpha)
+        return -0.5 * (self.n * np.log(sigma2) + log_det) - 0.5 * (qf / sigma2)
+
+
+class OuEngine(_Engine):
+    """Exact O(n) OU (nu = 1/2, d = 1) likelihood.
+
+    Uses the Markov factorization with per-gap correlations
+    rho_i = exp(-alpha (s_{i+1} - s_i)), valid for any strictly increasing
+    1-d design; the gaps are computed and checked once.
+    """
+
+    nu = 0.5
+
+    def __init__(self, data: GpDataset):
+        if data.design.d != 1:
+            raise ValueError(f"the OU engine requires d = 1, design has d = {data.design.d}")
+        self.data = data
+        self.gaps = np.diff(data.design.coords_1d)
+        if np.any(self.gaps <= 0):
+            raise ValueError("OU fast path requires strictly increasing points")
+        x = data.x
+        self._x0_sq, self._head, self._tail = x[0] ** 2, x[:-1], x[1:]
+
+    def _terms(self, alpha):
+        """Per-gap correlations and the Markov residual decomposition."""
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        rho = np.exp(-alpha * self.gaps)
+        one_minus_rho2 = -np.expm1(-2.0 * alpha * self.gaps)
+        resid = self._tail - rho * self._head
+        qf = self._x0_sq + float(np.sum(resid**2 / one_minus_rho2))
+        return qf, float(np.sum(np.log(one_minus_rho2)))
+
+    def loglik(self, sigma2: float, alpha: float) -> float:
+        """Matches :meth:`DenseEngine.loglik` (same constant convention)."""
+        if not sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        qf, log_det = self._terms(alpha)
+        return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+
+
+def is_ou_model(d: int, nu: float) -> bool:
+    """The Ornstein-Uhlenbeck model: d = 1 and nu = 1/2."""
+    return d == 1 and abs(nu - 0.5) < 1e-14
+
+
+def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
+    """The engine of a dataset: :class:`OuEngine` when ``likelihood == "ou"``
+    and the model is OU (d = 1, nu = 1/2), :class:`DenseEngine` otherwise."""
+    if likelihood not in ("ou", "dense"):
+        raise ValueError(f"likelihood must be 'ou' or 'dense', got {likelihood!r}")
+    if likelihood == "ou" and is_ou_model(data.design.d, nu):
+        return OuEngine(data)
+    return DenseEngine(data, nu)
+
+
+def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:
+    """Exact Gaussian log-likelihood (2 pi constant dropped), dense path."""
+    return DenseEngine(data, spec.nu).loglik(spec.sigma2, spec.alpha)
 
 
 def profile_stats(data: GpDataset, alpha: float, nu: float) -> ProfileStats:
-    """Profile out the variance at fixed alpha.
-
-    sigma2_tilde = x' R^{-1} x / n,  theta_tilde = sigma2_tilde alpha^{2 nu},
-    profile_loglik = -(n/2) log(x' R^{-1} x / n) - (1/2) log|R|.
-    """
-    r = build_correlation_matrix(data.design, alpha, nu)
-    fac = factorize(r, 1.0)
-    n = data.n
-    qf = fac.quad_form(data.x)
-    if qf <= 0.0:
-        raise DegenerateDataError(f"x' R^{{-1}} x = {qf} is not positive")
-    sigma2_tilde = qf / n
-    return ProfileStats(
-        alpha=float(alpha),
-        nu=float(nu),
-        sigma2_tilde=sigma2_tilde,
-        theta_tilde=sigma2_tilde * alpha ** (2.0 * nu),
-        profile_loglik=-0.5 * n * np.log(sigma2_tilde) - 0.5 * fac.log_det,
-    )
+    """Dense profile statistics at fixed alpha; see :meth:`DenseEngine.profile`."""
+    return DenseEngine(data, nu).profile(alpha)
 
 
 def ou_stats(data: GpDataset) -> OuStats:
@@ -303,59 +421,14 @@ def ou_profile_loglik(stats: OuStats, n: int, alpha: float) -> float:
     return -0.5 * n * np.log(arg) + 0.5 * np.log1p(-q * q)
 
 
-def _ou_gap_terms(data: GpDataset, alpha: float):
-    """Per-gap correlations and the Markov residual decomposition."""
-    s = data.design.coords_1d
-    gaps = np.diff(s)
-    if np.any(gaps <= 0):
-        raise ValueError("OU fast path requires strictly increasing points")
-    rho = np.exp(-alpha * gaps)
-    one_minus_rho2 = -np.expm1(-2.0 * alpha * gaps)
-    x = data.x
-    resid = x[1:] - rho * x[:-1]
-    qf = x[0] ** 2 + float(np.sum(resid**2 / one_minus_rho2))
-    log_det = float(np.sum(np.log(one_minus_rho2)))
-    return qf, log_det
-
-
 def ou_loglik_fast(data: GpDataset, sigma2: float, alpha: float) -> float:
-    """Exact OU (nu = 1/2, d = 1) log-likelihood in O(n).
-
-    Uses the Markov factorization with per-gap correlations
-    rho_i = exp(-alpha (s_{i+1} - s_i)), valid for any strictly increasing
-    1-d design.  Matches :func:`log_likelihood` exactly (same constant
-    convention).
-    """
-    if data.design.d != 1:
-        raise ValueError("ou_loglik_fast requires d = 1")
-    if not (sigma2 > 0 and alpha > 0):
-        raise ValueError(f"sigma2 and alpha must be positive, got {sigma2}, {alpha}")
-    n = data.n
-    if n == 1:
-        return -0.5 * np.log(sigma2) - data.x[0] ** 2 / (2.0 * sigma2)
-    qf, log_det = _ou_gap_terms(data, alpha)
-    return -0.5 * n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+    """Exact OU (nu = 1/2, d = 1) log-likelihood in O(n); see :class:`OuEngine`."""
+    return OuEngine(data).loglik(sigma2, alpha)
 
 
 def ou_profile_stats(data: GpDataset, alpha: float) -> ProfileStats:
     """O(n) version of :func:`profile_stats` for nu = 1/2, d = 1 designs."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    n = data.n
-    if n == 1:
-        qf, log_det = data.x[0] ** 2, 0.0
-    else:
-        qf, log_det = _ou_gap_terms(data, alpha)
-    if qf <= 0.0:
-        raise DegenerateDataError(f"x' R^{{-1}} x = {qf} is not positive")
-    sigma2_tilde = qf / n
-    return ProfileStats(
-        alpha=float(alpha),
-        nu=0.5,
-        sigma2_tilde=sigma2_tilde,
-        theta_tilde=sigma2_tilde * alpha,
-        profile_loglik=-0.5 * n * np.log(sigma2_tilde) - 0.5 * log_det,
-    )
+    return OuEngine(data).profile(alpha)
 
 
 def load_dataset(path, T: float = 1.0) -> GpDataset:

@@ -18,6 +18,7 @@ __all__ = [
     "MaternSpec",
     "bessel_k",
     "matern_correlation",
+    "matern_kernel",
     "spectral_density",
 ]
 
@@ -114,6 +115,37 @@ def bessel_k(nu: float, x: float) -> float:
     return float(val)
 
 
+def matern_kernel(nu: float):
+    """The Matern correlation as a function of the scaled distance t = alpha h.
+
+    The smoothness dispatch happens here, once; the returned callable maps a
+    nonnegative array ``t`` to correlations and does no checking.  Its value
+    at t = 0 is exactly 1 for every smoothness.
+    """
+    if not nu > 0:
+        raise ValueError(f"matern_kernel requires nu > 0, got {nu}")
+    if abs(nu - 0.5) < 1e-14:
+        return lambda t: np.exp(-t)
+    if abs(nu - 1.5) < 1e-14:
+        return lambda t: (1.0 + t) * np.exp(-t)
+    if abs(nu - 2.5) < 1e-14:
+        return lambda t: (1.0 + t + t**2 / 3.0) * np.exp(-t)
+    coef = 2.0 ** (1.0 - nu) / special.gamma(nu)
+
+    def general(t):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = coef * t**nu * special.kve(nu, t) * np.exp(-t)
+        # 0 * inf at the extremes of the double range (t = 0 included): the
+        # true value is 1 (resp. 0) to machine precision there.
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad & (t < 1.0), 1.0, out)
+            out = np.where(bad & (t >= 1.0), 0.0, out)
+        return out
+
+    return general
+
+
 def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
     """Matern correlation (2^{1-nu}/Gamma(nu)) (alpha h)^nu K_nu(alpha h).
 
@@ -138,25 +170,7 @@ def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValueError("matern_correlation requires h >= 0")
-    t = alpha * h_arr
-    if _is_half_integer(nu):
-        if abs(nu - 0.5) < 1e-14:
-            out = np.exp(-t)
-        elif abs(nu - 1.5) < 1e-14:
-            out = (1.0 + t) * np.exp(-t)
-        else:
-            out = (1.0 + t + t**2 / 3.0) * np.exp(-t)
-    else:
-        coef = 2.0 ** (1.0 - nu) / special.gamma(nu)
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = coef * t**nu * special.kve(nu, t) * np.exp(-t)
-        # 0 * inf at the extremes of the double range: the true value is 1
-        # (resp. 0) to machine precision there.
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out = np.where(bad & (t < 1.0), 1.0, out)
-            out = np.where(bad & (t >= 1.0), 0.0, out)
-    out = np.where(t == 0.0, 1.0, out)
+    out = matern_kernel(nu)(alpha * h_arr)
     if np.ndim(h) == 0:
         return float(out)
     return out

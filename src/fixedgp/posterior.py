@@ -9,22 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .gp import (
-    DegenerateDataError,
-    GpDataset,
-    NotPositiveDefiniteError,
-    OuStats,
-    ou_profile_stats,
-    ou_stats,
-    profile_stats,
-)
-from .kernels import MaternSpec
-from . import gp as _gp
+from .gp import DegenerateDataError, NotPositiveDefiniteError, OuStats, ou_stats
 
 __all__ = [
     "GammaPrior",
@@ -57,6 +48,9 @@ class GammaPrior:
     def __post_init__(self):
         if not (self.shape > 0 and self.rate > 0):
             raise ValueError(f"gamma parameters must be positive, got {self}")
+        object.__setattr__(
+            self, "_log_norm", self.shape * np.log(self.rate) - special.gammaln(self.shape)
+        )
 
     @property
     def mean(self) -> float:
@@ -67,11 +61,16 @@ class GammaPrior:
         return self.shape / self.rate**2
 
     def logpdf(self, x) -> float:
+        # same left-to-right evaluation on both paths, so a scalar gives the
+        # bits of the corresponding array element
+        if isinstance(x, float):
+            if not x > 0:
+                return -np.inf
+            return float(self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x)
         x = np.asarray(x, dtype=float)
         out = np.where(
             x > 0,
-            self.shape * np.log(self.rate)
-            - special.gammaln(self.shape)
+            self._log_norm
             + (self.shape - 1.0) * np.log(np.where(x > 0, x, 1.0))
             - self.rate * x,
             -np.inf,
@@ -83,19 +82,13 @@ class GammaPrior:
 class PriorSpec:
     """Independent gamma priors on theta and alpha.
 
-    With ``independent=True`` the conditional prior of alpha given any theta
-    value equals the marginal alpha prior, which is what the limiting
-    posteriors condition on.
+    Independence makes the conditional prior of alpha given any theta value
+    equal to the marginal alpha prior, which is what the limiting posteriors
+    condition on.
     """
 
     theta_prior: GammaPrior = GammaPrior(1.1, 0.1)
     alpha_prior: GammaPrior = GammaPrior(1.1, 0.1)
-    independent: bool = True
-
-    def log_alpha_given_theta0(self, alpha) -> float:
-        if not self.independent:
-            raise NotImplementedError("dependent priors are out of scope for the samplers")
-        return self.alpha_prior.logpdf(alpha)
 
 
 @dataclass(frozen=True)
@@ -171,34 +164,20 @@ class TiltedParams:
             raise DegenerateDataError(f"v_star must be positive, got {self.v_star}")
 
 
-def log_joint_posterior(
-    data: GpDataset,
-    nu: float,
-    prior: PriorSpec,
-    theta: float,
-    alpha: float,
-    likelihood: str = "dense",
-) -> float:
-    """Unnormalized log posterior of (theta, alpha).
+def log_joint_posterior(engine, prior: PriorSpec, theta: float, alpha: float) -> float:
+    """Unnormalized log posterior of (theta, alpha) for the dataset and
+    smoothness of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`).
 
-    Returns -inf (a rejectable value) for non-positive parameters or a
-    covariance that fails to factorize.  ``likelihood="ou"`` routes through
-    the O(n) fast path, valid only for nu = 1/2 on 1-d designs.
+    Returns -inf (a rejectable value) for non-positive or non-finite
+    parameters or a covariance that fails to factorize.
     """
-    if not (theta > 0 and alpha > 0) or not np.isfinite(theta) or not np.isfinite(alpha):
+    if not (theta > 0 and alpha > 0) or not math.isfinite(theta) or not math.isfinite(alpha):
         return -np.inf
-    sigma2 = theta / alpha ** (2.0 * nu)
-    if not np.isfinite(sigma2) or sigma2 <= 0:
+    sigma2 = theta / alpha ** (2.0 * engine.nu)
+    if not math.isfinite(sigma2) or sigma2 <= 0:
         return -np.inf
     try:
-        if likelihood == "ou":
-            if data.design.d != 1 or abs(nu - 0.5) > 1e-14:
-                raise ValueError("ou likelihood requires d = 1 and nu = 1/2")
-            ll = _gp.ou_loglik_fast(data, sigma2, alpha)
-        elif likelihood == "dense":
-            ll = _gp.log_likelihood(data, MaternSpec(sigma2=sigma2, alpha=alpha, nu=nu))
-        else:
-            raise ValueError(f"unknown likelihood mode {likelihood!r}")
+        ll = engine.loglik(sigma2, alpha)
     except NotPositiveDefiniteError:
         return -np.inf
     return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
@@ -297,33 +276,19 @@ def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n
     return float(out) if out.ndim == 0 else out
 
 
-def profile_posterior_logdensity(
-    data: GpDataset,
-    nu: float,
-    prior: PriorSpec,
-    theta0: float,
-    alpha: float,
-    likelihood: str = "dense",
-) -> float:
+def profile_posterior_logdensity(engine, prior: PriorSpec, theta0: float, alpha: float) -> float:
     """Unnormalized log density of the profile posterior for alpha.
 
     Profile log-likelihood plus the conditional prior of alpha at theta0;
     with independent priors the conditioning drops out.
     """
-    if not alpha > 0 or not np.isfinite(alpha):
+    if not alpha > 0 or not math.isfinite(alpha):
         return -np.inf
     try:
-        if likelihood == "ou":
-            if data.design.d != 1 or abs(nu - 0.5) > 1e-14:
-                raise ValueError("ou likelihood requires d = 1 and nu = 1/2")
-            ps = ou_profile_stats(data, alpha)
-        elif likelihood == "dense":
-            ps = profile_stats(data, alpha, nu)
-        else:
-            raise ValueError(f"unknown likelihood mode {likelihood!r}")
+        ps = engine.profile(alpha)
     except (NotPositiveDefiniteError, DegenerateDataError):
         return -np.inf
-    return ps.profile_loglik + float(prior.log_alpha_given_theta0(alpha))
+    return ps.profile_loglik + prior.alpha_prior.logpdf(alpha)
 
 
 def tilted_params(stats: OuStats, n: int) -> TiltedParams:
@@ -344,23 +309,22 @@ def tilted_logdensity(params: TiltedParams, prior: PriorSpec, theta0: float, alp
     out = (
         0.5 * np.log(a)
         - (a - params.u_star) ** 2 / (2.0 * params.v_star)
-        + prior.log_alpha_given_theta0(a)
+        + prior.alpha_prior.logpdf(alpha)
     )
     return float(out) if out.ndim == 0 else out
 
 
 def joint_limit_sampler(
     kind: str,
-    data: GpDataset,
-    nu: float,
+    engine,
     prior: PriorSpec,
     theta0: float,
     alpha0: float,
     config: McmcConfig,
     fixed_alpha: float | None = None,
-    likelihood: str = "dense",
 ) -> ChainSamples:
-    """Draw from one of the limiting posteriors.
+    """Draw from one of the limiting posteriors of the dataset and smoothness
+    of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`).
 
     kind:
       * ``"conditional"``   theta ~ N(theta_tilde at ``fixed_alpha``,
@@ -368,33 +332,27 @@ def joint_limit_sampler(
       * ``"joint-profile"`` theta ~ N(theta_tilde at alpha0, .) i.i.d.,
         alpha from the profile posterior by 1-d RWM.
       * ``"ou-tilted"``     same theta stream, alpha from the tilted normal
-        limit (requires a 1-d dataset with nu = 1/2).
+        limit (requires the OU model: d = 1, nu = 1/2).
 
     The theta and alpha streams use independent RNG streams derived from
     ``config.seed``, so they are independent draws.
     """
-    n = data.n
+    n = engine.n
     ss = np.random.SeedSequence(config.seed)
     theta_ss, alpha_ss = ss.spawn(2)
     theta_rng = np.random.default_rng(theta_ss)
-
-    def theta_tilde_at(a):
-        if likelihood == "ou":
-            return ou_profile_stats(data, a).theta_tilde
-        return profile_stats(data, a, nu).theta_tilde
-
     sd = np.sqrt(2.0 * theta0**2 / n)
 
     if kind == "conditional":
         if fixed_alpha is None:
             raise ValueError("conditional kind requires fixed_alpha")
-        center = theta_tilde_at(fixed_alpha)
+        center = engine.profile(fixed_alpha).theta_tilde
         theta = _positive_normal_draws(theta_rng, center, sd, config.n_samples)
         alpha = np.full(config.n_samples, float(fixed_alpha))
         return ChainSamples(theta=theta, alpha=alpha, acceptance_rate=1.0,
                             target_label="conditional-bvm")
 
-    center = theta_tilde_at(alpha0)
+    center = engine.profile(alpha0).theta_tilde
     theta = _positive_normal_draws(theta_rng, center, sd, config.n_samples)
     alpha_rng = np.random.default_rng(alpha_ss)
     alpha_config = McmcConfig(
@@ -407,12 +365,12 @@ def joint_limit_sampler(
 
     if kind == "joint-profile":
         def logd(a):
-            return profile_posterior_logdensity(data, nu, prior, theta0, a[0], likelihood)
+            return profile_posterior_logdensity(engine, prior, theta0, a[0])
         label = "joint-profile-limit"
     elif kind == "ou-tilted":
-        if data.design.d != 1 or abs(nu - 0.5) > 1e-14:
+        if not engine.is_ou:
             raise ValueError("ou-tilted requires a 1-d dataset with nu = 1/2")
-        tp = tilted_params(ou_stats(data), n)
+        tp = tilted_params(ou_stats(engine.data), n)
 
         def logd(a):
             return tilted_logdensity(tp, prior, theta0, a[0])

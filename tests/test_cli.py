@@ -106,11 +106,16 @@ class TestTables:
         code = main(["table1", "--config", str(p)])
         assert code == 2
 
-    def test_bad_value_exit_2(self, tmp_path):
+    def test_bad_value_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
-        p.write_text("likelihood = banana\n")
-        code = main(["table1", "--config", str(p)])
-        assert code == 2
+        for line in ("likelihood = banana", "n_samples = abc", "nu = x", "n_values = 1,a"):
+            p.write_text(f"# comment\n{line}\n")
+            code = main(["table1", "--config", str(p)])
+            assert code == 2, line
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            if "banana" not in line:
+                assert f"{p}:2:" in err
 
     def test_failure_budget_exit_3(self, monkeypatch, tmp_path):
         from fixedgp import cli

@@ -15,9 +15,11 @@ from fixedgp.experiments import (
     run_table3,
     sample_gp_path,
     sample_ou_path_markov,
+    _chain_init,
     _seed_seq,
 )
-from fixedgp.gp import Design, factorize, build_correlation_matrix
+from fixedgp.gp import (Design, build_correlation_matrix, factorize, likelihood_engine,
+                        ou_profile_stats, profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
 
 
@@ -180,6 +182,7 @@ class TestContourGrid:
         assert np.ptp(s400["ridge"]) < np.ptp(s50["ridge"])
 
     def test_grid_argmax_matches_fine_search(self):
+        from fixedgp.gp import OuEngine
         from fixedgp.posterior import log_joint_posterior
         data, s = self._surfaces(50)
         theta_grid = s["theta_grid"]
@@ -188,7 +191,7 @@ class TestContourGrid:
             a = s["alpha_grid"][j]
             coarse_best = theta_grid[np.argmax(s["log_posterior"][:, j])]
             fine = np.linspace(theta_grid[0], theta_grid[-1], 400)
-            vals = [log_joint_posterior(data, 0.5, self.cfg.prior, t, a, "ou")
+            vals = [log_joint_posterior(OuEngine(data), self.cfg.prior, t, a)
                     for t in fine]
             fine_best = fine[np.argmax(vals)]
             assert abs(coarse_best - fine_best) <= cell
@@ -204,6 +207,33 @@ class TestContourGrid:
         ridge = (tmp_path / "contour_ridge.csv").read_text().strip().splitlines()
         assert ridge[0] == "alpha,theta_tilde"
         assert len(ridge) == 1 + 4
+
+    def test_tilted_surface_nan_off_the_ou_model(self, tmp_path):
+        cfg = ExperimentConfig(nu=1.5)
+        design = gen_perturbed_grid(1, 30, seed=3)
+        data = sample_gp_path(design, cfg.truth, 4)
+        s = emit_contour_grid(data, cfg, np.linspace(0.2, 1.0, 5),
+                              np.linspace(0.5, 3.0, 4), out_dir=str(tmp_path))
+        assert np.all(np.isnan(s["log_tilted_limit"]))
+        assert np.all(np.isfinite(s["log_posterior"]))
+        assert np.all(np.isfinite(s["log_profile_limit"]))
+        lines = (tmp_path / "contour_grid.csv").read_text().strip().splitlines()
+        assert lines[0] == "theta,alpha,log_posterior,log_profile_limit,log_tilted_limit"
+        assert all(line.split(",")[4] == "nan" for line in lines[1:])
+
+
+class TestChainInit:
+    def test_fallback_uses_the_resolved_backend(self):
+        # nu = 3/2 with the default likelihood = "ou": the replication runs
+        # the dense model, so the fallback start must be its profile value
+        cfg = ExperimentConfig(nu=1.5)
+        design = gen_perturbed_grid(1, 40, seed=2)
+        data = sample_gp_path(design, cfg.truth, 3)
+        engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
+        init = _chain_init(engine, cfg.prior, lambda p: -np.inf)
+        assert init[0] == profile_stats(data, 1.0, 1.5).theta_tilde
+        assert init[0] != ou_profile_stats(data, 1.0).theta_tilde
+        assert init[1] == 1.0
 
 
 class TestSweeps:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from fixedgp.gp import (
+    DenseEngine,
     Design,
     GpDataset,
     NotPositiveDefiniteError,
+    OuEngine,
     build_correlation_matrix,
     factorize,
+    likelihood_engine,
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
@@ -338,3 +341,89 @@ class TestDatasetCsv:
         p.write_text("s1,x\n0.5,0.2\n0.5,0.3\n")
         with pytest.raises(ValueError):
             load_dataset(p)
+
+
+def _matern_oracle(nu, t):
+    """Closed-form Matern correlations of the scaled distance t, written out
+    independently of fixedgp.kernels."""
+    if nu == 0.5:
+        return np.exp(-t)
+    if nu == 1.5:
+        return (1.0 + t) * np.exp(-t)
+    raise ValueError(nu)
+
+
+def _dense_oracle(data, nu, sigma2, alpha):
+    """(log-likelihood, profile log-likelihood, theta_tilde) from slogdet and
+    solve on the explicitly built covariance."""
+    pts = data.design.points
+    h = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    r = _matern_oracle(nu, alpha * h)
+    n = data.n
+    _, logdet = np.linalg.slogdet(r)
+    qf = data.x @ np.linalg.solve(r, data.x)
+    loglik = -0.5 * n * np.log(sigma2) - 0.5 * logdet - 0.5 * qf / sigma2
+    profile = -0.5 * n * np.log(qf / n) - 0.5 * logdet
+    return loglik, profile, qf / n * alpha ** (2 * nu)
+
+
+class TestLikelihoodEngines:
+    @pytest.mark.parametrize("d, nu", [(2, 0.5), (1, 1.5)])
+    def test_dense_engine_against_slogdet_oracle(self, rng, d, nu):
+        from fixedgp.experiments import gen_perturbed_grid, sample_gp_path
+
+        design = gen_perturbed_grid(d, 10 if d == 2 else 60, seed=4)
+        data = sample_gp_path(design, MaternSpec(1.0, 0.5, nu), seed=5)
+        engine = DenseEngine(data, nu)
+        # alphas where R is well enough conditioned for the oracle's own error
+        # to stay below the tolerance
+        for sigma2, alpha in ((1.0, 2.0), (0.3, 5.0), (4.0, 20.0)):
+            ll, prof, theta = _dense_oracle(data, nu, sigma2, alpha)
+            assert engine.loglik(sigma2, alpha) == pytest.approx(ll, rel=1e-10)
+            ps = engine.profile(alpha)
+            assert ps.profile_loglik == pytest.approx(prof, rel=1e-10)
+            assert ps.theta_tilde == pytest.approx(theta, rel=1e-10)
+
+    def test_ou_engine_against_dense_engine(self, rng):
+        data = ou_dataset(80, rng)
+        ou, dense = OuEngine(data), DenseEngine(data, 0.5)
+        for sigma2, alpha in ((1.0, 0.5), (0.3, 2.0), (4.0, 30.0)):
+            assert ou.loglik(sigma2, alpha) == pytest.approx(dense.loglik(sigma2, alpha), rel=1e-9)
+            a, b = ou.profile(alpha), dense.profile(alpha)
+            assert a.profile_loglik == pytest.approx(b.profile_loglik, rel=1e-9)
+            assert a.theta_tilde == pytest.approx(b.theta_tilde, rel=1e-9)
+
+    def test_backend_choice(self, rng):
+        data = ou_dataset(10, rng)
+        assert isinstance(likelihood_engine(data, 0.5, "ou"), OuEngine)
+        assert isinstance(likelihood_engine(data, 0.5, "dense"), DenseEngine)
+        # OU was requested but the model is not OU
+        assert isinstance(likelihood_engine(data, 1.5, "ou"), DenseEngine)
+        with pytest.raises(ValueError):
+            likelihood_engine(data, 0.5, "banana")
+
+    def test_geometry_checked_at_construction(self):
+        design_2d = Design(points=np.array([[0.1, 0.2], [0.4, 0.9]]))
+        with pytest.raises(ValueError):
+            OuEngine(GpDataset(design=design_2d, x=np.zeros(2)))
+        design = Design(points=np.array([[0.1], [0.2]]))
+        with pytest.raises(ValueError):
+            DenseEngine(GpDataset(design=design, x=np.array([0.0, np.nan])), 0.5)
+
+    def test_cholesky_failure_surfaces_with_pivot(self):
+        from fixedgp.experiments import gen_perturbed_grid
+        from fixedgp.posterior import (PriorSpec, log_joint_posterior,
+                                       profile_posterior_logdensity)
+
+        data = GpDataset(design=gen_perturbed_grid(1, 100, seed=0), x=np.ones(100))
+        engine = DenseEngine(data, 2.5)
+        with pytest.raises(NotPositiveDefiniteError) as dense_err:
+            factorize(build_correlation_matrix(data.design, 0.1, 2.5), 1.0)
+        for call in (lambda: engine.profile(0.1), lambda: engine.loglik(1.0, 0.1)):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                call()
+            assert err.value.pivot == dense_err.value.pivot > 0
+        prior = PriorSpec()
+        assert log_joint_posterior(engine, prior, 1e-5 * 0.1**5, 0.1) == -np.inf
+        assert profile_posterior_logdensity(engine, prior, 0.5, 0.1) == -np.inf
+        assert np.isfinite(profile_posterior_logdensity(engine, prior, 0.5, 0.5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from fixedgp.gp import Design, GpDataset, ou_stats, profile_stats
+from fixedgp.gp import DenseEngine, Design, GpDataset, OuEngine, ou_stats, profile_stats
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -40,6 +40,18 @@ class TestGammaPrior:
         assert g.logpdf(-1.0) == -np.inf
         assert g.mean == pytest.approx(11.0)
 
+    def test_scalar_path_matches_array_path_bitwise(self, rng):
+        g = GammaPrior(1.1, 0.1)
+        xs = np.concatenate([rng.gamma(1.1, 10.0, 500), [1e-300, 0.0, -2.0, np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):     # inf - inf at x = inf
+            from_array = g.logpdf(xs)
+            for x, want in zip(xs, from_array):
+                for scalar in (x, float(x)):
+                    got = g.logpdf(scalar)
+                    assert isinstance(got, float)
+                    assert got == want or (np.isnan(got) and np.isnan(want))
+                assert g.logpdf(np.asarray(x)) == got or np.isnan(got)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GammaPrior(0.0, 1.0)
@@ -50,8 +62,9 @@ class TestLogJointPosterior:
         data = ou_data(12, rng)
         prior = PriorSpec()
         t1, t2, a = 0.6, 0.9, 1.3
-        diff = (log_joint_posterior(data, 0.5, prior, t1, a)
-                - log_joint_posterior(data, 0.5, prior, t2, a))
+        engine = DenseEngine(data, 0.5)
+        diff = (log_joint_posterior(engine, prior, t1, a)
+                - log_joint_posterior(engine, prior, t2, a))
         direct = (
             log_likelihood(data, MaternSpec(t1 / a, a, 0.5))
             - log_likelihood(data, MaternSpec(t2 / a, a, 0.5))
@@ -81,16 +94,17 @@ class TestLogJointPosterior:
     def test_invalid_parameters_give_minus_inf(self, rng):
         data = ou_data(5, rng)
         prior = PriorSpec()
-        assert log_joint_posterior(data, 0.5, prior, -1.0, 1.0) == -np.inf
-        assert log_joint_posterior(data, 0.5, prior, 1.0, 0.0) == -np.inf
-        assert log_joint_posterior(data, 0.5, prior, np.inf, 1.0) == -np.inf
+        engine = DenseEngine(data, 0.5)
+        assert log_joint_posterior(engine, prior, -1.0, 1.0) == -np.inf
+        assert log_joint_posterior(engine, prior, 1.0, 0.0) == -np.inf
+        assert log_joint_posterior(engine, prior, np.inf, 1.0) == -np.inf
 
     def test_ou_matches_dense(self, rng):
         data = ou_data(30, rng)
         prior = PriorSpec()
         for theta, alpha in [(0.5, 0.5), (1.2, 3.0)]:
-            assert log_joint_posterior(data, 0.5, prior, theta, alpha, "ou") == pytest.approx(
-                log_joint_posterior(data, 0.5, prior, theta, alpha, "dense"), abs=1e-8)
+            assert log_joint_posterior(OuEngine(data), prior, theta, alpha) == pytest.approx(
+                log_joint_posterior(DenseEngine(data, 0.5), prior, theta, alpha), abs=1e-8)
 
 
 class TestRwmChain:
@@ -110,7 +124,7 @@ class TestRwmChain:
         data = ou_data(20, rng)
         prior = PriorSpec()
         def target(p):
-            return log_joint_posterior(data, 0.5, prior, p[0], p[1], "ou")
+            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
         cfg = McmcConfig(n_samples=500, n_burnin=100, step_sizes=(0.4, 1.0), seed=99)
         a = rwm_chain(target, cfg, np.array([11.0, 11.0]))
         b = rwm_chain(target, cfg, np.array([11.0, 11.0]))
@@ -122,7 +136,7 @@ class TestRwmChain:
         data = ou_data(50, rng)
         prior = PriorSpec()
         def target(p):
-            return log_joint_posterior(data, 0.5, prior, p[0], p[1], "ou")
+            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
         cfg = McmcConfig(n_samples=4000, n_burnin=1000,
                          step_sizes=(1.7 * np.sqrt(2 / 50), 1.5), seed=5)
         ch = rwm_chain(target, cfg, np.array([11.0, 11.0]))
@@ -155,7 +169,7 @@ class TestRwmChain:
         data = ou_data(10, rng)
         prior = PriorSpec()
         def target(p):
-            return log_joint_posterior(data, 0.5, prior, p[0], p[1], "ou")
+            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
         cfg = McmcConfig(n_samples=2000, n_burnin=200, step_sizes=(2.0, 2.0), seed=1)
         ch = rwm_chain(target, cfg, np.array([11.0, 11.0]))
         assert np.all(ch.theta > 0) and np.all(ch.alpha > 0)
@@ -199,8 +213,9 @@ class TestProfilePosterior:
         data = ou_data(18, rng)
         prior = PriorSpec()
         a1, a2 = 0.7, 2.2
-        diff = (profile_posterior_logdensity(data, 0.5, prior, 0.5, a1)
-                - profile_posterior_logdensity(data, 0.5, prior, 0.5, a2))
+        engine = DenseEngine(data, 0.5)
+        diff = (profile_posterior_logdensity(engine, prior, 0.5, a1)
+                - profile_posterior_logdensity(engine, prior, 0.5, a2))
         direct = (profile_stats(data, a1, 0.5).profile_loglik
                   - profile_stats(data, a2, 0.5).profile_loglik
                   + prior.alpha_prior.logpdf(a1) - prior.alpha_prior.logpdf(a2))
@@ -212,16 +227,17 @@ class TestProfilePosterior:
         data = ou_data(15, rng)
         p1 = PriorSpec(alpha_prior=GammaPrior(1.1, 0.1))
         p2 = PriorSpec(alpha_prior=GammaPrior(3.0, 1.5))
+        engine = DenseEngine(data, 0.5)
         for a in (0.3, 1.0, 4.0):
-            v1 = profile_posterior_logdensity(data, 0.5, p1, 0.5, a) - p1.alpha_prior.logpdf(a)
-            v2 = profile_posterior_logdensity(data, 0.5, p2, 0.5, a) - p2.alpha_prior.logpdf(a)
+            v1 = profile_posterior_logdensity(engine, p1, 0.5, a) - p1.alpha_prior.logpdf(a)
+            v2 = profile_posterior_logdensity(engine, p2, 0.5, a) - p2.alpha_prior.logpdf(a)
             assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_proper_and_vanishing_left_tail(self, rng):
         data = ou_data(20, rng)
         prior = PriorSpec()
         grid = np.logspace(-8, 2, 400)
-        logd = np.array([profile_posterior_logdensity(data, 0.5, prior, 0.5, a, "ou")
+        logd = np.array([profile_posterior_logdensity(OuEngine(data), prior, 0.5, a)
                          for a in grid])
         dens = np.exp(logd - logd.max())
         total = np.trapezoid(dens, grid)
@@ -242,7 +258,7 @@ class TestProfilePosterior:
         diffs = []
         for a in (0.4, 1.1, 3.0):
             closed = ou_profile_loglik(stats, n, a) + prior.alpha_prior.logpdf(a)
-            full = profile_posterior_logdensity(data, 0.5, prior, 0.5, a)
+            full = profile_posterior_logdensity(DenseEngine(data, 0.5), prior, 0.5, a)
             diffs.append(full - closed)
         assert np.ptp(diffs) < 1e-8
 
@@ -324,22 +340,22 @@ class TestJointLimitSampler:
         self.cfg = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(0.2, 2.0), seed=3)
 
     def test_theta_marginal_moments(self):
-        ch = joint_limit_sampler("joint-profile", self.data, 0.5, self.prior,
-                                 0.5, 0.5, self.cfg, likelihood="ou")
+        ch = joint_limit_sampler("joint-profile", OuEngine(self.data), self.prior, 0.5, 0.5,
+                                 self.cfg)
         center = profile_stats(self.data, 0.5, 0.5).theta_tilde
         var = 2 * 0.25 / 100
         assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(var / 5000)
         assert np.var(ch.theta) == pytest.approx(var, rel=0.10)
 
     def test_theta_alpha_independent(self):
-        ch = joint_limit_sampler("joint-profile", self.data, 0.5, self.prior,
-                                 0.5, 0.5, self.cfg, likelihood="ou")
+        ch = joint_limit_sampler("joint-profile", OuEngine(self.data), self.prior, 0.5, 0.5,
+                                 self.cfg)
         corr = np.corrcoef(ch.theta, ch.alpha)[0, 1]
         assert abs(corr) < 0.05
 
     def test_conditional_kind(self):
-        ch = joint_limit_sampler("conditional", self.data, 0.5, self.prior,
-                                 0.5, 0.5, self.cfg, fixed_alpha=1.3, likelihood="ou")
+        ch = joint_limit_sampler("conditional", OuEngine(self.data), self.prior, 0.5, 0.5,
+                                 self.cfg, fixed_alpha=1.3)
         assert np.all(ch.alpha == 1.3)
         center = profile_stats(self.data, 1.3, 0.5).theta_tilde
         assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(2 * 0.25 / 100 / 5000)
@@ -353,16 +369,15 @@ class TestJointLimitSampler:
             r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            prof = joint_limit_sampler("joint-profile", data, 0.5, self.prior,
-                                       0.5, 0.5, self.cfg, likelihood="ou")
-            tilt = joint_limit_sampler("ou-tilted", data, 0.5, self.prior,
-                                       0.5, 0.5, self.cfg, likelihood="ou")
+            engine = OuEngine(data)
+            prof = joint_limit_sampler("joint-profile", engine, self.prior, 0.5, 0.5, self.cfg)
+            tilt = joint_limit_sampler("ou-tilted", engine, self.prior, 0.5, 0.5, self.cfg)
             w2[n] = w2_distance(prof.alpha, tilt.alpha)
         assert w2[400] < w2[100]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            joint_limit_sampler("bogus", self.data, 0.5, self.prior, 0.5, 0.5, self.cfg)
+            joint_limit_sampler("bogus", OuEngine(self.data), self.prior, 0.5, 0.5, self.cfg)
 
 
 class TestChainSamplesIo:
