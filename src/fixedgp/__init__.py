@@ -50,9 +50,11 @@ from .posterior import (
 )
 from .kriging import (
     CoincidentTestPointError,
+    DenseMseFactors,
     EfficiencyRatios,
     KlReport,
     MseBreakdown,
+    OuMseFactors,
     PredictionQuery,
     blup,
     efficiency_envelope,

@@ -34,13 +34,18 @@ class ConfigError(Exception):
     pass
 
 
-_INT_FIELDS = {"d", "n_samples", "n_burnin", "n_replications", "n_test_points",
-               "master_seed", "n_workers", "mse_draw_thin"}
-_FLOAT_FIELDS = {"sigma2_0", "alpha_0", "nu", "theta_shape", "theta_rate",
-                 "alpha_shape", "alpha_rate"}
-_LIST_FIELDS = {"n_values", "m_values"}
-_BOOL_FIELDS = {"zero_noise"}
-_STR_FIELDS = {"output_dir", "likelihood"}
+def _int_list(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _flag(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+# one parser per ExperimentConfig field, chosen by the type of its default
+_PARSERS = {bool: _flag, int: int, float: float, tuple: _int_list, str: str}
+_FIELD_PARSERS = {f.name: _PARSERS[type(f.default)]
+                  for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -59,19 +64,10 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
-            elif key in _LIST_FIELDS:
-                values[key] = _int_list(val)
-            elif key in _BOOL_FIELDS:
-                values[key] = val.lower() in ("1", "true", "yes")
-            elif key in _STR_FIELDS:
-                values[key] = val
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _FIELD_PARSERS[key](val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: cannot parse {key} = {val!r}") from None
     return values
@@ -101,10 +97,6 @@ def build_config(args) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err))
-
-
-def _int_list(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _float_list(text):
@@ -189,9 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cfg_values = parse_config_file(args.config) if args.config else {}
-    d = args.d if args.d is not None else cfg_values.get("d", 1)
-    cfg = ExperimentConfig(**{**cfg_values, "d": d, "output_dir": args.out})
+    cfg = build_config(args)
+    d = cfg.d
     design = gen_perturbed_grid(d, args.n, np.random.SeedSequence([args.seed, 1]),
                                 zero_noise=args.zero_noise)
     data = sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
@@ -224,8 +215,7 @@ def _cmd_table(args, runner) -> int:
 
 
 def _cmd_contour(args) -> int:
-    cfg_values = parse_config_file(args.config) if args.config else {}
-    cfg = ExperimentConfig(**{**cfg_values, "output_dir": args.out})
+    cfg = build_config(args)
     if args.data:
         data = load_dataset(args.data)
     else:

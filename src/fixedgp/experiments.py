@@ -37,8 +37,8 @@ from .gp import (
     likelihood_engine,
     ou_stats,
 )
-from .kernels import MaternSpec, matern_correlation
-from .kriging import PredictionQuery
+from .kernels import MaternSpec
+from .kriging import DenseMseFactors, OuMseFactors, PredictionQuery
 from .posterior import (
     GammaPrior,
     InitializationError,
@@ -113,6 +113,14 @@ class ExperimentConfig:
         for name in ("n_samples", "n_burnin", "n_replications", "mse_draw_thin"):
             if getattr(self, name) < (0 if name == "n_burnin" else 1):
                 raise ValueError(f"{name} must be positive")
+        for name in ("sigma2_0", "alpha_0", "nu", "theta_shape", "theta_rate",
+                     "alpha_shape", "alpha_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("n_values", "m_values"):
+            sizes = getattr(self, name)
+            if len(sizes) == 0 or min(sizes) < 1:
+                raise ValueError(f"{name} must be a non-empty list of positive sizes, got {sizes}")
 
     @property
     def truth(self) -> MaternSpec:
@@ -357,102 +365,21 @@ def _posterior_mean_max_ratios(cfg, engine, chain, queries):
     """Average over posterior draws of the max-over-test-points MSE ratios."""
     truth = cfg.truth
     pts = np.asarray([q.s_star for q in queries])
+    if isinstance(engine, OuEngine):
+        factors = OuMseFactors(engine.data.design.coords_1d, truth.alpha, pts[:, 0])
+    else:
+        factors = DenseMseFactors(engine.data.design, cfg.nu, truth.alpha, pts)
+    mse_oracle = truth.sigma2 * factors.m0
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]
-    if isinstance(engine, OuEngine):
-        coords = engine.data.design.coords_1d
-        ev = _OuRatioEvaluator(coords, truth.alpha, pts[:, 0])
-        max_r1 = np.empty(thetas.shape[0])
-        max_r2 = np.empty(thetas.shape[0])
-        for i, (th, al) in enumerate(zip(thetas, alphas)):
-            max_r1[i], max_r2[i] = ev.max_ratios(th / al, truth.sigma2, al)
-        return float(np.mean(max_r1)), float(np.mean(max_r2))
-
-    ev = _DenseRatioEvaluator(engine, truth, pts)
     max_r1 = np.empty(thetas.shape[0])
     max_r2 = np.empty(thetas.shape[0])
     for i, (th, al) in enumerate(zip(thetas, alphas)):
-        max_r1[i], max_r2[i] = ev.max_ratios(th / al ** (2.0 * cfg.nu), al)
+        m, q = factors(al)
+        mse_assumed = th / al ** (2.0 * cfg.nu) * m
+        max_r1[i] = np.abs(mse_assumed / (truth.sigma2 * q) - 1.0).max()
+        max_r2[i] = np.abs(mse_assumed / mse_oracle - 1.0).max()
     return float(np.mean(max_r1)), float(np.mean(max_r2))
-
-
-class _DenseRatioEvaluator:
-    """Max MSE ratios per posterior draw with all draw-independent pieces
-    (distances, truth factorization, oracle MSEs) computed once."""
-
-    def __init__(self, engine, truth, pts):
-        design = engine.data.design
-        self.nu = nu = engine.nu
-        self.sigma2_0 = truth.sigma2
-        self.dist_nn = engine.dist
-        diffs = design.points[None, :, :] - pts[:, None, :]
-        self.dist_nk = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
-        if self.dist_nk.min() == 0.0:
-            raise ValueError("test points must avoid design points")
-        self.r0 = matern_correlation(truth.alpha, nu, self.dist_nn)
-        np.fill_diagonal(self.r0, 1.0)
-        fac0 = factorize(self.r0, 1.0)
-        self.rv0 = matern_correlation(truth.alpha, nu, self.dist_nk)
-        y0 = fac0.half_solve(self.rv0)
-        self.mse_oracle = self.sigma2_0 * (1.0 - np.sum(y0 * y0, axis=0))
-
-    def max_ratios(self, sigma2, alpha):
-        from scipy.linalg import solve_triangular
-
-        r = matern_correlation(alpha, self.nu, self.dist_nn)
-        np.fill_diagonal(r, 1.0)
-        fac = factorize(r, 1.0)
-        rv = matern_correlation(alpha, self.nu, self.dist_nk)
-        half = solve_triangular(fac.corr_chol, rv, lower=True)
-        w = solve_triangular(fac.corr_chol.T, half, lower=False)
-        mse_assumed = sigma2 * (1.0 - np.sum(rv * w, axis=0))
-        mse_truth = self.sigma2_0 * (
-            1.0 - 2.0 * np.sum(self.rv0 * w, axis=0) + np.sum(w * (self.r0 @ w), axis=0)
-        )
-        r1 = np.abs(mse_assumed / mse_truth - 1.0)
-        r2 = np.abs(mse_assumed / self.mse_oracle - 1.0)
-        return float(r1.max()), float(r2.max())
-
-
-class _OuRatioEvaluator:
-    """Per-draw MSE ratio maxima for the OU kernel with the geometry
-    precomputed once per (design, test set)."""
-
-    def __init__(self, coords, alpha0, test_points):
-        coords = np.asarray(coords, dtype=float)
-        tp = np.asarray(test_points, dtype=float)
-        idx = np.searchsorted(coords, tp)
-        self.interior = (idx > 0) & (idx < coords.shape[0])
-        il = np.clip(idx - 1, 0, coords.shape[0] - 1)
-        ir = np.clip(idx, 0, coords.shape[0] - 1)
-        self.dl = np.abs(tp - coords[il])
-        self.dr = np.where(self.interior, coords[ir] - tp, 0.0)
-        self.rho_l0 = np.exp(-alpha0 * self.dl)
-        self.rho_r0 = np.where(self.interior, np.exp(-alpha0 * self.dr), 1.0)
-        self.rho_gap0 = self.rho_l0 * self.rho_r0
-        wl0, wr0 = self._weights(self.rho_l0, np.where(self.interior, self.rho_r0, 0.0))
-        # oracle factor: truth weights evaluated under the truth
-        self.m0 = 1.0 - wl0 * self.rho_l0 - np.where(self.interior, wr0 * self.rho_r0, 0.0)
-
-    def _weights(self, rho_l, rho_r):
-        rho_gap = rho_l * rho_r
-        denom = 1.0 - rho_gap**2
-        wl = np.where(self.interior, rho_l * (1.0 - rho_r**2) / denom, rho_l)
-        wr = np.where(self.interior, rho_r * (1.0 - rho_l**2) / denom, 0.0)
-        return wl, wr
-
-    def max_ratios(self, sigma2, sigma2_0, alpha):
-        rho_l = np.exp(-alpha * self.dl)
-        rho_r = np.where(self.interior, np.exp(-alpha * self.dr), 0.0)
-        wl, wr = self._weights(rho_l, rho_r)
-        m = 1.0 - wl * rho_l - wr * rho_r
-        q = (1.0 + wl**2 + wr**2 + 2.0 * wl * wr * self.rho_gap0
-             - 2.0 * wl * self.rho_l0
-             - 2.0 * np.where(self.interior, wr * self.rho_r0, 0.0))
-        mse_assumed = sigma2 * m
-        r1 = np.abs(mse_assumed / (sigma2_0 * q) - 1.0)
-        r2 = np.abs(mse_assumed / (sigma2_0 * self.m0) - 1.0)
-        return float(r1.max()), float(r2.max())
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +538,8 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     log_tilted = np.empty_like(log_true)
     for j, a in enumerate(alpha_grid):
         ridge[j] = engine.profile(a).theta_tilde
-        prof_ld = profile_posterior_logdensity(engine, prior, cfg.theta_0, a)
-        tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, cfg.theta_0, a)
+        prof_ld = profile_posterior_logdensity(engine, prior, a)
+        tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, a)
         for i, t in enumerate(theta_grid):
             log_true[i, j] = log_joint_posterior(engine, prior, t, a)
             norm_ld = conditional_bvm_logdensity(t, theta_tilde_alpha0, cfg.theta_0, n)

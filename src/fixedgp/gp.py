@@ -218,8 +218,9 @@ def build_correlation_matrix(design: Design, alpha: float, nu: float) -> np.ndar
     return r
 
 
-def factorize(cov: np.ndarray, sigma2: float, jitter: float = 0.0) -> CovFactorization:
-    """Cholesky-factorize sigma2 * cov.
+def factorize(cov: np.ndarray, sigma2: float) -> CovFactorization:
+    """Cholesky-factorize sigma2 * cov, with no diagonal jitter, so failures
+    surface instead of being masked.
 
     Parameters
     ----------
@@ -227,9 +228,6 @@ def factorize(cov: np.ndarray, sigma2: float, jitter: float = 0.0) -> CovFactori
         Symmetric positive-definite matrix (typically a correlation matrix).
     sigma2 : float
         Positive scale.
-    jitter : float
-        Optional diagonal jitter (<= 1e-10) for exploratory use only; the
-        default is no jitter so failures surface instead of being masked.
 
     Raises
     ------
@@ -238,11 +236,7 @@ def factorize(cov: np.ndarray, sigma2: float, jitter: float = 0.0) -> CovFactori
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if jitter < 0 or jitter > 1e-10:
-        raise ValueError(f"jitter must be in [0, 1e-10], got {jitter}")
     a = np.array(cov, dtype=float)
-    if jitter:
-        a[np.diag_indices_from(a)] += jitter
     c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(int(info))

@@ -27,6 +27,8 @@ __all__ = [
     "EfficiencyRatios",
     "KlReport",
     "CoincidentTestPointError",
+    "DenseMseFactors",
+    "OuMseFactors",
     "blup",
     "mse_breakdown",
     "efficiency_ratios",
@@ -135,26 +137,44 @@ def _mse_arrays(design, nu, assumed, truth, points):
     """Vectorized MSE triple over a (K, d) array of test points."""
     if abs(assumed.nu - nu) > 1e-14 or abs(truth.nu - nu) > 1e-14:
         raise ValueError("assumed and truth specs must share the smoothness nu")
-    for s in points:
-        _check_distinct(design, s)
-    fac = factorize(build_correlation_matrix(design, assumed.alpha, nu), 1.0)
-    fac0 = factorize(build_correlation_matrix(design, truth.alpha, nu), 1.0)
-    r0mat = build_correlation_matrix(design, truth.alpha, nu)
+    factors = DenseMseFactors(design, nu, truth.alpha, points)
+    m, q = factors(assumed.alpha)
+    return assumed.sigma2 * m, truth.sigma2 * q, truth.sigma2 * factors.m0
 
-    diffs = design.points[None, :, :] - points[:, None, :]
-    dists = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs))
-    rv = matern_correlation(assumed.alpha, nu, dists).T     # (n, K)
-    rv0 = matern_correlation(truth.alpha, nu, dists).T
 
-    w = solve_triangular(fac.corr_chol.T,
-                         solve_triangular(fac.corr_chol, rv, lower=True), lower=False)
-    mse_assumed = assumed.sigma2 * (1.0 - np.sum(rv * w, axis=0))
-    mse_truth = truth.sigma2 * (
-        1.0 - 2.0 * np.sum(rv0 * w, axis=0) + np.sum(w * (r0mat @ w), axis=0)
-    )
-    y0 = solve_triangular(fac0.corr_chol, rv0, lower=True)
-    mse_oracle = truth.sigma2 * (1.0 - np.sum(y0 * y0, axis=0))
-    return mse_assumed, mse_truth, mse_oracle
+class DenseMseFactors:
+    """Correlation-scale MSE factors at a (K, d) array of test points under
+    the dense Cholesky path.
+
+    Everything that does not depend on the assumed alpha (distances, the
+    truth correlation and its factor, the truth cross-correlations and the
+    oracle factor ``m0`` = mse_oracle / sigma0^2) is built once; calling the
+    object with an alpha gives ``(m, q)``: m = mse_assumed / sigma2 and
+    q = mse_under_truth / sigma0^2.
+    """
+
+    def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
+        self.nu = nu
+        self.dist_nn = design.distance_matrix()
+        diffs = design.points[None, :, :] - points[:, None, :]
+        self.dist_nk = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
+        if np.any(self.dist_nk == 0.0):
+            raise CoincidentTestPointError("test points must avoid design points")
+        self.r0 = matern_correlation(alpha0, nu, self.dist_nn)
+        np.fill_diagonal(self.r0, 1.0)
+        self.rv0 = matern_correlation(alpha0, nu, self.dist_nk)
+        y0 = factorize(self.r0, 1.0).half_solve(self.rv0)
+        self.m0 = 1.0 - np.sum(y0 * y0, axis=0)
+
+    def __call__(self, alpha: float):
+        r = matern_correlation(alpha, self.nu, self.dist_nn)
+        np.fill_diagonal(r, 1.0)
+        fac = factorize(r, 1.0)
+        rv = matern_correlation(alpha, self.nu, self.dist_nk)
+        w = solve_triangular(fac.corr_chol.T, fac.half_solve(rv), lower=False)
+        m = 1.0 - np.sum(rv * w, axis=0)
+        q = 1.0 - 2.0 * np.sum(self.rv0 * w, axis=0) + np.sum(w * (self.r0 @ w), axis=0)
+        return m, q
 
 
 def efficiency_ratios(breakdown: MseBreakdown) -> EfficiencyRatios:
@@ -251,52 +271,55 @@ def write_efficiency_sweep(path, design: Design, nu: float, assumed: MaternSpec,
             )
 
 
-def ou_mse_profiles(coords: np.ndarray, alpha: float, alpha0: float, test_points: np.ndarray):
-    """Correlation-scale MSE factors for the OU kernel in O(n + K).
+class OuMseFactors:
+    """The :class:`DenseMseFactors` quantities for the OU kernel in O(n + K).
 
     The OU predictor weights are supported on the (at most two) bracketing
-    neighbors, so for sorted 1-d coordinates every factor is local:
-
-      * ``m``  : 1 - w' r_alpha, the assumed MSE divided by sigma2;
-      * ``q``  : truth-model evaluation of the same weights, the MSE under
-        (sigma0^2, alpha0) divided by sigma0^2;
-      * ``m0`` : the oracle factor, ``m`` evaluated at alpha0.
-
-    Returns the three arrays over test points.  Used by the experiment
-    harness where a dense solve per posterior draw would be prohibitive;
-    agrees with :func:`mse_breakdown` exactly.
+    neighbors of each test point, so for sorted 1-d coordinates every factor
+    is local; the bracketing gaps and the truth terms are computed once.
     """
-    coords = np.asarray(coords, dtype=float)
-    tp = np.asarray(test_points, dtype=float)
-    if np.any(np.isin(tp, coords)):
-        raise CoincidentTestPointError("test points must avoid design points")
-    idx = np.searchsorted(coords, tp)
-    interior = (idx > 0) & (idx < coords.shape[0])
-    il = np.clip(idx - 1, 0, coords.shape[0] - 1)
-    ir = np.clip(idx, 0, coords.shape[0] - 1)
-    dl = np.abs(tp - coords[il])
-    dr = np.where(interior, coords[ir] - tp, 0.0)
 
-    def factors(a):
-        rho_l = np.exp(-a * dl)
-        rho_r = np.exp(-a * dr)
+    def __init__(self, coords: np.ndarray, alpha0: float, test_points: np.ndarray):
+        coords = np.asarray(coords, dtype=float)
+        tp = np.asarray(test_points, dtype=float)
+        if np.any(np.isin(tp, coords)):
+            raise CoincidentTestPointError("test points must avoid design points")
+        idx = np.searchsorted(coords, tp)
+        self.interior = (idx > 0) & (idx < coords.shape[0])
+        il = np.clip(idx - 1, 0, coords.shape[0] - 1)
+        ir = np.clip(idx, 0, coords.shape[0] - 1)
+        self.dl = np.abs(tp - coords[il])
+        self.dr = np.where(self.interior, coords[ir] - tp, 0.0)
+        self.rho_l0 = np.exp(-alpha0 * self.dl)
+        self.rho_r0 = np.where(self.interior, np.exp(-alpha0 * self.dr), 1.0)
+        self.rho_gap0 = self.rho_l0 * self.rho_r0
+        wl0, wr0 = self._weights(self.rho_l0, np.where(self.interior, self.rho_r0, 0.0))
+        # oracle factor: truth weights evaluated under the truth
+        self.m0 = 1.0 - wl0 * self.rho_l0 - np.where(self.interior, wr0 * self.rho_r0, 0.0)
+
+    def _weights(self, rho_l, rho_r):
         rho_gap = rho_l * rho_r
         denom = 1.0 - rho_gap**2
-        wl = np.where(interior, rho_l * (1.0 - rho_r**2) / denom, rho_l)
-        wr = np.where(interior, rho_r * (1.0 - rho_l**2) / denom, 0.0)
+        wl = np.where(self.interior, rho_l * (1.0 - rho_r**2) / denom, rho_l)
+        wr = np.where(self.interior, rho_r * (1.0 - rho_l**2) / denom, 0.0)
         return wl, wr
 
-    wl, wr = factors(alpha)
-    rho_l_a = np.exp(-alpha * dl)
-    rho_r_a = np.exp(-alpha * dr)
-    m = 1.0 - wl * rho_l_a - wr * rho_r_a
+    def __call__(self, alpha: float):
+        rho_l = np.exp(-alpha * self.dl)
+        rho_r = np.where(self.interior, np.exp(-alpha * self.dr), 0.0)
+        wl, wr = self._weights(rho_l, rho_r)
+        m = 1.0 - wl * rho_l - wr * rho_r
+        q = (1.0 + wl**2 + wr**2 + 2.0 * wl * wr * self.rho_gap0
+             - 2.0 * wl * self.rho_l0
+             - 2.0 * np.where(self.interior, wr * self.rho_r0, 0.0))
+        return m, q
 
-    rho_l0 = np.exp(-alpha0 * dl)
-    rho_r0 = np.exp(-alpha0 * dr)
-    rho_gap0 = rho_l0 * rho_r0
-    q = (1.0 + wl**2 + wr**2 + 2.0 * wl * wr * rho_gap0
-         - 2.0 * wl * rho_l0 - 2.0 * wr * rho_r0)
 
-    wl0, wr0 = factors(alpha0)
-    m0 = 1.0 - wl0 * rho_l0 - wr0 * rho_r0
-    return m, q, m0
+def ou_mse_profiles(coords: np.ndarray, alpha: float, alpha0: float, test_points: np.ndarray):
+    """OU MSE factors ``(m, q, m0)`` at one alpha; see :class:`OuMseFactors`.
+
+    Agrees with :func:`mse_breakdown` up to round-off.
+    """
+    factors = OuMseFactors(coords, alpha0, test_points)
+    m, q = factors(alpha)
+    return m, q, factors.m0

@@ -97,7 +97,6 @@ class McmcConfig:
     n_burnin: int = 1000
     step_sizes: tuple = (0.5, 0.5)
     seed: int = 0
-    adapt_during_burnin: bool = True
 
     def __post_init__(self):
         if self.n_samples <= 0 or self.n_burnin < 0:
@@ -108,14 +107,10 @@ class McmcConfig:
 
 @dataclass
 class ChainSamples:
-    """Posterior draws with acceptance bookkeeping.
-
-    ``theta`` may be None for a bare 1-d alpha chain; every public sampler
-    in this package returns both streams.
-    """
+    """Posterior draws of (theta, alpha) with acceptance bookkeeping."""
 
     alpha: np.ndarray
-    theta: np.ndarray | None
+    theta: np.ndarray
     acceptance_rate: float
     target_label: str
 
@@ -123,12 +118,11 @@ class ChainSamples:
         self.alpha = np.asarray(self.alpha, dtype=float)
         if np.any(self.alpha <= 0):
             raise ValueError("alpha draws must be strictly positive")
-        if self.theta is not None:
-            self.theta = np.asarray(self.theta, dtype=float)
-            if self.theta.shape != self.alpha.shape:
-                raise ValueError("theta and alpha streams must have equal length")
-            if np.any(self.theta <= 0):
-                raise ValueError("theta draws must be strictly positive")
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.shape != self.alpha.shape:
+            raise ValueError("theta and alpha streams must have equal length")
+        if np.any(self.theta <= 0):
+            raise ValueError("theta draws must be strictly positive")
         if not 0.0 <= self.acceptance_rate <= 1.0:
             raise ValueError(f"acceptance rate {self.acceptance_rate} outside [0, 1]")
 
@@ -137,8 +131,7 @@ class ChainSamples:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "theta", "alpha"])
-            theta = self.theta if self.theta is not None else np.full_like(self.alpha, np.nan)
-            for i, (t, a) in enumerate(zip(theta, self.alpha)):
+            for i, (t, a) in enumerate(zip(self.theta, self.alpha)):
                 writer.writerow([i, f"{t:.17g}", f"{a:.17g}"])
         if sidecar_path is not None:
             meta = {
@@ -219,24 +212,23 @@ def _rwm_core(log_target_pos, config: McmcConfig, init, rng):
         if accept:
             u, fu = prop, fp
         if t < config.n_burnin:
-            if config.adapt_during_burnin:
-                log_scale += (t + 1) ** -0.6 * ((1.0 if accept else 0.0) - 0.3)
-                log_scale = min(max(log_scale, -8.0), 8.0)
-                if t >= config.n_burnin // 4:
-                    w_count += 1
-                    delta = u - w_mean
-                    w_mean += delta / w_count
-                    w_m2 += delta * (u - w_mean)
-                    if w_count >= 100 and w_count % 50 == 0:
-                        sd = np.sqrt(w_m2 / (w_count - 1))
-                        ok = sd > 0
-                        if np.any(ok):
-                            # near-optimal diagonal scaling, folded into the
-                            # existing global factor
-                            steps[ok] = np.clip(
-                                2.38 / np.sqrt(k) * sd[ok] / np.exp(log_scale),
-                                steps[ok] * 1e-3, steps[ok] * 1e3,
-                            )
+            log_scale += (t + 1) ** -0.6 * ((1.0 if accept else 0.0) - 0.3)
+            log_scale = min(max(log_scale, -8.0), 8.0)
+            if t >= config.n_burnin // 4:
+                w_count += 1
+                delta = u - w_mean
+                w_mean += delta / w_count
+                w_m2 += delta * (u - w_mean)
+                if w_count >= 100 and w_count % 50 == 0:
+                    sd = np.sqrt(w_m2 / (w_count - 1))
+                    ok = sd > 0
+                    if np.any(ok):
+                        # near-optimal diagonal scaling, folded into the
+                        # existing global factor
+                        steps[ok] = np.clip(
+                            2.38 / np.sqrt(k) * sd[ok] / np.exp(log_scale),
+                            steps[ok] * 1e-3, steps[ok] * 1e3,
+                        )
         else:
             if accept:
                 accepted_main += 1
@@ -245,7 +237,7 @@ def _rwm_core(log_target_pos, config: McmcConfig, init, rng):
 
 
 def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom") -> ChainSamples:
-    """Random-walk Metropolis over k positive variables.
+    """Random-walk Metropolis over the positive pair (theta, alpha).
 
     ``log_target`` takes the parameter vector on the original (positive)
     scale; proposals are Gaussian on the log scale, so positivity holds
@@ -253,17 +245,12 @@ def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom"
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     samples, acc = _rwm_core(log_target, config, init, rng)
-    if samples.shape[1] == 2:
-        return ChainSamples(
-            theta=samples[:, 0], alpha=samples[:, 1],
-            acceptance_rate=acc, target_label=target_label,
-        )
-    if samples.shape[1] == 1:
-        return ChainSamples(
-            theta=None, alpha=samples[:, 0],
-            acceptance_rate=acc, target_label=target_label,
-        )
-    raise ValueError(f"rwm_chain maps only 1 or 2 variables to ChainSamples, got {samples.shape[1]}")
+    if samples.shape[1] != 2:
+        raise ValueError(f"rwm_chain samples (theta, alpha), got {samples.shape[1]} variables")
+    return ChainSamples(
+        theta=samples[:, 0], alpha=samples[:, 1],
+        acceptance_rate=acc, target_label=target_label,
+    )
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:
@@ -276,12 +263,10 @@ def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n
     return float(out) if out.ndim == 0 else out
 
 
-def profile_posterior_logdensity(engine, prior: PriorSpec, theta0: float, alpha: float) -> float:
-    """Unnormalized log density of the profile posterior for alpha.
-
-    Profile log-likelihood plus the conditional prior of alpha at theta0;
-    with independent priors the conditioning drops out.
-    """
+def profile_posterior_logdensity(engine, prior: PriorSpec, alpha: float) -> float:
+    """Unnormalized log density of the profile posterior for alpha: the
+    profile log-likelihood plus the log prior of alpha (independent of
+    theta, see :class:`PriorSpec`)."""
     if not alpha > 0 or not math.isfinite(alpha):
         return -np.inf
     try:
@@ -300,9 +285,9 @@ def tilted_params(stats: OuStats, n: int) -> TiltedParams:
     return TiltedParams(u_star=float(u), v_star=float(v))
 
 
-def tilted_logdensity(params: TiltedParams, prior: PriorSpec, theta0: float, alpha) -> float:
+def tilted_logdensity(params: TiltedParams, prior: PriorSpec, alpha) -> float:
     """Polynomially tilted normal limit for alpha (unnormalized log density):
-    (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha | theta0)."""
+    (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha)."""
     a = np.asarray(alpha, dtype=float)
     if np.any(a <= 0):
         raise ValueError("tilted_logdensity requires alpha > 0")
@@ -360,12 +345,11 @@ def joint_limit_sampler(
         n_burnin=config.n_burnin,
         step_sizes=(np.atleast_1d(config.step_sizes)[-1],),
         seed=config.seed,
-        adapt_during_burnin=config.adapt_during_burnin,
     )
 
     if kind == "joint-profile":
         def logd(a):
-            return profile_posterior_logdensity(engine, prior, theta0, a[0])
+            return profile_posterior_logdensity(engine, prior, a[0])
         label = "joint-profile-limit"
     elif kind == "ou-tilted":
         if not engine.is_ou:
@@ -373,7 +357,7 @@ def joint_limit_sampler(
         tp = tilted_params(ou_stats(engine.data), n)
 
         def logd(a):
-            return tilted_logdensity(tp, prior, theta0, a[0])
+            return tilted_logdensity(tp, prior, a[0])
         label = "ou-tilted-limit"
     else:
         raise ValueError(f"unknown limit sampler kind {kind!r}")

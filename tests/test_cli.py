@@ -117,6 +117,16 @@ class TestTables:
             if "banana" not in line:
                 assert f"{p}:2:" in err
 
+    def test_invalid_config_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        out = str(tmp_path / "o")
+        for command, line in (("table1", "nu = -1"), ("table1", "n_values = 0,5"),
+                              ("simulate", "d = 3"), ("contour", "d = 3")):
+            p.write_text(f"{line}\n")
+            code = main([command, "--config", str(p), "--out", out])
+            assert code == 2, (command, line)
+            assert capsys.readouterr().err.startswith("config error:")
+
     def test_failure_budget_exit_3(self, monkeypatch, tmp_path):
         from fixedgp import cli
         from fixedgp.experiments import FailureBudgetExceededError

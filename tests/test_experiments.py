@@ -145,12 +145,18 @@ class TestTableRuns:
         assert rows1[0]["e_theta"] != rows2[0]["e_theta"]
 
     def test_table3_tiny_d1(self, tmp_path):
-        cfg = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path), **TINY)
-        results, rows = run_table3(cfg)
-        assert rows[0]["max_r1"] > 0
-        assert rows[0]["max_r2"] > 0
-        assert np.isfinite(rows[0]["max_r1_sd"])
-        assert (tmp_path / "table3.csv").exists()
+        # the OU and the dense MSE factors at d=1, and the dense ones at d=2
+        # on thinned draws
+        for label, sizes in (("ou", dict(n_values=(25,))),
+                             ("dense", dict(n_values=(25,), likelihood="dense")),
+                             ("d2", dict(d=2, m_values=(4,), mse_draw_thin=3))):
+            out = tmp_path / label
+            cfg = ExperimentConfig(output_dir=str(out), **sizes, **TINY)
+            results, rows = run_table3(cfg)
+            assert rows[0]["max_r1"] > 0, label
+            assert rows[0]["max_r2"] > 0, label
+            assert np.isfinite(rows[0]["max_r1_sd"]), label
+            assert (out / "table3.csv").exists(), label
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_s = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "s"), **TINY)

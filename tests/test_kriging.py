@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fixedgp.experiments import gen_lhs_testpoints
 from fixedgp.gp import Design, GpDataset
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.kriging import (
     CoincidentTestPointError,
+    DenseMseFactors,
     MseBreakdown,
+    OuMseFactors,
     PredictionQuery,
     blup,
     efficiency_envelope,
@@ -273,8 +276,20 @@ class TestOuMseProfiles:
             assert sigma2 * m[k] == pytest.approx(br.mse_assumed, rel=1e-10)
             assert truth.sigma2 * q[k] == pytest.approx(br.mse_under_truth, rel=1e-10)
             assert truth.sigma2 * m0[k] == pytest.approx(br.mse_oracle, rel=1e-10)
+        # the OU factors against the dense ones, on LHS test points; the
+        # dense 1 - r' R^{-1} r carries an absolute round-off near 1e-13,
+        # which is most of a factor of 1e-5 next to a design point
+        lhs = np.array([q.s_star for q in gen_lhs_testpoints(1, 300, 4, d)])
+        ou = OuMseFactors(pts, truth.alpha, lhs[:, 0])
+        dense = DenseMseFactors(d, 0.5, truth.alpha, lhs)
+        np.testing.assert_allclose(ou.m0, dense.m0, rtol=1e-10, atol=1e-11)
+        for a in (0.1, 0.7, 1.7, 3.0, 20.0):
+            for got, want in zip(ou(a), dense(a)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-11)
 
     def test_rejects_coincident(self, rng):
         pts = np.sort(rng.uniform(0, 1, 10))
         with pytest.raises(CoincidentTestPointError):
             ou_mse_profiles(pts, 1.0, 0.5, np.array([pts[2]]))
+        with pytest.raises(CoincidentTestPointError):
+            DenseMseFactors(Design(points=pts[:, None]), 0.5, 0.5, pts[2:3, None])

@@ -214,8 +214,8 @@ class TestProfilePosterior:
         prior = PriorSpec()
         a1, a2 = 0.7, 2.2
         engine = DenseEngine(data, 0.5)
-        diff = (profile_posterior_logdensity(engine, prior, 0.5, a1)
-                - profile_posterior_logdensity(engine, prior, 0.5, a2))
+        diff = (profile_posterior_logdensity(engine, prior, a1)
+                - profile_posterior_logdensity(engine, prior, a2))
         direct = (profile_stats(data, a1, 0.5).profile_loglik
                   - profile_stats(data, a2, 0.5).profile_loglik
                   + prior.alpha_prior.logpdf(a1) - prior.alpha_prior.logpdf(a2))
@@ -229,15 +229,15 @@ class TestProfilePosterior:
         p2 = PriorSpec(alpha_prior=GammaPrior(3.0, 1.5))
         engine = DenseEngine(data, 0.5)
         for a in (0.3, 1.0, 4.0):
-            v1 = profile_posterior_logdensity(engine, p1, 0.5, a) - p1.alpha_prior.logpdf(a)
-            v2 = profile_posterior_logdensity(engine, p2, 0.5, a) - p2.alpha_prior.logpdf(a)
+            v1 = profile_posterior_logdensity(engine, p1, a) - p1.alpha_prior.logpdf(a)
+            v2 = profile_posterior_logdensity(engine, p2, a) - p2.alpha_prior.logpdf(a)
             assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_proper_and_vanishing_left_tail(self, rng):
         data = ou_data(20, rng)
         prior = PriorSpec()
         grid = np.logspace(-8, 2, 400)
-        logd = np.array([profile_posterior_logdensity(OuEngine(data), prior, 0.5, a)
+        logd = np.array([profile_posterior_logdensity(OuEngine(data), prior, a)
                          for a in grid])
         dens = np.exp(logd - logd.max())
         total = np.trapezoid(dens, grid)
@@ -258,7 +258,7 @@ class TestProfilePosterior:
         diffs = []
         for a in (0.4, 1.1, 3.0):
             closed = ou_profile_loglik(stats, n, a) + prior.alpha_prior.logpdf(a)
-            full = profile_posterior_logdensity(DenseEngine(data, 0.5), prior, 0.5, a)
+            full = profile_posterior_logdensity(DenseEngine(data, 0.5), prior, a)
             diffs.append(full - closed)
         assert np.ptp(diffs) < 1e-8
 
@@ -306,7 +306,7 @@ class TestTilted:
         tp = TiltedParams(u_star=2.0, v_star=5.0)
         flat = PriorSpec(alpha_prior=GammaPrior(1.0, 1e-12))
         grid = np.linspace(1e-4, 12.0, 400001)
-        vals = tilted_logdensity(tp, flat, 0.5, grid)
+        vals = tilted_logdensity(tp, flat, grid)
         root = (tp.u_star + np.sqrt(tp.u_star**2 + 2 * tp.v_star)) / 2.0
         assert grid[np.argmax(vals)] == pytest.approx(root, abs=1e-3)
 
@@ -314,7 +314,7 @@ class TestTilted:
         tp = TiltedParams(u_star=1.0, v_star=2.0)
         prior = PriorSpec()
         a = 0.8
-        got = tilted_logdensity(tp, prior, 0.5, 2 * a) - tilted_logdensity(tp, prior, 0.5, a)
+        got = tilted_logdensity(tp, prior, 2 * a) - tilted_logdensity(tp, prior, a)
         expected = (0.5 * np.log(2.0)
                     - ((2 * a - 1.0) ** 2 - (a - 1.0) ** 2) / 4.0
                     + prior.alpha_prior.logpdf(2 * a) - prior.alpha_prior.logpdf(a))
@@ -323,9 +323,9 @@ class TestTilted:
     def test_density_vanishes_at_zero(self):
         tp = TiltedParams(u_star=1.0, v_star=2.0)
         prior = PriorSpec()
-        assert tilted_logdensity(tp, prior, 0.5, 1e-300) < -300
+        assert tilted_logdensity(tp, prior, 1e-300) < -300
         with pytest.raises(ValueError):
-            tilted_logdensity(tp, prior, 0.5, 0.0)
+            tilted_logdensity(tp, prior, 0.0)
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(Exception):
