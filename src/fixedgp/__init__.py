@@ -27,7 +27,6 @@ from .gp import (
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
-    ou_profile_loglik,
     ou_profile_stats,
     ou_stats,
     profile_stats,

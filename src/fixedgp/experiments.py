@@ -3,8 +3,9 @@ simulation, replication loops over the posterior samplers, and CSV/JSON
 emission of the summary tables and contour grids.
 
 Replication r of size n uses RNG streams derived from
-(master_seed, d, n, r, purpose), so results are byte-identical across runs
-and independent of scheduling order.
+(master_seed, d, n, r, attempt, purpose), so results are byte-identical
+across runs and independent of scheduling order, of the worker count and of
+how a size's replications are grouped into lockstep blocks.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ import hashlib
 import json
 import logging
 import os
+import platform
+import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 logger = logging.getLogger(__name__)
 
@@ -42,13 +46,17 @@ from .kriging import DenseMseFactors, OuMseFactors, PredictionQuery
 from .posterior import (
     GammaPrior,
     InitializationError,
+    LimitSetup,
     McmcConfig,
     PriorSpec,
+    chain_start,
     conditional_bvm_logdensity,
+    joint_target,
+    limit_setup,
     log_joint_posterior,
     profile_posterior_logdensity,
-    rwm_chain,
-    joint_limit_sampler,
+    rwm_chains,
+    sample_limits,
     tilted_logdensity,
     tilted_params,
 )
@@ -274,23 +282,25 @@ def _default_steps(n: int) -> tuple:
     return (1.7 * np.sqrt(2.0 / n), 1.5)
 
 
-def _run_replication(cfg: ExperimentConfig, d: int, n_or_m: int, rep: int,
-                     compute_ratios: bool) -> ReplicationResult:
-    n = n_or_m if d == 1 else n_or_m * n_or_m
-    last_err = None
-    for attempt in range(MAX_RETRIES):
-        try:
-            return _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios)
-        except (NotPositiveDefiniteError, DegenerateDataError, InitializationError) as err:
-            last_err = err
-            logger.warning("replication %d at n=%d failed (%s); retrying with "
-                           "attempt %d seed", rep, n, err, attempt + 1)
-    raise FailureBudgetExceededError(
-        f"replication {rep} at n={n} failed {MAX_RETRIES} times: {last_err}"
-    )
+_RETRIED = (NotPositiveDefiniteError, DegenerateDataError, InitializationError)
 
 
-def _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios):
+@dataclass
+class _Setup:
+    """One replication at one attempt, with everything that depends on its
+    data alone built and checked: what is left is to run its chains."""
+
+    rep: int
+    attempt: int
+    design: Design
+    engine: object
+    init: np.ndarray
+    joint_cfg: McmcConfig
+    limit: LimitSetup
+    tilted: LimitSetup | None
+
+
+def _setup_once(cfg, d, n_or_m, rep, attempt) -> _Setup:
     n = n_or_m if d == 1 else n_or_m * n_or_m
     master = cfg.master_seed
     design = gen_perturbed_grid(
@@ -305,30 +315,75 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios):
         return log_joint_posterior(engine, prior, p[0], p[1])
 
     init = _chain_init(engine, prior, target)
+    chain_start(joint_target([engine], prior), init)
     joint_cfg = McmcConfig(
         n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
         step_sizes=_default_steps(n), seed=_seed_int(master, d, n, rep, attempt, 3),
     )
-    chain = rwm_chain(target, joint_cfg, init, target_label="joint-posterior")
 
-    limit_cfg = McmcConfig(
-        n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
-        step_sizes=(1.7 * np.sqrt(2.0 / n), 2.0),
-        seed=_seed_int(master, d, n, rep, attempt, 4),
-    )
-    limit = joint_limit_sampler(
-        "joint-profile", engine, prior, cfg.theta_0, cfg.alpha_0, limit_cfg,
-    )
-
-    if engine.is_ou:
-        tilted_cfg = McmcConfig(
+    def limit(kind, purpose):
+        limit_cfg = McmcConfig(
             n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
             step_sizes=(1.7 * np.sqrt(2.0 / n), 2.0),
-            seed=_seed_int(master, d, n, rep, attempt, 5),
+            seed=_seed_int(master, d, n, rep, attempt, purpose),
         )
-        tilted = joint_limit_sampler(
-            "ou-tilted", engine, prior, cfg.theta_0, cfg.alpha_0, tilted_cfg,
-        )
+        return limit_setup(kind, engine, prior, cfg.theta_0, cfg.alpha_0, limit_cfg)
+
+    return _Setup(rep, attempt, design, engine, init, joint_cfg,
+                  limit("joint-profile", 4), limit("ou-tilted", 5) if engine.is_ou else None)
+
+
+def _setup(cfg, d, n_or_m, rep, first_attempt, last_err=None) -> _Setup:
+    """The first attempt from ``first_attempt`` on whose data set up cleanly."""
+    n = n_or_m if d == 1 else n_or_m * n_or_m
+    for attempt in range(first_attempt, MAX_RETRIES):
+        try:
+            return _setup_once(cfg, d, n_or_m, rep, attempt)
+        except _RETRIED as err:
+            last_err = err
+            _log_retry(rep, n, err, attempt)
+    raise FailureBudgetExceededError(
+        f"replication {rep} at n={n} failed {MAX_RETRIES} times: {last_err}"
+    )
+
+
+def _log_retry(rep, n, err, attempt):
+    logger.warning("replication %d at n=%d failed (%s); retrying with "
+                   "attempt %d seed", rep, n, err, attempt + 1)
+
+
+def _run_block(cfg, d, n_or_m, reps, compute_ratios, first_attempt=0, last_err=None):
+    """Replications ``reps`` of one size: each is set up on its own, then
+    their joint chains run in lockstep, and then their limit chains.
+
+    A replication's numbers depend on its own (rep, attempt) streams only, so
+    they do not depend on the block.  One that fails after its chains is
+    run again alone at the next attempt.
+    """
+    setups = [_setup(cfg, d, n_or_m, rep, first_attempt, last_err) for rep in reps]
+    prior = cfg.prior
+    chains = rwm_chains(joint_target([s.engine for s in setups], prior),
+                        [s.joint_cfg for s in setups], [s.init for s in setups],
+                        target_label="joint-posterior")
+    limits = sample_limits([s.limit for s in setups]
+                           + [s.tilted for s in setups if s.tilted is not None], prior)
+    profile, tilted = limits[:len(setups)], limits[len(setups):] or [None] * len(setups)
+    results = []
+    for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
+        try:
+            results.append(_replication_result(cfg, d, setup, chain, limit, tilt,
+                                               compute_ratios))
+        except _RETRIED as err:
+            _log_retry(setup.rep, setup.engine.n, err, setup.attempt)
+            results += _run_block(cfg, d, n_or_m, [setup.rep], compute_ratios,
+                                  setup.attempt + 1, err)
+    return results
+
+
+def _replication_result(cfg, d, setup, chain, limit, tilted, compute_ratios):
+    """The table row of one replication from its chains."""
+    n = setup.engine.n
+    if tilted is not None:
         tilted_mean_alpha = float(np.mean(tilted.alpha))
         w2_alpha_tilted = w2_distance(chain.alpha, tilted.alpha)
     else:
@@ -337,14 +392,15 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios):
 
     if compute_ratios:
         queries = gen_lhs_testpoints(
-            d, cfg.test_point_count(d), _seed_seq(master, d, n, rep, attempt, 6), design
+            d, cfg.test_point_count(d),
+            _seed_seq(cfg.master_seed, d, n, setup.rep, setup.attempt, 6), setup.design
         )
-        r1, r2 = _posterior_mean_max_ratios(cfg, engine, chain, queries)
+        r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, chain, queries)
     else:
         r1 = r2 = np.nan
 
     return ReplicationResult(
-        rep_index=rep,
+        rep_index=setup.rep,
         n=n,
         posterior_mean_theta=float(np.mean(chain.theta)),
         posterior_mean_alpha=float(np.mean(chain.alpha)),
@@ -357,7 +413,7 @@ def _run_replication_once(cfg, d, n_or_m, rep, attempt, compute_ratios):
         mean_max_r1=r1,
         mean_max_r2=r2,
         acceptance_joint=chain.acceptance_rate,
-        retries=attempt,
+        retries=setup.attempt,
     )
 
 
@@ -385,24 +441,34 @@ def _posterior_mean_max_ratios(cfg, engine, chain, queries):
 # ---------------------------------------------------------------------------
 # table drivers
 
-def _replication_task(args):
-    cfg_dict, d, n_or_m, rep, compute_ratios = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return _run_replication(cfg, d, n_or_m, rep, compute_ratios)
+def _block_task(args):
+    cfg_dict, d, n_or_m, reps, compute_ratios = args
+    return _run_block(ExperimentConfig(**cfg_dict), d, n_or_m, reps, compute_ratios)
 
 
 def _run_replications(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool):
-    tasks = [
-        (dataclasses.asdict(cfg), d, n_or_m, rep, compute_ratios)
-        for n_or_m in sizes
-        for rep in range(cfg.n_replications)
-    ]
+    """One task per (size, contiguous block of replications).
+
+    OU replications run in lockstep: one block per size when serial, each
+    size split across the workers when parallel.  Dense ones run one per
+    task, since a dense block would hold every replication's n x n matrices
+    at once while its targets still loop over them one by one.
+    """
     workers = cfg.workers()
+    ou = cfg.likelihood == "ou" and is_ou_model(d, cfg.nu)
+    n_blocks = workers if ou else cfg.n_replications
+    blocks = [b for b in np.array_split(np.arange(cfg.n_replications), n_blocks) if b.size]
+    tasks = [
+        (dataclasses.asdict(cfg), d, n_or_m, [int(r) for r in block], compute_ratios)
+        for n_or_m in sizes
+        for block in blocks
+    ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=1))
+            blocks_done = list(pool.map(_block_task, tasks, chunksize=1))
     else:
-        results = [_replication_task(t) for t in tasks]
+        blocks_done = [_block_task(t) for t in tasks]
+    results = [r for block in blocks_done for r in block]
     results.sort(key=lambda r: (r.n, r.rep_index))
     return results
 
@@ -460,19 +526,38 @@ def _write_replications(path, results):
     _write_rows(path, rows)
 
 
+def _git_revision():
+    """HEAD of the git checkout that tracks this file, suffixed ``-dirty``
+    when tracked files have uncommitted changes, or None."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        tracked = subprocess.run(["git", "-C", here, "ls-files", "--error-unmatch", __file__],
+                                 capture_output=True, timeout=10)
+        # --exclude=* leaves tags out, so the name is the full commit hash
+        head = subprocess.run(["git", "-C", here, "describe", "--always", "--dirty",
+                               "--abbrev=40", "--exclude=*"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return head.stdout.strip() if tracked.returncode == head.returncode == 0 else None
+
+
 def _write_manifest(path, cfg: ExperimentConfig, table: str, results, elapsed: float):
+    config = dataclasses.asdict(cfg)
     payload = {
         "table": table,
         "package_version": __version__,
-        "config": dataclasses.asdict(cfg),
+        "config": config,
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12],
         "master_seed": cfg.master_seed,
         "total_retries": int(sum(r.retries for r in results)),
         "replications": len(results),
         "elapsed_seconds": round(elapsed, 3),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "git_revision": _git_revision(),
     }
-    payload["build_id"] = hashlib.sha256(
-        json.dumps(payload["config"], sort_keys=True).encode()
-    ).hexdigest()[:12]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 

@@ -42,7 +42,6 @@ __all__ = [
     "log_likelihood",
     "profile_stats",
     "ou_stats",
-    "ou_profile_loglik",
     "ou_loglik_fast",
     "ou_profile_stats",
     "load_dataset",
@@ -346,14 +345,10 @@ class OuEngine(_Engine):
         self._x0_sq, self._head, self._tail = x[0] ** 2, x[:-1], x[1:]
 
     def _terms(self, alpha):
-        """Per-gap correlations and the Markov residual decomposition."""
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        rho = np.exp(-alpha * self.gaps)
-        one_minus_rho2 = -np.expm1(-2.0 * alpha * self.gaps)
-        resid = self._tail - rho * self._head
-        qf = self._x0_sq + float(np.sum(resid**2 / one_minus_rho2))
-        return qf, float(np.sum(np.log(one_minus_rho2)))
+        qf, log_det = _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha)
+        return float(qf), float(log_det)
 
     def loglik(self, sigma2: float, alpha: float) -> float:
         """Matches :meth:`DenseEngine.loglik` (same constant convention)."""
@@ -361,6 +356,57 @@ class OuEngine(_Engine):
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
         qf, log_det = self._terms(alpha)
         return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+
+
+def _ou_terms(gaps, x0_sq, head, tail, alpha):
+    """x' R^{-1} x and log|R| of the OU model from the per-gap correlations
+    rho_i = exp(-alpha g_i) and the Markov residuals x_{i+1} - rho_i x_i.
+
+    Every reduction runs along the last axis, so one dataset (1-d arrays,
+    scalar alpha) and a stack of R datasets ((R, n-1) arrays, an (R, 1)
+    column of alphas) give each dataset the same numbers.
+    """
+    rho = np.exp(-alpha * gaps)
+    one_minus_rho2 = -np.expm1(-2.0 * alpha * gaps)
+    resid = tail - rho * head
+    # np.add.reduce is the reduction np.sum runs, minus its Python wrapper
+    qf = x0_sq + np.add.reduce(resid**2 / one_minus_rho2, axis=-1)
+    return qf, np.add.reduce(np.log(one_minus_rho2), axis=-1)
+
+
+class OuBlock:
+    """The OU engines of R datasets of one size, stacked row by row so that one
+    call evaluates all R of them; row r gives the numbers of ``engines[r]``."""
+
+    nu = 0.5
+
+    def __init__(self, engines):
+        self.n = engines[0].n
+        if any(e.n != self.n for e in engines):
+            raise ValueError("an OU block stacks datasets of one size")
+        self.gaps = np.stack([e.gaps for e in engines])
+        self._x0_sq = np.array([e._x0_sq for e in engines])
+        self._head = np.stack([e._head for e in engines])
+        self._tail = np.stack([e._tail for e in engines])
+
+    def terms(self, alpha):
+        """Row-wise x' R^{-1} x and log|R| at the (R,) positive ``alpha``."""
+        return _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha[:, None])
+
+    def loglik(self, sigma2, alpha):
+        """Row-wise :meth:`OuEngine.loglik`, in the same operation order."""
+        qf, log_det = self.terms(alpha)
+        return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+
+    def profile_loglik(self, alpha):
+        """Row-wise ``profile(alpha).profile_loglik``, in the same operation
+        order; -inf in a row where x' R^{-1} x <= 0, for which
+        :meth:`OuEngine.profile` raises :class:`DegenerateDataError`."""
+        qf, log_det = self.terms(alpha)
+        ok = qf > 0.0
+        if not ok.all():
+            qf = np.where(ok, qf, 1.0)
+        return np.where(ok, -0.5 * self.n * np.log(qf / self.n) - 0.5 * log_det, -np.inf)
 
 
 def is_ou_model(d: int, nu: float) -> bool:
@@ -398,21 +444,6 @@ def ou_stats(data: GpDataset) -> OuStats:
         a2=float(x[:-1] @ x[1:]),
         a3=float(x @ x),
     )
-
-
-def ou_profile_loglik(stats: OuStats, n: int, alpha: float) -> float:
-    """Closed-form profile log-likelihood for the equispaced grid s_i = i/n.
-
-    Equals the dense profile log-likelihood minus the alpha-independent
-    constant (n/2) log n.
-    """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    q = np.exp(-alpha / n)
-    arg = stats.a1 * q * q - 2.0 * stats.a2 * q + stats.a3
-    if arg <= 0.0:
-        raise DegenerateDataError(f"quadratic-form argument {arg} is not positive")
-    return -0.5 * n * np.log(arg) + 0.5 * np.log1p(-q * q)
 
 
 def ou_loglik_fast(data: GpDataset, sigma2: float, alpha: float) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import DegenerateDataError, NotPositiveDefiniteError, OuStats, ou_stats
+from .gp import (DegenerateDataError, NotPositiveDefiniteError, OuBlock, OuEngine, OuStats,
+                 ou_stats)
 
 __all__ = [
     "GammaPrior",
@@ -68,13 +69,17 @@ class GammaPrior:
                 return -np.inf
             return float(self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x)
         x = np.asarray(x, dtype=float)
-        out = np.where(
-            x > 0,
-            self._log_norm
-            + (self.shape - 1.0) * np.log(np.where(x > 0, x, 1.0))
-            - self.rate * x,
-            -np.inf,
-        )
+        positive = x > 0
+        if positive.all():
+            out = self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x
+        else:
+            out = np.where(
+                positive,
+                self._log_norm
+                + (self.shape - 1.0) * np.log(np.where(positive, x, 1.0))
+                - self.rate * x,
+                -np.inf,
+            )
         return float(out) if out.ndim == 0 else out
 
 
@@ -147,13 +152,14 @@ class ChainSamples:
 
 @dataclass(frozen=True)
 class TiltedParams:
-    """Center and scale of the polynomially tilted normal limit for alpha."""
+    """Center and scale of the polynomially tilted normal limit for alpha
+    (scalars, or arrays that hold one limit per row)."""
 
     u_star: float
     v_star: float
 
     def __post_init__(self):
-        if not self.v_star > 0:
+        if not np.all(np.asarray(self.v_star) > 0):
             raise DegenerateDataError(f"v_star must be positive, got {self.v_star}")
 
 
@@ -176,45 +182,76 @@ def log_joint_posterior(engine, prior: PriorSpec, theta: float, alpha: float) ->
     return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
 
 
-def _rwm_core(log_target_pos, config: McmcConfig, init, rng):
-    """Metropolis on log coordinates with the change-of-variables Jacobian.
+def chain_start(log_target, init):
+    """Start points of RWM chains on log coordinates, and their target values
+    with the Jacobian included, as :func:`rwm_chains` starts from them.
 
+    ``log_target`` maps an (R, k) array of positive points to R values; a
+    1-d ``init`` is one chain.  Raises :class:`InitializationError` unless
+    every start is positive with a finite value.
+    """
+    init = np.atleast_2d(np.asarray(init, dtype=float))
+    if np.any(init <= 0):
+        raise InitializationError(f"initial point must be positive, got {init}")
+    u = np.log(init)
+    fu = log_target(np.exp(u)) + np.add.reduce(u, axis=1)
+    if not np.all(np.isfinite(fu)):
+        raise InitializationError(f"initial point {init} has non-finite target value")
+    return u, fu
+
+
+def _rwm_core(log_target, configs, init, rngs):
+    """Metropolis on log coordinates with the change-of-variables Jacobian,
+    for R independent chains advanced in lockstep.
+
+    ``log_target`` maps an (R, k) array of positive points to R values; chain
+    r starts at ``init[r]``, takes its step sizes from ``configs[r]`` and its
+    randomness from ``rngs[r]``, and the configs share the chain length.
     During burn-in, a global scale is driven by Robbins-Monro towards 30%
     acceptance while the per-coordinate steps are recalibrated to the
     running marginal standard deviations of the chain; both are frozen at
     the end of burn-in, so the retained chain is a valid Metropolis chain.
-    Returns (samples on the original scale, post-burn-in acceptance).
+
+    Each chain's noise is drawn before the loop in the order one chain
+    alone draws it, ``standard_normal(k)`` then a uniform per step, and
+    every update is row-wise, so chain r does not depend on the other rows.
+    Returns (samples on the original scale, shape (R, n_samples, k), and
+    post-burn-in acceptance, shape (R,)).
     """
-    init = np.atleast_1d(np.asarray(init, dtype=float))
-    if np.any(init <= 0):
-        raise InitializationError(f"initial point must be positive, got {init}")
-    k = init.shape[0]
-    steps = np.broadcast_to(np.atleast_1d(np.asarray(config.step_sizes, float))[:k], (k,)).copy()
+    if len({(c.n_samples, c.n_burnin) for c in configs}) != 1:
+        raise ValueError("chains run in lockstep must share n_samples and n_burnin")
+    n_samples, n_burnin = configs[0].n_samples, configs[0].n_burnin
+    u, fu = chain_start(log_target, init)
+    n_chains, k = u.shape
+    steps = np.array([
+        np.broadcast_to(np.atleast_1d(np.asarray(c.step_sizes, float))[:k], (k,)) for c in configs
+    ])
+    total = n_burnin + n_samples
+    noise = np.empty((total, n_chains, k))
+    log_uniform = np.empty((total, n_chains))
+    for r, rng in enumerate(rngs):
+        for t in range(total):
+            rng.standard_normal(out=noise[t, r])
+            log_uniform[t, r] = rng.random()
+    np.log(log_uniform, out=log_uniform)
 
-    def target_u(u):
-        return log_target_pos(np.exp(u)) + float(np.sum(u))
-
-    u = np.log(init)
-    fu = target_u(u)
-    if not np.isfinite(fu):
-        raise InitializationError(f"initial point {init} has non-finite target value")
-
-    total = config.n_burnin + config.n_samples
-    out = np.empty((config.n_samples, k))
-    log_scale = 0.0
-    accepted_main = 0
+    out = np.empty((n_chains, n_samples, k))
+    accepted = np.empty((n_samples, n_chains), dtype=bool)
+    log_scale = np.zeros(n_chains)
     # Welford accumulators over the second half of warm-up
-    w_count, w_mean, w_m2 = 0, np.zeros(k), np.zeros(k)
+    w_count, w_mean, w_m2 = 0, np.zeros((n_chains, k)), np.zeros((n_chains, k))
     for t in range(total):
-        prop = u + np.exp(log_scale) * steps * rng.standard_normal(k)
-        fp = target_u(prop)
-        accept = np.log(rng.uniform()) < fp - fu
-        if accept:
-            u, fu = prop, fp
-        if t < config.n_burnin:
-            log_scale += (t + 1) ** -0.6 * ((1.0 if accept else 0.0) - 0.3)
-            log_scale = min(max(log_scale, -8.0), 8.0)
-            if t >= config.n_burnin // 4:
+        if t <= n_burnin:   # the scales are frozen after burn-in
+            jump = np.exp(log_scale)[:, None] * steps
+        prop = u + jump * noise[t]
+        fp = log_target(np.exp(prop)) + np.add.reduce(prop, axis=1)
+        accept = log_uniform[t] < fp - fu
+        np.copyto(u, prop, where=accept[:, None])
+        np.copyto(fu, fp, where=accept)
+        if t < n_burnin:
+            log_scale += (t + 1) ** -0.6 * (accept - 0.3)
+            np.minimum(np.maximum(log_scale, -8.0, out=log_scale), 8.0, out=log_scale)
+            if t >= n_burnin // 4:
                 w_count += 1
                 delta = u - w_mean
                 w_mean += delta / w_count
@@ -222,18 +259,34 @@ def _rwm_core(log_target_pos, config: McmcConfig, init, rng):
                 if w_count >= 100 and w_count % 50 == 0:
                     sd = np.sqrt(w_m2 / (w_count - 1))
                     ok = sd > 0
-                    if np.any(ok):
-                        # near-optimal diagonal scaling, folded into the
-                        # existing global factor
-                        steps[ok] = np.clip(
-                            2.38 / np.sqrt(k) * sd[ok] / np.exp(log_scale),
-                            steps[ok] * 1e-3, steps[ok] * 1e3,
-                        )
+                    # near-optimal diagonal scaling, folded into the
+                    # existing global factor
+                    tuned = 2.38 / np.sqrt(k) * sd / np.exp(log_scale)[:, None]
+                    steps[ok] = np.clip(tuned[ok], steps[ok] * 1e-3, steps[ok] * 1e3)
         else:
-            if accept:
-                accepted_main += 1
-            out[t - config.n_burnin] = u
-    return np.exp(out), accepted_main / config.n_samples
+            accepted[t - n_burnin] = accept
+            out[:, t - n_burnin] = u
+    return np.exp(out, out=out), np.count_nonzero(accepted, axis=0) / n_samples
+
+
+def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list:
+    """Random-walk Metropolis over R positive pairs (theta, alpha) at once.
+
+    ``log_target`` maps an (R, 2) array of points on the original
+    (positive) scale to their R log densities; chain r starts at
+    ``inits[r]`` and is deterministic given ``configs[r].seed``.  Chain r is
+    bit for bit the chain :func:`rwm_chain` draws alone from the same config
+    and start, whatever R and the other rows.
+    """
+    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
+    samples, acc = _rwm_core(log_target, configs, inits, rngs)
+    if samples.shape[2] != 2:
+        raise ValueError(f"rwm_chains samples (theta, alpha), got {samples.shape[2]} variables")
+    return [
+        ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a),
+                     target_label=target_label)
+        for s, a in zip(samples, acc)
+    ]
 
 
 def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom") -> ChainSamples:
@@ -241,16 +294,43 @@ def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom"
 
     ``log_target`` takes the parameter vector on the original (positive)
     scale; proposals are Gaussian on the log scale, so positivity holds
-    structurally.  Deterministic given ``config.seed``.
+    structurally.  Deterministic given ``config.seed``.  One chain of
+    :func:`rwm_chains`.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    samples, acc = _rwm_core(log_target, config, init, rng)
-    if samples.shape[1] != 2:
-        raise ValueError(f"rwm_chain samples (theta, alpha), got {samples.shape[1]} variables")
-    return ChainSamples(
-        theta=samples[:, 0], alpha=samples[:, 1],
-        acceptance_rate=acc, target_label=target_label,
-    )
+    def block_target(p):
+        return np.array([log_target(p[0])], dtype=float)
+
+    return rwm_chains(block_target, [config], [init], target_label)[0]
+
+
+def joint_target(engines, prior: PriorSpec):
+    """The joint log posterior of R datasets as one function of an (R, 2)
+    array of (theta, alpha) rows, row r for the dataset of ``engines[r]``.
+
+    Row r equals :func:`log_joint_posterior` bit for bit.  OU engines are
+    evaluated together through :class:`fixedgp.gp.OuBlock`; any other
+    engine is a loop over the rows, one factorization each.
+    """
+    if not all(isinstance(e, OuEngine) for e in engines):
+        def dense_target(p):
+            return np.array([log_joint_posterior(e, prior, t, a) for e, (t, a) in zip(engines, p)])
+        return dense_target
+
+    block = OuBlock(engines)
+
+    def ou_target(p):
+        theta, alpha = p[:, 0], p[:, 1]
+        ok = np.all((p > 0) & (p < np.inf), axis=1)
+        if not ok.all():
+            theta, alpha = np.where(ok, theta, 1.0), np.where(ok, alpha, 1.0)
+        sigma2 = theta / alpha ** (2.0 * block.nu)
+        ok &= (sigma2 > 0) & (sigma2 < np.inf)
+        if not ok.all():
+            sigma2 = np.where(ok, sigma2, 1.0)
+        out = (block.loglik(sigma2, alpha) + prior.theta_prior.logpdf(theta)
+               + prior.alpha_prior.logpdf(alpha))
+        return np.where(ok, out, -np.inf)
+    return ou_target
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:
@@ -299,6 +379,109 @@ def tilted_logdensity(params: TiltedParams, prior: PriorSpec, alpha) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+_LIMIT_LABELS = {"joint-profile": "joint-profile-limit", "ou-tilted": "ou-tilted-limit"}
+
+
+@dataclass(frozen=True)
+class LimitSetup:
+    """A limiting posterior of one dataset with everything fixed and checked
+    before its alpha chain runs (see :func:`limit_setup`)."""
+
+    kind: str
+    engine: object
+    theta: np.ndarray
+    tilted: TiltedParams | None
+    alpha_init: np.ndarray
+    alpha_config: McmcConfig
+    alpha_seed: np.random.SeedSequence
+
+
+def _limit_target(kind, engines, tilted, prior: PriorSpec):
+    """The alpha log density of R limits of one kind as one function of an
+    (R, 1) array, row r equal to the one-dataset density bit for bit."""
+    if kind == "ou-tilted":
+        stacked = TiltedParams(u_star=np.array([tp.u_star for tp in tilted]),
+                               v_star=np.array([tp.v_star for tp in tilted]))
+        return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
+    if not all(isinstance(e, OuEngine) for e in engines):
+        return lambda a: np.array([profile_posterior_logdensity(e, prior, x)
+                                   for e, x in zip(engines, a[:, 0])])
+    block = OuBlock(engines)
+
+    def ou_profile_target(a):
+        alpha = a[:, 0]
+        ok = (alpha > 0) & (alpha < np.inf)
+        if not ok.all():
+            alpha = np.where(ok, alpha, 1.0)
+        out = block.profile_loglik(alpha) + prior.alpha_prior.logpdf(alpha)
+        return np.where(ok, out, -np.inf)
+    return ou_profile_target
+
+
+def limit_setup(kind: str, engine, prior: PriorSpec, theta0: float, alpha0: float,
+                config: McmcConfig) -> LimitSetup:
+    """The part of :func:`joint_limit_sampler` that depends on the data alone:
+    the i.i.d. theta draws, the tilted parameters and the alpha chain's
+    checked start.  Raises what the data can make it raise
+    (``NotPositiveDefiniteError``, ``DegenerateDataError``,
+    ``InitializationError``) before any alpha draw."""
+    if kind not in _LIMIT_LABELS:
+        raise ValueError(f"unknown limit sampler kind {kind!r}")
+    n = engine.n
+    theta_ss, alpha_ss = np.random.SeedSequence(config.seed).spawn(2)
+    center = engine.profile(alpha0).theta_tilde
+    theta = _positive_normal_draws(np.random.default_rng(theta_ss), center,
+                                   np.sqrt(2.0 * theta0**2 / n), config.n_samples)
+    tilted = None
+    if kind == "ou-tilted":
+        if not engine.is_ou:
+            raise ValueError("ou-tilted requires a 1-d dataset with nu = 1/2")
+        tilted = tilted_params(ou_stats(engine.data), n)
+    target = _limit_target(kind, [engine], [tilted], prior)
+    init = np.array([prior.alpha_prior.mean])
+    if not np.isfinite(target(init[None])[0]):
+        init = np.array([1.0])
+    chain_start(target, init)
+    alpha_config = McmcConfig(
+        n_samples=config.n_samples,
+        n_burnin=config.n_burnin,
+        step_sizes=(np.atleast_1d(config.step_sizes)[-1],),
+        seed=config.seed,
+    )
+    return LimitSetup(kind, engine, theta, tilted, init, alpha_config, alpha_ss)
+
+
+def sample_limits(setups, prior: PriorSpec) -> list:
+    """Run the alpha chains of limit setups in lockstep, whatever their kinds.
+    Chain r is bit for bit what :func:`joint_limit_sampler` draws for setup r
+    alone."""
+    parts = []
+    for kind in _LIMIT_LABELS:
+        rows = [i for i, s in enumerate(setups) if s.kind == kind]
+        if rows:
+            picked = [setups[i] for i in rows]
+            parts.append((np.array(rows), _limit_target(
+                kind, [s.engine for s in picked], [s.tilted for s in picked], prior)))
+
+    if len(parts) == 1:     # all of one kind: no row scatter needed
+        target = parts[0][1]
+    else:
+        def target(a):
+            out = np.empty(a.shape[0])
+            for rows, part in parts:
+                out[rows] = part(a[rows])
+            return out
+
+    rngs = [np.random.default_rng(s.alpha_seed) for s in setups]
+    samples, acc = _rwm_core(target, [s.alpha_config for s in setups],
+                             [s.alpha_init for s in setups], rngs)
+    return [
+        ChainSamples(theta=s.theta, alpha=x[:, 0], acceptance_rate=float(a),
+                     target_label=_LIMIT_LABELS[s.kind])
+        for s, x, a in zip(setups, samples, acc)
+    ]
+
+
 def joint_limit_sampler(
     kind: str,
     engine,
@@ -320,54 +503,20 @@ def joint_limit_sampler(
         limit (requires the OU model: d = 1, nu = 1/2).
 
     The theta and alpha streams use independent RNG streams derived from
-    ``config.seed``, so they are independent draws.
+    ``config.seed``, so they are independent draws.  The two chain kinds are
+    :func:`limit_setup` followed by :func:`sample_limits` of one setup.
     """
-    n = engine.n
-    ss = np.random.SeedSequence(config.seed)
-    theta_ss, alpha_ss = ss.spawn(2)
-    theta_rng = np.random.default_rng(theta_ss)
-    sd = np.sqrt(2.0 * theta0**2 / n)
-
-    if kind == "conditional":
-        if fixed_alpha is None:
-            raise ValueError("conditional kind requires fixed_alpha")
-        center = engine.profile(fixed_alpha).theta_tilde
-        theta = _positive_normal_draws(theta_rng, center, sd, config.n_samples)
-        alpha = np.full(config.n_samples, float(fixed_alpha))
-        return ChainSamples(theta=theta, alpha=alpha, acceptance_rate=1.0,
-                            target_label="conditional-bvm")
-
-    center = engine.profile(alpha0).theta_tilde
-    theta = _positive_normal_draws(theta_rng, center, sd, config.n_samples)
-    alpha_rng = np.random.default_rng(alpha_ss)
-    alpha_config = McmcConfig(
-        n_samples=config.n_samples,
-        n_burnin=config.n_burnin,
-        step_sizes=(np.atleast_1d(config.step_sizes)[-1],),
-        seed=config.seed,
-    )
-
-    if kind == "joint-profile":
-        def logd(a):
-            return profile_posterior_logdensity(engine, prior, a[0])
-        label = "joint-profile-limit"
-    elif kind == "ou-tilted":
-        if not engine.is_ou:
-            raise ValueError("ou-tilted requires a 1-d dataset with nu = 1/2")
-        tp = tilted_params(ou_stats(engine.data), n)
-
-        def logd(a):
-            return tilted_logdensity(tp, prior, a[0])
-        label = "ou-tilted-limit"
-    else:
-        raise ValueError(f"unknown limit sampler kind {kind!r}")
-
-    init = np.array([prior.alpha_prior.mean])
-    if not np.isfinite(logd(init)):
-        init = np.array([1.0])
-    samples, acc = _rwm_core(logd, alpha_config, init, alpha_rng)
-    return ChainSamples(theta=theta, alpha=samples[:, 0], acceptance_rate=acc,
-                        target_label=label)
+    if kind != "conditional":
+        return sample_limits([limit_setup(kind, engine, prior, theta0, alpha0, config)], prior)[0]
+    if fixed_alpha is None:
+        raise ValueError("conditional kind requires fixed_alpha")
+    theta_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
+    center = engine.profile(fixed_alpha).theta_tilde
+    theta = _positive_normal_draws(np.random.default_rng(theta_ss), center,
+                                   np.sqrt(2.0 * theta0**2 / engine.n), config.n_samples)
+    alpha = np.full(config.n_samples, float(fixed_alpha))
+    return ChainSamples(theta=theta, alpha=alpha, acceptance_rate=1.0,
+                        target_label="conditional-bvm")
 
 
 def _positive_normal_draws(rng, center, sd, size):

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+from fixedgp import experiments
 from fixedgp.experiments import (
     ExperimentConfig,
     emit_contour_grid,
@@ -18,8 +20,8 @@ from fixedgp.experiments import (
     _chain_init,
     _seed_seq,
 )
-from fixedgp.gp import (Design, build_correlation_matrix, factorize, likelihood_engine,
-                        ou_profile_stats, profile_stats)
+from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, factorize,
+                        likelihood_engine, ou_profile_stats, profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
 
 
@@ -134,7 +136,12 @@ class TestTableRuns:
         manifest = json.loads((out1 / "table1_manifest.json").read_text())
         assert manifest["table"] == "table1"
         assert manifest["replications"] == 2
-        assert "build_id" in manifest
+        assert "config_hash" in manifest
+        assert manifest["numpy"] == np.__version__
+        for key in ("python", "scipy", "git_revision"):
+            assert key in manifest
+        rev = manifest["git_revision"]
+        assert rev is None or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", rev), rev
 
     def test_table1_different_seed_changes_output(self, tmp_path):
         cfg1 = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "a"), **TINY)
@@ -159,12 +166,62 @@ class TestTableRuns:
             assert (out / "table3.csv").exists(), label
 
     def test_parallel_matches_serial(self, tmp_path):
-        cfg_s = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "s"), **TINY)
-        tiny2 = dict(TINY, n_workers=2)
-        cfg_p = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "p"), **tiny2)
-        _, rows_s = run_table1(cfg_s)
-        _, rows_p = run_table1(cfg_p)
-        assert rows_s[0]["e_theta"] == rows_p[0]["e_theta"]
+        # serial: one block of 3 replications per size; 2 workers: blocks of
+        # 2 and 1; 3 workers: blocks of one replication
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cfg = ExperimentConfig(n_values=(25, 40), output_dir=str(out),
+                                   **dict(TINY, n_replications=3, n_workers=workers))
+            run_table1(cfg)
+            outs.append(out)
+        for name in ("table1.csv", "table1_replications.csv"):
+            for out in outs[1:]:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out, name)
+
+    def test_only_ou_replications_share_a_block(self, monkeypatch):
+        # serial OU: one lockstep block per size; dense: one replication per task
+        seen = []
+        monkeypatch.setattr(experiments, "_run_block",
+                            lambda cfg, d, n_or_m, reps, ratios: seen.append(reps) or [])
+        for likelihood, blocks in (("ou", [[0, 1, 2]]), ("dense", [[0], [1], [2]])):
+            seen.clear()
+            cfg = ExperimentConfig(likelihood=likelihood,
+                                   **dict(TINY, n_replications=3, n_workers=1))
+            experiments._run_replications(cfg, 1, (25,), False)
+            assert seen == blocks, likelihood
+
+    def test_retry_after_the_chains_reruns_the_replication_alone(self, tmp_path, monkeypatch):
+        # a post-chain failure of replication 1 at attempt 0: the block run
+        # writes the row a run of that replication alone writes, at attempt 1
+        real = experiments._replication_result
+
+        def patch():
+            failed = []
+
+            def flaky(cfg, d, setup, *args):
+                if setup.rep == 1 and setup.attempt == 0 and not failed:
+                    failed.append(setup.rep)
+                    raise NotPositiveDefiniteError(3)
+                return real(cfg, d, setup, *args)
+            monkeypatch.setattr(experiments, "_replication_result", flaky)
+
+        cfg = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "block"),
+                               **dict(TINY, n_replications=3))
+        patch()
+        results, _ = run_table1(cfg)
+        assert [r.retries for r in results] == [0, 1, 0]
+        patch()
+        alone = experiments._run_block(cfg, 1, 25, [1], False)
+        assert [r.retries for r in alone] == [1]
+        experiments._write_replications(tmp_path / "alone.csv", alone)
+        block_rows = (tmp_path / "block" / "table1_replications.csv").read_text().splitlines()
+        alone_rows = (tmp_path / "alone.csv").read_text().splitlines()
+        assert block_rows[2] == alone_rows[1]
+        monkeypatch.setattr(experiments, "_replication_result", real)
+        first_try = experiments._run_block(cfg, 1, 25, [1], False)
+        assert first_try[0].retries == 0
+        assert first_try[0].posterior_mean_theta != alone[0].posterior_mean_theta
 
 
 class TestContourGrid:

@@ -13,13 +13,14 @@ from fixedgp.gp import (
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
-    ou_profile_loglik,
     ou_profile_stats,
     ou_stats,
     profile_stats,
     save_dataset,
 )
 from fixedgp.kernels import MaternSpec, matern_correlation
+
+from conftest import ou_profile_loglik
 
 
 def equispaced_design(n):

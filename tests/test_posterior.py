@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from fixedgp.gp import DenseEngine, Design, GpDataset, OuEngine, ou_stats, profile_stats
+from fixedgp.gp import (DenseEngine, Design, GpDataset, NotPositiveDefiniteError, OuEngine,
+                        ou_stats, profile_stats)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -15,9 +16,13 @@ from fixedgp.posterior import (
     TiltedParams,
     conditional_bvm_logdensity,
     joint_limit_sampler,
+    joint_target,
+    limit_setup,
     log_joint_posterior,
     profile_posterior_logdensity,
     rwm_chain,
+    rwm_chains,
+    sample_limits,
     tilted_logdensity,
     tilted_params,
 )
@@ -247,7 +252,7 @@ class TestProfilePosterior:
         assert np.all(np.diff(dens[:40]) > 0)
 
     def test_matches_ou_closed_form_up_to_constant(self, rng):
-        from fixedgp.gp import ou_profile_loglik
+        from conftest import ou_profile_loglik
         n = 25
         pts = np.arange(1, n + 1) / n
         r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
@@ -378,6 +383,81 @@ class TestJointLimitSampler:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             joint_limit_sampler("bogus", OuEngine(self.data), self.prior, 0.5, 0.5, self.cfg)
+
+
+class _CountingDenseEngine(DenseEngine):
+    """A dense engine that counts its Cholesky failures."""
+
+    failures = 0
+
+    def _terms(self, alpha):
+        try:
+            return super()._terms(alpha)
+        except NotPositiveDefiniteError:
+            type(self).failures += 1
+            raise
+
+
+class TestLockstep:
+    """R chains run in lockstep are bit for bit the chains run one by one."""
+
+    prior = PriorSpec()
+
+    def _configs(self, count, seed0):
+        return [McmcConfig(n_samples=250, n_burnin=300, step_sizes=(0.3, 1.5), seed=seed0 + i)
+                for i in range(count)]
+
+    def _assert_same(self, a, b):
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.alpha, b.alpha)
+        assert a.acceptance_rate == b.acceptance_rate
+        assert a.target_label == b.target_label
+
+    def _check(self, engines, kinds):
+        inits = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
+        inits = inits[:len(engines)]
+        configs = self._configs(len(engines), 40)
+        block = rwm_chains(joint_target(engines, self.prior), configs, inits, "joint")
+        for e, cfg, init, chain in zip(engines, configs, inits, block):
+            self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init],
+                                                "joint")[0])
+
+            def target(p, e=e):
+                return log_joint_posterior(e, self.prior, p[0], p[1])
+            self._assert_same(chain, rwm_chain(target, cfg, init, "joint"))
+        for kind in kinds:
+            configs = self._configs(len(engines), 70)
+            setups = [limit_setup(kind, e, self.prior, 0.5, 0.5, cfg)
+                      for e, cfg in zip(engines, configs)]
+            block = sample_limits(setups, self.prior)
+            for e, cfg, chain in zip(engines, configs, block):
+                self._assert_same(chain, joint_limit_sampler(kind, e, self.prior, 0.5, 0.5, cfg))
+
+    def test_ou_block_equals_single_chains(self):
+        rng = np.random.default_rng(21)
+        engines = [OuEngine(ou_data(60, rng)) for _ in range(3)]
+        self._check(engines, ("joint-profile", "ou-tilted"))
+
+    def test_dense_block_equals_single_chains_through_cholesky_failures(self):
+        # the d=1, n=100 perturbed grid of seed 0 at nu = 5/2: its correlation
+        # matrix fails to factorize at alpha = 0.1 (pivot 5), and with a flat
+        # path the chains propose such alphas
+        from fixedgp.experiments import gen_perturbed_grid
+        design = gen_perturbed_grid(1, 100, seed=0)
+        rng = np.random.default_rng(5)
+        paths = [np.ones(100), rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100)]
+        engines = [_CountingDenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths]
+        _CountingDenseEngine.failures = 0
+        self._check(engines, ("joint-profile",))
+        assert _CountingDenseEngine.failures > 0
+
+    def test_chain_length_must_agree(self):
+        rng = np.random.default_rng(3)
+        engines = [OuEngine(ou_data(20, rng)) for _ in range(2)]
+        configs = [McmcConfig(n_samples=50, n_burnin=10, seed=1),
+                   McmcConfig(n_samples=60, n_burnin=10, seed=2)]
+        with pytest.raises(ValueError):
+            rwm_chains(joint_target(engines, self.prior), configs, [[11.0, 11.0]] * 2)
 
 
 class TestChainSamplesIo:
