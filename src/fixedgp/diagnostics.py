@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .gp import Design, build_correlation_matrix, factorize
 
@@ -59,18 +59,13 @@ def generalized_lambdas(
     alpha: float,
     alpha0: float,
     theta0: float,
-    return_transform: bool = False,
-):
+) -> LambdaSpectrum:
     """Spectrum of the whitened matched-theta covariance pair.
 
     With sigma0^2 R0 = L0 L0' the returned values are the eigenvalues of
     L0^{-1} (sigma2 R_alpha) L0^{-'} where both variances are pinned to the
     shared microergodic value theta0.  At alpha = alpha0 the spectrum is
     identically one.
-
-    With ``return_transform=True`` also returns the n x n matrix mapping the
-    data to whitened coordinates (V' L0^{-1}, with V the eigenvectors), in
-    the ascending-eigenvalue order of the spectrum.
     """
     if not theta0 > 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
@@ -83,12 +78,7 @@ def generalized_lambdas(
     half = solve_triangular(l0, r_alpha, lower=True)
     m = solve_triangular(l0, half.T, lower=True)
     m = 0.5 * (m + m.T)
-    if not return_transform:
-        lam = np.linalg.eigvalsh(m)
-        return LambdaSpectrum(lambdas=lam)
-    lam, vec = eigh(m)
-    transform = vec.T @ solve_triangular(l0, np.eye(design.n), lower=True)
-    return LambdaSpectrum(lambdas=lam), transform
+    return LambdaSpectrum(lambdas=np.linalg.eigvalsh(m))
 
 
 def summarize(values) -> tuple[float, float]:

@@ -34,15 +34,14 @@ from .gp import (
     GpDataset,
     NotPositiveDefiniteError,
     DegenerateDataError,
-    OuEngine,
-    is_ou_model,
     build_correlation_matrix,
     factorize,
     likelihood_engine,
+    lockstep_backend,
     ou_stats,
 )
 from .kernels import MaternSpec
-from .kriging import DenseMseFactors, OuMseFactors, PredictionQuery
+from .kriging import PredictionQuery
 from .posterior import (
     GammaPrior,
     InitializationError,
@@ -68,7 +67,6 @@ __all__ = [
     "gen_perturbed_grid",
     "gen_lhs_testpoints",
     "sample_gp_path",
-    "sample_ou_path_markov",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -247,31 +245,14 @@ def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
     return GpDataset(design=design, x=fac.chol @ z)
 
 
-def sample_ou_path_markov(design: Design, truth: MaternSpec, seed) -> GpDataset:
-    """Sequential O(n) sampler for the nu = 1/2, d = 1 case; distributionally
-    identical to :func:`sample_gp_path` and used to cross-validate it."""
-    if not is_ou_model(design.d, truth.nu):
-        raise ValueError("markov sampler requires d = 1 and nu = 1/2")
-    rng = np.random.default_rng(seed)
-    s = design.coords_1d
-    sd = np.sqrt(truth.sigma2)
-    z = rng.standard_normal(design.n)
-    x = np.empty(design.n)
-    x[0] = sd * z[0]
-    rho = np.exp(-truth.alpha * np.diff(s))
-    for i in range(design.n - 1):
-        x[i + 1] = rho[i] * x[i] + sd * np.sqrt(1.0 - rho[i] ** 2) * z[i + 1]
-    return GpDataset(design=design, x=x)
-
-
 # ---------------------------------------------------------------------------
 # replication engine
 
 def _chain_init(engine, prior: PriorSpec, target) -> np.ndarray:
     """Deterministic start at the prior means, falling back to the profiled
-    microergodic value at alpha = 1 if the prior mean is unusable."""
+    microergodic value at alpha = 1 if the joint ``target`` rejects them."""
     init = np.array([prior.theta_prior.mean, prior.alpha_prior.mean])
-    if np.isfinite(target(init)):
+    if np.all(np.isfinite(target(init[None]))):
         return init
     return np.array([engine.profile(1.0).theta_tilde, 1.0])
 
@@ -310,12 +291,9 @@ def _setup_once(cfg, d, n_or_m, rep, attempt) -> _Setup:
 
     engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
     prior = cfg.prior
-
-    def target(p):
-        return log_joint_posterior(engine, prior, p[0], p[1])
-
+    target = joint_target([engine], prior)
     init = _chain_init(engine, prior, target)
-    chain_start(joint_target([engine], prior), init)
+    chain_start(target, init)
     joint_cfg = McmcConfig(
         n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
         step_sizes=_default_steps(n), seed=_seed_int(master, d, n, rep, attempt, 3),
@@ -420,11 +398,7 @@ def _replication_result(cfg, d, setup, chain, limit, tilted, compute_ratios):
 def _posterior_mean_max_ratios(cfg, engine, chain, queries):
     """Average over posterior draws of the max-over-test-points MSE ratios."""
     truth = cfg.truth
-    pts = np.asarray([q.s_star for q in queries])
-    if isinstance(engine, OuEngine):
-        factors = OuMseFactors(engine.data.design.coords_1d, truth.alpha, pts[:, 0])
-    else:
-        factors = DenseMseFactors(engine.data.design, cfg.nu, truth.alpha, pts)
+    factors = engine.mse_factors(truth.alpha, np.asarray([q.s_star for q in queries]))
     mse_oracle = truth.sigma2 * factors.m0
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]
@@ -449,14 +423,12 @@ def _block_task(args):
 def _run_replications(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool):
     """One task per (size, contiguous block of replications).
 
-    OU replications run in lockstep: one block per size when serial, each
-    size split across the workers when parallel.  Dense ones run one per
-    task, since a dense block would hold every replication's n x n matrices
-    at once while its targets still loop over them one by one.
+    Under :func:`fixedgp.gp.lockstep_backend` replications run in lockstep:
+    one block per size when serial, each size split across the workers when
+    parallel.  Otherwise they run one per task (see that rule for why).
     """
     workers = cfg.workers()
-    ou = cfg.likelihood == "ou" and is_ou_model(d, cfg.nu)
-    n_blocks = workers if ou else cfg.n_replications
+    n_blocks = workers if lockstep_backend(d, cfg.nu, cfg.likelihood) else cfg.n_replications
     blocks = [b for b in np.array_split(np.arange(cfg.n_replications), n_blocks) if b.size]
     tasks = [
         (dataclasses.asdict(cfg), d, n_or_m, [int(r) for r in block], compute_ratios)

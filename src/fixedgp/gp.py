@@ -3,8 +3,11 @@ and the O(n) Ornstein-Uhlenbeck fast path (nu = 1/2, d = 1).
 
 The likelihood of a dataset is evaluated by one engine, built once per
 dataset: :class:`DenseEngine` (dense Cholesky) or :class:`OuEngine` (O(n)
-Markov factorization), chosen by :func:`likelihood_engine`.  The module-level
-functions are thin wrappers that build a throwaway engine.
+Markov factorization), chosen by :func:`likelihood_engine`.  The posteriors of
+R datasets of one size are evaluated by one block of their engines,
+:class:`DenseBlock` or :class:`OuBlock`, chosen by :func:`likelihood_block`;
+the backend is picked nowhere else.  The module-level functions are thin
+wrappers that build a throwaway engine.
 
 The log-likelihood convention throughout drops the -(n/2) log(2 pi) constant:
 
@@ -18,6 +21,7 @@ dense path are exact rather than up to a constant.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +157,6 @@ class CovFactorization:
         )
 
     @property
-    def n(self) -> int:
-        return self.corr_chol.shape[0]
-
-    @property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the full covariance sigma2 * R."""
         return np.sqrt(self.sigma2) * self.corr_chol
@@ -164,12 +164,6 @@ class CovFactorization:
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b for the correlation factor L (whitening up to scale)."""
         return solve_triangular(self.corr_chol, b, lower=True)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(sigma2 R)^{-1} b."""
-        y = solve_triangular(self.corr_chol, b, lower=True)
-        z = solve_triangular(self.corr_chol.T, y, lower=False)
-        return z / self.sigma2
 
     def quad_form(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
         """v' (sigma2 R)^{-1} w (w defaults to v)."""
@@ -323,6 +317,11 @@ class DenseEngine(_Engine):
         qf, log_det = self._terms(alpha)
         return -0.5 * (self.n * np.log(sigma2) + log_det) - 0.5 * (qf / sigma2)
 
+    def mse_factors(self, alpha0: float, points: np.ndarray):
+        """:class:`fixedgp.kriging.DenseMseFactors` at the (K, d) ``points``."""
+        from .kriging import DenseMseFactors
+        return DenseMseFactors(self.data.design, self.nu, alpha0, points)
+
 
 class OuEngine(_Engine):
     """Exact O(n) OU (nu = 1/2, d = 1) likelihood.
@@ -357,6 +356,11 @@ class OuEngine(_Engine):
         qf, log_det = self._terms(alpha)
         return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
 
+    def mse_factors(self, alpha0: float, points: np.ndarray):
+        """:class:`fixedgp.kriging.OuMseFactors` at the (K, 1) ``points``."""
+        from .kriging import OuMseFactors
+        return OuMseFactors(self.data.design.coords_1d, alpha0, points[:, 0])
+
 
 def _ou_terms(gaps, x0_sq, head, tail, alpha):
     """x' R^{-1} x and log|R| of the OU model from the per-gap correlations
@@ -374,9 +378,54 @@ def _ou_terms(gaps, x0_sq, head, tail, alpha):
     return qf, np.add.reduce(np.log(one_minus_rho2), axis=-1)
 
 
+class DenseBlock:
+    """The dense engines of R datasets, evaluated row by row with scalar
+    arithmetic.  Each method maps R rows to R values, -inf in a row whose
+    parameters are invalid, whose correlation fails to factorize, or whose
+    profile is degenerate (x' R^{-1} x <= 0).
+    """
+
+    def __init__(self, engines):
+        self.engines = list(engines)
+
+    def log_posterior(self, p, prior):
+        """Joint log posterior at the (R, 2) rows (theta, alpha)."""
+        return np.array([_dense_log_posterior(e, prior, t, a)
+                         for e, (t, a) in zip(self.engines, p)])
+
+    def log_profile_posterior(self, alpha, prior):
+        """Profile log-likelihood plus log alpha prior at the (R,) ``alpha``."""
+        return np.array([_dense_log_profile_posterior(e, prior, a)
+                         for e, a in zip(self.engines, alpha)])
+
+
+def _dense_log_posterior(engine, prior, theta, alpha):
+    if not (theta > 0 and alpha > 0) or not math.isfinite(theta) or not math.isfinite(alpha):
+        return -np.inf
+    sigma2 = theta / alpha ** (2.0 * engine.nu)
+    if not math.isfinite(sigma2) or sigma2 <= 0:
+        return -np.inf
+    try:
+        ll = engine.loglik(sigma2, alpha)
+    except NotPositiveDefiniteError:
+        return -np.inf
+    return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
+
+
+def _dense_log_profile_posterior(engine, prior, alpha):
+    if not alpha > 0 or not math.isfinite(alpha):
+        return -np.inf
+    try:
+        ps = engine.profile(alpha)
+    except (NotPositiveDefiniteError, DegenerateDataError):
+        return -np.inf
+    return ps.profile_loglik + prior.alpha_prior.logpdf(alpha)
+
+
 class OuBlock:
-    """The OU engines of R datasets of one size, stacked row by row so that one
-    call evaluates all R of them; row r gives the numbers of ``engines[r]``."""
+    """The OU engines of R datasets of one size, stacked so that one call
+    evaluates all R rows in :class:`OuEngine` operation order; the methods
+    and -inf rows are those of :class:`DenseBlock`."""
 
     nu = 0.5
 
@@ -393,20 +442,31 @@ class OuBlock:
         """Row-wise x' R^{-1} x and log|R| at the (R,) positive ``alpha``."""
         return _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha[:, None])
 
-    def loglik(self, sigma2, alpha):
-        """Row-wise :meth:`OuEngine.loglik`, in the same operation order."""
+    def log_posterior(self, p, prior):
+        theta, alpha = p[:, 0], p[:, 1]
+        ok = np.all((p > 0) & (p < np.inf), axis=1)
+        if not ok.all():
+            theta, alpha = np.where(ok, theta, 1.0), np.where(ok, alpha, 1.0)
+        sigma2 = theta / alpha ** (2.0 * self.nu)
+        ok &= (sigma2 > 0) & (sigma2 < np.inf)
+        if not ok.all():
+            sigma2 = np.where(ok, sigma2, 1.0)
         qf, log_det = self.terms(alpha)
-        return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+        out = (-0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+               + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha))
+        return np.where(ok, out, -np.inf)
 
-    def profile_loglik(self, alpha):
-        """Row-wise ``profile(alpha).profile_loglik``, in the same operation
-        order; -inf in a row where x' R^{-1} x <= 0, for which
-        :meth:`OuEngine.profile` raises :class:`DegenerateDataError`."""
+    def log_profile_posterior(self, alpha, prior):
+        ok = (alpha > 0) & (alpha < np.inf)
+        if not ok.all():
+            alpha = np.where(ok, alpha, 1.0)
         qf, log_det = self.terms(alpha)
-        ok = qf > 0.0
+        ok &= qf > 0.0
         if not ok.all():
             qf = np.where(ok, qf, 1.0)
-        return np.where(ok, -0.5 * self.n * np.log(qf / self.n) - 0.5 * log_det, -np.inf)
+        out = (-0.5 * self.n * np.log(qf / self.n) - 0.5 * log_det
+               + prior.alpha_prior.logpdf(alpha))
+        return np.where(ok, out, -np.inf)
 
 
 def is_ou_model(d: int, nu: float) -> bool:
@@ -414,14 +474,29 @@ def is_ou_model(d: int, nu: float) -> bool:
     return d == 1 and abs(nu - 0.5) < 1e-14
 
 
-def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
-    """The engine of a dataset: :class:`OuEngine` when ``likelihood == "ou"``
-    and the model is OU (d = 1, nu = 1/2), :class:`DenseEngine` otherwise."""
+def lockstep_backend(d: int, nu: float, likelihood: str) -> bool:
+    """The backend rule: the O(n) OU backend when ``likelihood == "ou"`` and
+    the model is OU, dense otherwise.  Only an OU block evaluates its rows
+    together, so only OU datasets share a block in the harness."""
     if likelihood not in ("ou", "dense"):
         raise ValueError(f"likelihood must be 'ou' or 'dense', got {likelihood!r}")
-    if likelihood == "ou" and is_ou_model(data.design.d, nu):
+    return likelihood == "ou" and is_ou_model(d, nu)
+
+
+def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
+    """The engine of a dataset under :func:`lockstep_backend`'s rule:
+    :class:`OuEngine` or :class:`DenseEngine`."""
+    if lockstep_backend(data.design.d, nu, likelihood):
         return OuEngine(data)
     return DenseEngine(data, nu)
+
+
+def likelihood_block(engines):
+    """The block of engines made by :func:`likelihood_engine`: an
+    :class:`OuBlock` of OU engines, a :class:`DenseBlock` otherwise."""
+    if all(isinstance(e, OuEngine) for e in engines):
+        return OuBlock(engines)
+    return DenseBlock(engines)
 
 
 def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:

@@ -18,26 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .gp import Design, GpDataset, build_correlation_matrix, factorize
+from .gp import DegenerateDataError, Design, GpDataset, build_correlation_matrix, factorize
 from .kernels import MaternSpec, matern_correlation
 
 __all__ = [
     "PredictionQuery",
     "MseBreakdown",
     "EfficiencyRatios",
-    "KlReport",
     "CoincidentTestPointError",
     "DenseMseFactors",
     "OuMseFactors",
     "blup",
     "mse_breakdown",
     "efficiency_ratios",
-    "efficiency_envelope",
     "sym_kl_finite",
     "sym_kl_limit",
-    "kl_report",
-    "ou_mse_profiles",
-    "write_efficiency_sweep",
 ]
 
 
@@ -86,16 +81,6 @@ class EfficiencyRatios:
     varsigma_hat: float
 
 
-@dataclass(frozen=True)
-class KlReport:
-    r_n: float
-    r_limit: float
-
-    @property
-    def gap(self) -> float:
-        return self.r_limit - self.r_n
-
-
 def _check_distinct(design: Design, s: np.ndarray):
     dists = np.sqrt(np.sum((design.points - s[None, :]) ** 2, axis=1))
     if dists.min() == 0.0:
@@ -128,18 +113,13 @@ def mse_breakdown(
     query: PredictionQuery,
 ) -> MseBreakdown:
     """The three prediction MSEs at one test point; see the module header."""
-    a, t, o = _mse_arrays(design, nu, assumed, truth, query.s_star[None, :])
-    return MseBreakdown(mse_assumed=float(a[0]), mse_under_truth=float(t[0]),
-                        mse_oracle=float(o[0]))
-
-
-def _mse_arrays(design, nu, assumed, truth, points):
-    """Vectorized MSE triple over a (K, d) array of test points."""
     if abs(assumed.nu - nu) > 1e-14 or abs(truth.nu - nu) > 1e-14:
         raise ValueError("assumed and truth specs must share the smoothness nu")
-    factors = DenseMseFactors(design, nu, truth.alpha, points)
+    factors = DenseMseFactors(design, nu, truth.alpha, query.s_star[None, :])
     m, q = factors(assumed.alpha)
-    return assumed.sigma2 * m, truth.sigma2 * q, truth.sigma2 * factors.m0
+    return MseBreakdown(mse_assumed=float(assumed.sigma2 * m[0]),
+                        mse_under_truth=float(truth.sigma2 * q[0]),
+                        mse_oracle=float(truth.sigma2 * factors.m0[0]))
 
 
 class DenseMseFactors:
@@ -150,7 +130,10 @@ class DenseMseFactors:
     truth correlation and its factor, the truth cross-correlations and the
     oracle factor ``m0`` = mse_oracle / sigma0^2) is built once; calling the
     object with an alpha gives ``(m, q)``: m = mse_assumed / sigma2 and
-    q = mse_under_truth / sigma0^2.
+    q = mse_under_truth / sigma0^2.  A factor that rounds to zero or below
+    (or NaN) at any test point, as the smooth kernels' 1 - r' R^{-1} r can,
+    raises :class:`fixedgp.gp.DegenerateDataError`: a ratio of such factors
+    means nothing.
     """
 
     def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
@@ -165,6 +148,7 @@ class DenseMseFactors:
         self.rv0 = matern_correlation(alpha0, nu, self.dist_nk)
         y0 = factorize(self.r0, 1.0).half_solve(self.rv0)
         self.m0 = 1.0 - np.sum(y0 * y0, axis=0)
+        _check_positive("m0", self.m0)
 
     def __call__(self, alpha: float):
         r = matern_correlation(alpha, self.nu, self.dist_nn)
@@ -174,7 +158,14 @@ class DenseMseFactors:
         w = solve_triangular(fac.corr_chol.T, fac.half_solve(rv), lower=False)
         m = 1.0 - np.sum(rv * w, axis=0)
         q = 1.0 - 2.0 * np.sum(self.rv0 * w, axis=0) + np.sum(w * (self.r0 @ w), axis=0)
+        _check_positive("m", m)
+        _check_positive("q", q)
         return m, q
+
+
+def _check_positive(name, factor):
+    if not np.all(factor > 0):
+        raise DegenerateDataError(f"MSE factor {name} is not positive at every test point")
 
 
 def efficiency_ratios(breakdown: MseBreakdown) -> EfficiencyRatios:
@@ -184,47 +175,19 @@ def efficiency_ratios(breakdown: MseBreakdown) -> EfficiencyRatios:
     return EfficiencyRatios(r1=r1, r2=r2, varsigma_hat=max(r1, r2))
 
 
-def efficiency_envelope(design, nu, alpha, truth: MaternSpec, test_points) -> float:
-    """Empirical envelope over the test set at the half-oracle variance.
-
-    The assumed model uses sigma2 = theta0 / alpha^{2 nu}, so both ratio
-    deviations vanish at alpha = alpha0 and their max over test points
-    estimates the efficiency sequence at this alpha.
-    """
-    pts = _as_point_array(test_points)
-    if pts.shape[0] == 0:
-        raise ValueError("efficiency_envelope requires at least one test point")
-    assumed = MaternSpec.from_theta(truth.theta, alpha, nu)
-    a, t, o = _mse_arrays(design, nu, assumed, truth, pts)
-    dev = np.maximum(np.abs(a / t - 1.0), np.abs(a / o - 1.0))
-    return float(dev.max())
-
-
-def _as_point_array(test_points) -> np.ndarray:
-    rows = [
-        q.s_star if isinstance(q, PredictionQuery) else np.atleast_1d(np.asarray(q, float))
-        for q in test_points
-    ]
-    return np.asarray(rows, dtype=float)
-
-
-def sym_kl_finite(
-    design: Design, nu: float, alpha: float, alpha0: float,
-    allow_general_nu: bool = False,
-) -> float:
+def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> float:
     """Finite-sample symmetrized KL divergence between the matched-theta
     models with inverse ranges alpha and alpha0:
 
         -n + (c/2) tr(R^{-1} R0) + (1/(2c)) tr(R0^{-1} R),  c = (alpha/alpha0)^{2 nu}
 
-    The closed-form limit is known only for nu = 1/2; other smoothness
-    values are computable but experimental (``allow_general_nu=True``).
+    Only nu = 1/2 is accepted, the one smoothness whose limit is known in
+    closed form (:func:`sym_kl_limit`).
     """
     if not (alpha > 0 and alpha0 > 0):
         raise ValueError("alpha and alpha0 must be positive")
-    if abs(nu - 0.5) > 1e-14 and not allow_general_nu:
-        raise ValueError("sym_kl_finite is derived for nu = 1/2; "
-                         "pass allow_general_nu=True for experimental use")
+    if abs(nu - 0.5) > 1e-14:
+        raise ValueError("sym_kl_finite is derived for nu = 1/2")
     n = design.n
     la = factorize(build_correlation_matrix(design, alpha, nu), 1.0).corr_chol
     l0 = factorize(build_correlation_matrix(design, alpha0, nu), 1.0).corr_chol
@@ -241,34 +204,6 @@ def sym_kl_limit(alpha: float, alpha0: float) -> float:
     if not (alpha > 0 and alpha0 > 0):
         raise ValueError("alpha and alpha0 must be positive")
     return (alpha - alpha0) ** 2 * (alpha + alpha0 + 2.0) / (4.0 * alpha * alpha0)
-
-
-def kl_report(design: Design, nu: float, alpha: float, alpha0: float) -> KlReport:
-    return KlReport(r_n=sym_kl_finite(design, nu, alpha, alpha0),
-                    r_limit=sym_kl_limit(alpha, alpha0))
-
-
-def write_efficiency_sweep(path, design: Design, nu: float, assumed: MaternSpec,
-                           truth: MaternSpec, test_points) -> None:
-    """Per-test-point MSE breakdown CSV:
-    ``n,alpha,s1[,s2[,s3]],mse_assumed,mse_true,mse_oracle,r1,r2``."""
-    import csv
-
-    pts = _as_point_array(test_points)
-    a, t, o = _mse_arrays(design, nu, assumed, truth, pts)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        coord_cols = [f"s{i + 1}" for i in range(design.d)]
-        writer.writerow(["n", "alpha"] + coord_cols
-                        + ["mse_assumed", "mse_true", "mse_oracle", "r1", "r2"])
-        for k in range(pts.shape[0]):
-            r1 = abs(a[k] / t[k] - 1.0)
-            r2 = abs(a[k] / o[k] - 1.0)
-            writer.writerow(
-                [design.n, f"{assumed.alpha:.10g}"]
-                + [f"{v:.10g}" for v in pts[k]]
-                + [f"{v:.10g}" for v in (a[k], t[k], o[k], r1, r2)]
-            )
 
 
 class OuMseFactors:
@@ -313,13 +248,3 @@ class OuMseFactors:
              - 2.0 * wl * self.rho_l0
              - 2.0 * np.where(self.interior, wr * self.rho_r0, 0.0))
         return m, q
-
-
-def ou_mse_profiles(coords: np.ndarray, alpha: float, alpha0: float, test_points: np.ndarray):
-    """OU MSE factors ``(m, q, m0)`` at one alpha; see :class:`OuMseFactors`.
-
-    Agrees with :func:`mse_breakdown` up to round-off.
-    """
-    factors = OuMseFactors(coords, alpha0, test_points)
-    m, q = factors(alpha)
-    return m, q, factors.m0

@@ -7,16 +7,12 @@ simulation truth (theta0, alpha0), which the experiment harness supplies.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .gp import (DegenerateDataError, NotPositiveDefiniteError, OuBlock, OuEngine, OuStats,
-                 ou_stats)
+from .gp import DegenerateDataError, OuStats, likelihood_block, ou_stats
 
 __all__ = [
     "GammaPrior",
@@ -56,10 +52,6 @@ class GammaPrior:
     @property
     def mean(self) -> float:
         return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate**2
 
     def logpdf(self, x) -> float:
         # same left-to-right evaluation on both paths, so a scalar gives the
@@ -131,24 +123,6 @@ class ChainSamples:
         if not 0.0 <= self.acceptance_rate <= 1.0:
             raise ValueError(f"acceptance rate {self.acceptance_rate} outside [0, 1]")
 
-    def write_csv(self, path, sidecar_path=None, extra: dict | None = None) -> None:
-        """Write ``iter,theta,alpha`` rows plus a JSON sidecar."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "theta", "alpha"])
-            for i, (t, a) in enumerate(zip(self.theta, self.alpha)):
-                writer.writerow([i, f"{t:.17g}", f"{a:.17g}"])
-        if sidecar_path is not None:
-            meta = {
-                "target_label": self.target_label,
-                "acceptance_rate": self.acceptance_rate,
-                "n_samples": int(self.alpha.shape[0]),
-            }
-            if extra:
-                meta.update(extra)
-            with open(sidecar_path, "w") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class TiltedParams:
@@ -165,21 +139,11 @@ class TiltedParams:
 
 def log_joint_posterior(engine, prior: PriorSpec, theta: float, alpha: float) -> float:
     """Unnormalized log posterior of (theta, alpha) for the dataset and
-    smoothness of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`).
-
-    Returns -inf (a rejectable value) for non-positive or non-finite
-    parameters or a covariance that fails to factorize.
-    """
-    if not (theta > 0 and alpha > 0) or not math.isfinite(theta) or not math.isfinite(alpha):
-        return -np.inf
-    sigma2 = theta / alpha ** (2.0 * engine.nu)
-    if not math.isfinite(sigma2) or sigma2 <= 0:
-        return -np.inf
-    try:
-        ll = engine.loglik(sigma2, alpha)
-    except NotPositiveDefiniteError:
-        return -np.inf
-    return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
+    smoothness of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`): one
+    row of its :func:`fixedgp.gp.likelihood_block`, so -inf (a rejectable
+    value) for invalid parameters or a covariance that fails to factorize."""
+    point = np.array([[theta, alpha]], dtype=float)
+    return float(likelihood_block([engine]).log_posterior(point, prior)[0])
 
 
 def chain_start(log_target, init):
@@ -305,32 +269,10 @@ def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom"
 
 def joint_target(engines, prior: PriorSpec):
     """The joint log posterior of R datasets as one function of an (R, 2)
-    array of (theta, alpha) rows, row r for the dataset of ``engines[r]``.
-
-    Row r equals :func:`log_joint_posterior` bit for bit.  OU engines are
-    evaluated together through :class:`fixedgp.gp.OuBlock`; any other
-    engine is a loop over the rows, one factorization each.
-    """
-    if not all(isinstance(e, OuEngine) for e in engines):
-        def dense_target(p):
-            return np.array([log_joint_posterior(e, prior, t, a) for e, (t, a) in zip(engines, p)])
-        return dense_target
-
-    block = OuBlock(engines)
-
-    def ou_target(p):
-        theta, alpha = p[:, 0], p[:, 1]
-        ok = np.all((p > 0) & (p < np.inf), axis=1)
-        if not ok.all():
-            theta, alpha = np.where(ok, theta, 1.0), np.where(ok, alpha, 1.0)
-        sigma2 = theta / alpha ** (2.0 * block.nu)
-        ok &= (sigma2 > 0) & (sigma2 < np.inf)
-        if not ok.all():
-            sigma2 = np.where(ok, sigma2, 1.0)
-        out = (block.loglik(sigma2, alpha) + prior.theta_prior.logpdf(theta)
-               + prior.alpha_prior.logpdf(alpha))
-        return np.where(ok, out, -np.inf)
-    return ou_target
+    array of (theta, alpha) rows: row r is :func:`log_joint_posterior` of
+    ``engines[r]`` bit for bit."""
+    block = likelihood_block(engines)
+    return lambda p: block.log_posterior(p, prior)
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:
@@ -346,14 +288,10 @@ def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n
 def profile_posterior_logdensity(engine, prior: PriorSpec, alpha: float) -> float:
     """Unnormalized log density of the profile posterior for alpha: the
     profile log-likelihood plus the log prior of alpha (independent of
-    theta, see :class:`PriorSpec`)."""
-    if not alpha > 0 or not math.isfinite(alpha):
-        return -np.inf
-    try:
-        ps = engine.profile(alpha)
-    except (NotPositiveDefiniteError, DegenerateDataError):
-        return -np.inf
-    return ps.profile_loglik + prior.alpha_prior.logpdf(alpha)
+    theta, see :class:`PriorSpec`); one block row, as in
+    :func:`log_joint_posterior`."""
+    point = np.array([alpha], dtype=float)
+    return float(likelihood_block([engine]).log_profile_posterior(point, prior)[0])
 
 
 def tilted_params(stats: OuStats, n: int) -> TiltedParams:
@@ -403,19 +341,8 @@ def _limit_target(kind, engines, tilted, prior: PriorSpec):
         stacked = TiltedParams(u_star=np.array([tp.u_star for tp in tilted]),
                                v_star=np.array([tp.v_star for tp in tilted]))
         return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
-    if not all(isinstance(e, OuEngine) for e in engines):
-        return lambda a: np.array([profile_posterior_logdensity(e, prior, x)
-                                   for e, x in zip(engines, a[:, 0])])
-    block = OuBlock(engines)
-
-    def ou_profile_target(a):
-        alpha = a[:, 0]
-        ok = (alpha > 0) & (alpha < np.inf)
-        if not ok.all():
-            alpha = np.where(ok, alpha, 1.0)
-        out = block.profile_loglik(alpha) + prior.alpha_prior.logpdf(alpha)
-        return np.where(ok, out, -np.inf)
-    return ou_profile_target
+    block = likelihood_block(engines)
+    return lambda a: block.log_profile_posterior(a[:, 0], prior)
 
 
 def limit_setup(kind: str, engine, prior: PriorSpec, theta0: float, alpha0: float,
@@ -489,34 +416,21 @@ def joint_limit_sampler(
     theta0: float,
     alpha0: float,
     config: McmcConfig,
-    fixed_alpha: float | None = None,
 ) -> ChainSamples:
     """Draw from one of the limiting posteriors of the dataset and smoothness
     of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`).
 
     kind:
-      * ``"conditional"``   theta ~ N(theta_tilde at ``fixed_alpha``,
-        2 theta0^2/n) i.i.d., alpha held at ``fixed_alpha``.
-      * ``"joint-profile"`` theta ~ N(theta_tilde at alpha0, .) i.i.d.,
-        alpha from the profile posterior by 1-d RWM.
+      * ``"joint-profile"`` theta ~ N(theta_tilde at alpha0, 2 theta0^2/n)
+        i.i.d., alpha from the profile posterior by 1-d RWM.
       * ``"ou-tilted"``     same theta stream, alpha from the tilted normal
         limit (requires the OU model: d = 1, nu = 1/2).
 
     The theta and alpha streams use independent RNG streams derived from
-    ``config.seed``, so they are independent draws.  The two chain kinds are
+    ``config.seed``, so they are independent draws.  It is
     :func:`limit_setup` followed by :func:`sample_limits` of one setup.
     """
-    if kind != "conditional":
-        return sample_limits([limit_setup(kind, engine, prior, theta0, alpha0, config)], prior)[0]
-    if fixed_alpha is None:
-        raise ValueError("conditional kind requires fixed_alpha")
-    theta_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
-    center = engine.profile(fixed_alpha).theta_tilde
-    theta = _positive_normal_draws(np.random.default_rng(theta_ss), center,
-                                   np.sqrt(2.0 * theta0**2 / engine.n), config.n_samples)
-    alpha = np.full(config.n_samples, float(fixed_alpha))
-    return ChainSamples(theta=theta, alpha=alpha, acceptance_rate=1.0,
-                        target_label="conditional-bvm")
+    return sample_limits([limit_setup(kind, engine, prior, theta0, alpha0, config)], prior)[0]
 
 
 def _positive_normal_draws(rng, center, sd, size):

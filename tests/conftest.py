@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fixedgp.gp import DegenerateDataError
+from fixedgp.gp import DegenerateDataError, GpDataset
+from fixedgp.kernels import MaternSpec
+from fixedgp.kriging import DenseMseFactors
 
 # Pass/fail lines recorded by the acceptance tests, echoed at the end of the
 # run so they are visible without -s.
@@ -37,6 +39,36 @@ def ou_profile_loglik(stats, n: int, alpha: float) -> float:
     if arg <= 0.0:
         raise DegenerateDataError(f"quadratic-form argument {arg} is not positive")
     return -0.5 * n * np.log(arg) + 0.5 * np.log1p(-q * q)
+
+
+def sample_ou_path_markov(design, truth, seed) -> GpDataset:
+    """Sequential O(n) sampler of the OU model (nu = 1/2, d = 1): x_{i+1} =
+    rho_i x_i + innovation.  Distributionally identical to
+    :func:`fixedgp.experiments.sample_gp_path`, which it cross-validates."""
+    rng = np.random.default_rng(seed)
+    sd = np.sqrt(truth.sigma2)
+    z = rng.standard_normal(design.n)
+    x = np.empty(design.n)
+    x[0] = sd * z[0]
+    rho = np.exp(-truth.alpha * np.diff(design.coords_1d))
+    for i in range(design.n - 1):
+        x[i + 1] = rho[i] * x[i] + sd * np.sqrt(1.0 - rho[i] ** 2) * z[i + 1]
+    return GpDataset(design=design, x=x)
+
+
+def efficiency_envelope(design, nu, alpha, truth, test_points) -> float:
+    """Max over the test points (``PredictionQuery`` objects) of the two MSE
+    ratio deviations when the assumed variance is the half-oracle
+    theta0 / alpha^{2 nu}: both vanish at alpha = alpha0, and the max
+    estimates the efficiency sequence at this alpha."""
+    pts = np.asarray([q.s_star for q in test_points], dtype=float)
+    if pts.shape[0] == 0:
+        raise ValueError("efficiency_envelope requires at least one test point")
+    factors = DenseMseFactors(design, nu, truth.alpha, pts)
+    m, q = factors(alpha)
+    mse_assumed = MaternSpec.from_theta(truth.theta, alpha, nu).sigma2 * m
+    return float(np.maximum(np.abs(mse_assumed / (truth.sigma2 * q) - 1.0),
+                            np.abs(mse_assumed / (truth.sigma2 * factors.m0) - 1.0)).max())
 
 
 @pytest.fixture

@@ -92,10 +92,16 @@ class TestGeneralizedLambdas:
         r0 = build_correlation_matrix(design, alpha0, nu)
         x = np.linalg.cholesky(sigma2_0 * r0) @ rng.standard_normal(n)
         data = GpDataset(design=design, x=x)
+        l0 = np.linalg.cholesky(sigma2_0 * r0)
         for alpha in (0.3, 1.1, 2.4):
-            spec, transform = generalized_lambdas(design, nu, alpha, alpha0, theta0,
-                                                  return_transform=True)
-            y = transform @ x
+            spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+            # whitened coordinates V' L0^{-1} x, V the eigenvectors of the
+            # whitened pair in the ascending order of the spectrum
+            sigma2 = theta0 / alpha ** (2 * nu)
+            whitened = np.linalg.solve(l0, np.linalg.solve(l0, sigma2 * build_correlation_matrix(
+                design, alpha, nu)).T)
+            _, vec = np.linalg.eigh(0.5 * (whitened + whitened.T))
+            y = vec.T @ np.linalg.solve(l0, x)
             lhs = n * (profile_stats(data, alpha, nu).theta_tilde
                        - profile_stats(data, alpha0, nu).theta_tilde) / theta0
             rhs = np.sum((1.0 / spec.lambdas - 1.0) * y**2)

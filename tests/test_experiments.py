@@ -8,6 +8,7 @@ from scipy import stats as sp_stats
 from fixedgp import experiments
 from fixedgp.experiments import (
     ExperimentConfig,
+    FailureBudgetExceededError,
     emit_contour_grid,
     gen_lhs_testpoints,
     gen_perturbed_grid,
@@ -16,13 +17,13 @@ from fixedgp.experiments import (
     run_table1,
     run_table3,
     sample_gp_path,
-    sample_ou_path_markov,
     _chain_init,
     _seed_seq,
 )
 from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, factorize,
                         likelihood_engine, ou_profile_stats, profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
+from conftest import sample_ou_path_markov
 
 
 TINY = dict(n_samples=300, n_burnin=100, n_replications=2, n_workers=1,
@@ -100,11 +101,6 @@ class TestGpPathSampling:
         p = sp_stats.ks_2samp(last_chol, last_markov).pvalue
         assert p > 0.01
 
-    def test_markov_requires_ou(self):
-        design = gen_perturbed_grid(2, 3, seed=0)
-        with pytest.raises(ValueError):
-            sample_ou_path_markov(design, MaternSpec(1.0, 0.5, 0.5), 0)
-
     def test_replication_streams_uncorrelated(self):
         # whitened innovations across replications: mean pairwise correlation
         # near zero and no duplicated streams
@@ -164,6 +160,18 @@ class TestTableRuns:
             assert rows[0]["max_r2"] > 0, label
             assert np.isfinite(rows[0]["max_r1_sd"]), label
             assert (out / "table3.csv").exists(), label
+
+    def test_table3_nonpositive_dense_mse_factor_is_a_counted_failure(self, tmp_path):
+        # the smooth kernel's 1 - r' R^{-1} r rounds to zero or below at some
+        # test points of this config; those ratios used to become NaN table
+        # cells in silence, and now every attempt is retried until the
+        # replication exhausts its budget
+        cfg = ExperimentConfig(nu=2.5, likelihood="dense", n_values=(60,), n_samples=600,
+                               n_burnin=200, n_replications=3, n_test_points=100,
+                               n_workers=1, output_dir=str(tmp_path))
+        with pytest.raises(FailureBudgetExceededError, match="MSE factor"):
+            run_table3(cfg)
+        assert not (tmp_path / "table3.csv").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         # serial: one block of 3 replications per size; 2 workers: blocks of

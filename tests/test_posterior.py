@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from fixedgp.gp import (DenseEngine, Design, GpDataset, NotPositiveDefiniteError, OuEngine,
-                        ou_stats, profile_stats)
+from fixedgp.gp import (DenseBlock, DenseEngine, Design, GpDataset, NotPositiveDefiniteError,
+                        OuBlock, OuEngine, likelihood_block, ou_stats, profile_stats)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -358,13 +356,6 @@ class TestJointLimitSampler:
         corr = np.corrcoef(ch.theta, ch.alpha)[0, 1]
         assert abs(corr) < 0.05
 
-    def test_conditional_kind(self):
-        ch = joint_limit_sampler("conditional", OuEngine(self.data), self.prior, 0.5, 0.5,
-                                 self.cfg, fixed_alpha=1.3)
-        assert np.all(ch.alpha == 1.3)
-        center = profile_stats(self.data, 1.3, 0.5).theta_tilde
-        assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(2 * 0.25 / 100 / 5000)
-
     def test_tilted_vs_profile_w2_shrinks_with_n(self):
         from fixedgp.diagnostics import w2_distance
         rng = np.random.default_rng(12)
@@ -396,6 +387,56 @@ class _CountingDenseEngine(DenseEngine):
         except NotPositiveDefiniteError:
             type(self).failures += 1
             raise
+
+
+class TestLikelihoodBlock:
+    """Each row of a block equals the one-row call on its engine bit for bit,
+    -inf rows included, on both backends."""
+
+    prior = PriorSpec()
+    # valid points, theta <= 0, alpha = inf and alpha = 0.1, where the nu = 5/2
+    # correlation of the dense design below fails to factorize
+    points = np.array([[0.8, 1.3], [0.3, 0.1], [2.0, 7.5], [0.0, 1.0], [-1.0, 0.5],
+                       [1.0, np.inf], [np.inf, 1.0], [0.5, 0.1]])
+
+    def _check(self, engines, block_type):
+        block = likelihood_block(engines)
+        assert type(block) is block_type
+        for p in self.points:
+            rows = np.tile(p, (len(engines), 1))
+            joint = block.log_posterior(rows, self.prior)
+            profile = block.log_profile_posterior(rows[:, 1], self.prior)
+            for r, e in enumerate(engines):
+                assert joint[r] == log_joint_posterior(e, self.prior, p[0], p[1]), (p, r)
+                assert profile[r] == profile_posterior_logdensity(e, self.prior, p[1]), (p, r)
+            if not (0 < p[0] < np.inf and p[1] < np.inf):
+                assert np.all(joint == -np.inf), p
+            if p[1] == np.inf:
+                assert np.all(profile == -np.inf), p
+        return block
+
+    def test_ou_rows(self, rng):
+        engines = [OuEngine(ou_data(60, rng)) for _ in range(2)]
+        zero = OuEngine(GpDataset(design=engines[0].data.design, x=np.zeros(60)))
+        block = self._check(engines + [zero], OuBlock)
+        # an all-zero path is degenerate in the profile only
+        assert block.log_profile_posterior(np.array([1.0, 1.0, 1.0]), self.prior)[2] == -np.inf
+        assert np.isfinite(block.log_posterior(np.array([[1.0, 1.0]] * 3), self.prior)[2])
+
+    def test_dense_rows_through_failed_factorizations(self, rng):
+        from fixedgp.experiments import gen_perturbed_grid
+        design = gen_perturbed_grid(1, 100, seed=0)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            DenseEngine(GpDataset(design=design, x=np.ones(100)), 2.5).loglik(1.0, 0.1)
+        assert err.value.pivot == 5
+        paths = [rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100), np.zeros(100)]
+        engines = [DenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths]
+        engines.append(DenseEngine(ou_data(40, rng), 0.5))
+        block = self._check(engines, DenseBlock)
+        failed = block.log_posterior(np.array([[0.5, 0.1]] * 4), self.prior)
+        assert np.all(failed[:3] == -np.inf) and np.isfinite(failed[3])
+        profile = block.log_profile_posterior(np.array([1.0] * 4), self.prior)
+        assert profile[2] == -np.inf and np.all(np.isfinite(profile[[0, 1, 3]]))
 
 
 class TestLockstep:
@@ -461,20 +502,6 @@ class TestLockstep:
 
 
 class TestChainSamplesIo:
-    def test_csv_and_sidecar(self, tmp_path):
-        ch = ChainSamples(theta=np.array([1.0, 2.0]), alpha=np.array([0.5, 0.7]),
-                          acceptance_rate=0.4, target_label="joint-posterior")
-        csv_path = tmp_path / "chain.csv"
-        side_path = tmp_path / "chain.json"
-        ch.write_csv(csv_path, side_path, extra={"seed": 7})
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "iter,theta,alpha"
-        assert lines[1].startswith("0,1,") or lines[1].startswith("0,1.0")
-        meta = json.loads(side_path.read_text())
-        assert meta["acceptance_rate"] == 0.4
-        assert meta["seed"] == 7
-        assert meta["target_label"] == "joint-posterior"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainSamples(theta=np.array([1.0, -2.0]), alpha=np.array([0.5, 0.7]),
