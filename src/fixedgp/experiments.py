@@ -36,6 +36,7 @@ from .gp import (
     DegenerateDataError,
     build_correlation_matrix,
     factorize,
+    likelihood_block,
     likelihood_engine,
     lockstep_backend,
     ou_stats,
@@ -52,7 +53,7 @@ from .posterior import (
     conditional_bvm_logdensity,
     joint_target,
     limit_setup,
-    log_joint_posterior,
+    log_joint_posterior,  # unused here; perfbench's trace wraps this name
     profile_posterior_logdensity,
     rwm_chains,
     sample_limits,
@@ -78,6 +79,9 @@ __all__ = [
 GRID_NOISE_1D = 2e-4
 GRID_NOISE_2D = 1e-3
 MAX_RETRIES = 5
+# distinct posterior draws per MSE-factor call in the Table 3 sweep: larger
+# chunks buy little speed and hold (chunk, test points) arrays in memory
+MSE_CHUNK = 16
 
 
 class FailureBudgetExceededError(Exception):
@@ -108,7 +112,7 @@ class ExperimentConfig:
     output_dir: str = "out"
     n_workers: int = 0              # 0 means min(4, cpu_count)
     likelihood: str = "ou"          # "ou" (d=1, nu=1/2 only) or "dense"
-    mse_draw_thin: int = 1          # thin posterior draws for d=2 MSE sweeps
+    mse_draw_thin: int = 1          # Table 3 sweep keeps every k-th draw (for dense factors)
     zero_noise: bool = False
 
     def __post_init__(self):
@@ -321,13 +325,18 @@ def _setup(cfg, d, n_or_m, rep, first_attempt, last_err=None) -> _Setup:
             last_err = err
             _log_retry(rep, n, err, attempt)
     raise FailureBudgetExceededError(
-        f"replication {rep} at n={n} failed {MAX_RETRIES} times: {last_err}"
+        f"replication {rep} at n={n}, nu={cfg.nu} failed {MAX_RETRIES} times; "
+        f"last error {type(last_err).__name__}: {last_err}"
     )
 
 
 def _log_retry(rep, n, err, attempt):
-    logger.warning("replication %d at n=%d failed (%s); retrying with "
-                   "attempt %d seed", rep, n, err, attempt + 1)
+    if attempt + 1 < MAX_RETRIES:
+        logger.warning("replication %d at n=%d failed (%s); retrying with "
+                       "attempt %d seed", rep, n, err, attempt + 1)
+    else:
+        logger.warning("replication %d at n=%d failed (%s) on its last attempt %d; "
+                       "giving up", rep, n, err, attempt)
 
 
 def _run_block(cfg, d, n_or_m, reps, compute_ratios, first_attempt=0, last_err=None):
@@ -396,20 +405,34 @@ def _replication_result(cfg, d, setup, chain, limit, tilted, compute_ratios):
 
 
 def _posterior_mean_max_ratios(cfg, engine, chain, queries):
-    """Average over posterior draws of the max-over-test-points MSE ratios."""
+    """Average over posterior draws of the max-over-test-points MSE ratios.
+
+    A rejected RWM proposal repeats the previous draw, so the ratios are
+    evaluated once per run of identical consecutive draws, MSE_CHUNK runs per
+    factor call, and spread back over the draws in order: the mean adds the
+    same values in the same order as one evaluation per draw.
+    """
     truth = cfg.truth
     factors = engine.mse_factors(truth.alpha, np.asarray([q.s_star for q in queries]))
     mse_oracle = truth.sigma2 * factors.m0
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]
+    new = np.ones(thetas.shape[0], dtype=bool)
+    new[1:] = (thetas[1:] != thetas[:-1]) | (alphas[1:] != alphas[:-1])
+    thetas, alphas = thetas[new], alphas[new]
     max_r1 = np.empty(thetas.shape[0])
     max_r2 = np.empty(thetas.shape[0])
-    for i, (th, al) in enumerate(zip(thetas, alphas)):
-        m, q = factors(al)
-        mse_assumed = th / al ** (2.0 * cfg.nu) * m
-        max_r1[i] = np.abs(mse_assumed / (truth.sigma2 * q) - 1.0).max()
-        max_r2[i] = np.abs(mse_assumed / mse_oracle - 1.0).max()
-    return float(np.mean(max_r1)), float(np.mean(max_r2))
+    for start in range(0, thetas.shape[0], MSE_CHUNK):
+        block = slice(start, start + MSE_CHUNK)
+        m, q = factors(alphas[block])
+        # th / al ** (2 nu) stays a scalar pow: array power can differ in the
+        # last bit
+        scale = [th / al ** (2.0 * cfg.nu) for th, al in zip(thetas[block], alphas[block])]
+        mse_assumed = np.array(scale)[:, None] * m
+        max_r1[block] = np.abs(mse_assumed / (truth.sigma2 * q) - 1.0).max(axis=1)
+        max_r2[block] = np.abs(mse_assumed / mse_oracle - 1.0).max(axis=1)
+    run = np.cumsum(new) - 1
+    return float(np.mean(max_r1[run])), float(np.mean(max_r2[run]))
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +612,8 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     n = data.n
     theta_tilde_alpha0 = engine.profile(cfg.alpha_0).theta_tilde
     tp = tilted_params(ou_stats(data), n) if engine.is_ou else None
+    # one block row per theta, so each alpha column is one call
+    block = likelihood_block([engine] * theta_grid.shape[0])
     ridge = np.empty(alpha_grid.shape[0])
     log_true = np.empty((theta_grid.shape[0], alpha_grid.shape[0]))
     log_profile = np.empty_like(log_true)
@@ -597,8 +622,9 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
         ridge[j] = engine.profile(a).theta_tilde
         prof_ld = profile_posterior_logdensity(engine, prior, a)
         tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, a)
+        column = np.column_stack([theta_grid, np.full(theta_grid.shape[0], a)])
+        log_true[:, j] = block.log_posterior(column, prior)
         for i, t in enumerate(theta_grid):
-            log_true[i, j] = log_joint_posterior(engine, prior, t, a)
             norm_ld = conditional_bvm_logdensity(t, theta_tilde_alpha0, cfg.theta_0, n)
             log_profile[i, j] = norm_ld + prof_ld
             log_tilted[i, j] = norm_ld + tilt_ld

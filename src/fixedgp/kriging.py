@@ -116,9 +116,9 @@ def mse_breakdown(
     if abs(assumed.nu - nu) > 1e-14 or abs(truth.nu - nu) > 1e-14:
         raise ValueError("assumed and truth specs must share the smoothness nu")
     factors = DenseMseFactors(design, nu, truth.alpha, query.s_star[None, :])
-    m, q = factors(assumed.alpha)
-    return MseBreakdown(mse_assumed=float(assumed.sigma2 * m[0]),
-                        mse_under_truth=float(truth.sigma2 * q[0]),
+    m, q = factors(np.array([assumed.alpha]))
+    return MseBreakdown(mse_assumed=float(assumed.sigma2 * m[0, 0]),
+                        mse_under_truth=float(truth.sigma2 * q[0, 0]),
                         mse_oracle=float(truth.sigma2 * factors.m0[0]))
 
 
@@ -129,11 +129,13 @@ class DenseMseFactors:
     Everything that does not depend on the assumed alpha (distances, the
     truth correlation and its factor, the truth cross-correlations and the
     oracle factor ``m0`` = mse_oracle / sigma0^2) is built once; calling the
-    object with an alpha gives ``(m, q)``: m = mse_assumed / sigma2 and
-    q = mse_under_truth / sigma0^2.  A factor that rounds to zero or below
-    (or NaN) at any test point, as the smooth kernels' 1 - r' R^{-1} r can,
-    raises :class:`fixedgp.gp.DegenerateDataError`: a ratio of such factors
-    means nothing.
+    object with a 1-d array of B alphas gives the (B, K) arrays ``(m, q)``:
+    m = mse_assumed / sigma2 and q = mse_under_truth / sigma0^2, one row per
+    alpha.  The alphas are factorized one at a time, in order.  A factor
+    that rounds to zero or below (or NaN) at any test point, as the smooth
+    kernels' 1 - r' R^{-1} r can, raises
+    :class:`fixedgp.gp.DegenerateDataError`: a ratio of such factors means
+    nothing.
     """
 
     def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
@@ -150,7 +152,11 @@ class DenseMseFactors:
         self.m0 = 1.0 - np.sum(y0 * y0, axis=0)
         _check_positive("m0", self.m0)
 
-    def __call__(self, alpha: float):
+    def __call__(self, alpha: np.ndarray):
+        m, q = zip(*(self._one(a) for a in alpha))
+        return np.stack(m), np.stack(q)
+
+    def _one(self, alpha):
         r = matern_correlation(alpha, self.nu, self.dist_nn)
         np.fill_diagonal(r, 1.0)
         fac = factorize(r, 1.0)
@@ -212,6 +218,9 @@ class OuMseFactors:
     The OU predictor weights are supported on the (at most two) bracketing
     neighbors of each test point, so for sorted 1-d coordinates every factor
     is local; the bracketing gaps and the truth terms are computed once.
+    Every operation on an alpha is elementwise, so a 1-d array of B alphas
+    is evaluated at once as (B, K) arrays, each row equal bit for bit to a
+    call with that alpha alone.
     """
 
     def __init__(self, coords: np.ndarray, alpha0: float, test_points: np.ndarray):
@@ -239,7 +248,8 @@ class OuMseFactors:
         wr = np.where(self.interior, rho_r * (1.0 - rho_l**2) / denom, 0.0)
         return wl, wr
 
-    def __call__(self, alpha: float):
+    def __call__(self, alpha: np.ndarray):
+        alpha = alpha[:, None]
         rho_l = np.exp(-alpha * self.dl)
         rho_r = np.where(self.interior, np.exp(-alpha * self.dr), 0.0)
         wl, wr = self._weights(rho_l, rho_r)

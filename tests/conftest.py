@@ -65,10 +65,30 @@ def efficiency_envelope(design, nu, alpha, truth, test_points) -> float:
     if pts.shape[0] == 0:
         raise ValueError("efficiency_envelope requires at least one test point")
     factors = DenseMseFactors(design, nu, truth.alpha, pts)
-    m, q = factors(alpha)
-    mse_assumed = MaternSpec.from_theta(truth.theta, alpha, nu).sigma2 * m
+    m, q = factors(np.array([alpha]))
+    mse_assumed = MaternSpec.from_theta(truth.theta, alpha, nu).sigma2 * m[0]
     return float(np.maximum(np.abs(mse_assumed / (truth.sigma2 * q) - 1.0),
                             np.abs(mse_assumed / (truth.sigma2 * factors.m0) - 1.0)).max())
+
+
+def per_draw_mean_max_ratios(cfg, engine, chain, queries):
+    """Posterior means of the two max-over-test-points MSE ratios with one
+    MSE-factor evaluation per retained draw: the oracle
+    :func:`fixedgp.experiments._posterior_mean_max_ratios` must equal bit
+    for bit."""
+    truth = cfg.truth
+    factors = engine.mse_factors(truth.alpha, np.asarray([q.s_star for q in queries]))
+    mse_oracle = truth.sigma2 * factors.m0
+    thetas = chain.theta[:: cfg.mse_draw_thin]
+    alphas = chain.alpha[:: cfg.mse_draw_thin]
+    max_r1 = np.empty(thetas.shape[0])
+    max_r2 = np.empty(thetas.shape[0])
+    for i, (th, al) in enumerate(zip(thetas, alphas)):
+        m, q = factors(np.array([al]))
+        mse_assumed = th / al ** (2.0 * cfg.nu) * m[0]
+        max_r1[i] = np.abs(mse_assumed / (truth.sigma2 * q[0]) - 1.0).max()
+        max_r2[i] = np.abs(mse_assumed / mse_oracle - 1.0).max()
+    return float(np.mean(max_r1)), float(np.mean(max_r2))
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import json
+import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from fixedgp.experiments import (
 from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, factorize,
                         likelihood_engine, ou_profile_stats, profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
-from conftest import sample_ou_path_markov
+from fixedgp.posterior import joint_target, log_joint_posterior, rwm_chains
+from conftest import per_draw_mean_max_ratios, sample_ou_path_markov
 
 
 TINY = dict(n_samples=300, n_burnin=100, n_replications=2, n_workers=1,
@@ -161,7 +164,7 @@ class TestTableRuns:
             assert np.isfinite(rows[0]["max_r1_sd"]), label
             assert (out / "table3.csv").exists(), label
 
-    def test_table3_nonpositive_dense_mse_factor_is_a_counted_failure(self, tmp_path):
+    def test_table3_nonpositive_dense_mse_factor_is_a_counted_failure(self, tmp_path, caplog):
         # the smooth kernel's 1 - r' R^{-1} r rounds to zero or below at some
         # test points of this config; those ratios used to become NaN table
         # cells in silence, and now every attempt is retried until the
@@ -169,9 +172,35 @@ class TestTableRuns:
         cfg = ExperimentConfig(nu=2.5, likelihood="dense", n_values=(60,), n_samples=600,
                                n_burnin=200, n_replications=3, n_test_points=100,
                                n_workers=1, output_dir=str(tmp_path))
-        with pytest.raises(FailureBudgetExceededError, match="MSE factor"):
-            run_table3(cfg)
+        with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
+            with pytest.raises(FailureBudgetExceededError, match="MSE factor") as exc:
+                run_table3(cfg)
         assert not (tmp_path / "table3.csv").exists()
+        assert "n=60, nu=2.5" in str(exc.value)
+        assert "DegenerateDataError" in str(exc.value)
+        # the last attempt of the failing replication says it gives up
+        messages = [r.getMessage() for r in caplog.records]
+        last = [m for m in messages if "last attempt 4" in m]
+        assert len(last) == 1 and last[0].endswith("giving up"), messages
+        assert not any("attempt 5" in m for m in messages), messages
+
+    def test_exhausted_setup_names_n_nu_and_the_error(self, monkeypatch, caplog):
+        # a replication whose data never factorizes: four retries, then the
+        # budget error names the size, the smoothness and the pivot
+        def npd(cfg, d, n_or_m, rep, attempt):
+            raise NotPositiveDefiniteError(7)
+        monkeypatch.setattr(experiments, "_setup_once", npd)
+        cfg = ExperimentConfig(nu=1.5, **TINY)
+        with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
+            with pytest.raises(FailureBudgetExceededError) as exc:
+                experiments._setup(cfg, 1, 30, 2, 0)
+        assert str(exc.value) == (
+            "replication 2 at n=30, nu=1.5 failed 5 times; last error "
+            "NotPositiveDefiniteError: matrix not positive definite at pivot 7")
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.endswith(f"retrying with attempt {a} seed")
+                for a, m in enumerate(messages, start=1)] == [True] * 4 + [False]
+        assert messages[-1].endswith("on its last attempt 4; giving up")
 
     def test_parallel_matches_serial(self, tmp_path):
         # serial: one block of 3 replications per size; 2 workers: blocks of
@@ -232,6 +261,92 @@ class TestTableRuns:
         assert first_try[0].posterior_mean_theta != alone[0].posterior_mean_theta
 
 
+def _joint_chain(cfg, d, n_or_m):
+    """Replication 0's engine, joint chain and Table 3 test points."""
+    setup = experiments._setup(cfg, d, n_or_m, 0, 0)
+    chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [setup.joint_cfg],
+                        [setup.init])
+    queries = gen_lhs_testpoints(d, cfg.test_point_count(d), 6, setup.design)
+    return setup.engine, chain, queries
+
+
+def _runs_chain(rng, n_runs, thin=1):
+    """A chain of ``n_runs`` runs of identical draws (lengths 1 to 4, times
+    ``thin``); consecutive runs differ in theta, in alpha or in both."""
+    theta, alpha = [0.5], [1.0]
+    for _ in range(n_runs - 1):
+        change = rng.integers(3)
+        theta.append(theta[-1] * np.exp(rng.normal(0, 0.2)) if change != 1 else theta[-1])
+        alpha.append(alpha[-1] * np.exp(rng.normal(0, 0.5)) if change != 0 else alpha[-1])
+    lengths = rng.integers(1, 5, n_runs) * thin
+    return SimpleNamespace(theta=np.repeat(theta, lengths), alpha=np.repeat(alpha, lengths))
+
+
+class TestMseSweep:
+    """The Table 3 sweep evaluates each run of identical draws once, in
+    chunks, and must equal the per-draw oracle bit for bit."""
+
+    CHUNK = experiments.MSE_CHUNK
+
+    @pytest.mark.parametrize("label, d, n_or_m, kw", [
+        ("ou", 1, 50, {}),
+        ("dense", 1, 30, dict(likelihood="dense", nu=1.5)),
+        ("d2", 2, 4, {}),
+    ])
+    def test_real_chains_match_the_per_draw_oracle(self, label, d, n_or_m, kw):
+        cfg = ExperimentConfig(d=d, n_samples=700, n_burnin=100, n_test_points=200, **kw)
+        engine, chain, queries = _joint_chain(cfg, d, n_or_m)
+        assert 0.0 < chain.acceptance_rate < 1.0, label
+        assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, queries)
+                == per_draw_mean_max_ratios(cfg, engine, chain, queries)), label
+
+    def _synthetic_chains(self, rng):
+        def one(theta, alpha):
+            return SimpleNamespace(theta=np.array(theta), alpha=np.array(alpha))
+
+        yield "all equal", 1, one([0.7] * 40, [1.3] * 40)
+        yield "all distinct", 1, one(np.linspace(0.2, 2.0, 40), np.linspace(3.0, 0.1, 40))
+        yield "single draw", 1, one([0.7], [1.3])
+        for n_runs in (self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, 3 * self.CHUNK + 5):
+            yield f"{n_runs} runs", 1, _runs_chain(rng, n_runs)
+        yield "thin 3", 3, _runs_chain(rng, 2 * self.CHUNK + 3, thin=3)
+        yield "thin 3 off phase", 3, _runs_chain(rng, 2 * self.CHUNK + 3, thin=2)
+
+    @pytest.mark.parametrize("likelihood", ["ou", "dense"])
+    def test_synthetic_chains_match_the_per_draw_oracle(self, likelihood, rng):
+        data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
+        engine = likelihood_engine(data, 0.5, likelihood)
+        queries = gen_lhs_testpoints(1, 150, 7, data.design)
+        for label, thin, chain in self._synthetic_chains(rng):
+            cfg = ExperimentConfig(mse_draw_thin=thin)
+            assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, queries)
+                    == per_draw_mean_max_ratios(cfg, engine, chain, queries)), label
+
+    def test_factors_see_each_run_once_in_draw_order(self, rng):
+        data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
+        engine = likelihood_engine(data, 0.5, "ou")
+        queries = gen_lhs_testpoints(1, 50, 7, data.design)
+        calls = []
+
+        class Spy:
+            def __init__(self, factors):
+                self.factors, self.m0 = factors, factors.m0
+
+            def __call__(self, alpha):
+                calls.append(alpha.copy())
+                return self.factors(alpha)
+
+        spied = SimpleNamespace(mse_factors=lambda a0, pts: Spy(engine.mse_factors(a0, pts)))
+        n_runs = 3 * self.CHUNK + 2
+        chain = _runs_chain(rng, n_runs)
+        experiments._posterior_mean_max_ratios(ExperimentConfig(), spied, chain, queries)
+        new = np.r_[True, (chain.theta[1:] != chain.theta[:-1])
+                    | (chain.alpha[1:] != chain.alpha[:-1])]
+        assert new.sum() == n_runs
+        assert [c.shape[0] for c in calls] == [self.CHUNK] * 3 + [2]
+        assert np.array_equal(np.concatenate(calls), chain.alpha[new])
+
+
 class TestContourGrid:
     def setup_method(self):
         self.cfg = ExperimentConfig()
@@ -266,6 +381,20 @@ class TestContourGrid:
                     for t in fine]
             fine_best = fine[np.argmax(vals)]
             assert abs(coarse_best - fine_best) <= cell
+
+    @pytest.mark.parametrize("kw", [{}, dict(likelihood="dense"),
+                                    dict(likelihood="dense", nu=1.5)])
+    def test_log_posterior_is_the_pointwise_posterior(self, kw):
+        # each alpha column is one block call; every cell must be the scalar
+        # posterior of that (theta, alpha) bit for bit
+        cfg = ExperimentConfig(**kw)
+        data = sample_gp_path(gen_perturbed_grid(1, 30, seed=3), cfg.truth, 4)
+        theta_grid, alpha_grid = np.linspace(0.05, 2.0, 7), np.linspace(0.1, 6.0, 5)
+        s = emit_contour_grid(data, cfg, theta_grid, alpha_grid)
+        engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
+        want = [[log_joint_posterior(engine, cfg.prior, t, a) for a in alpha_grid]
+                for t in theta_grid]
+        assert np.array_equal(s["log_posterior"], np.array(want))
 
     def test_csv_emission(self, tmp_path):
         design = gen_perturbed_grid(1, 30, seed=3)

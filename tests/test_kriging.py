@@ -248,11 +248,11 @@ class TestOuMseProfiles:
         assumed = MaternSpec(sigma2, alpha, 0.5)
         test_points = np.array([0.01, 0.5 * (pts[3] + pts[4]), pts[10] + 1e-4, 0.99])
         factors = OuMseFactors(pts, truth.alpha, test_points)
-        (m, q), m0 = factors(alpha), factors.m0
+        (m, q), m0 = factors(np.array([alpha])), factors.m0
         for k, s in enumerate(test_points):
             br = mse_breakdown(d, 0.5, assumed, truth, PredictionQuery(s_star=np.array([s])))
-            assert sigma2 * m[k] == pytest.approx(br.mse_assumed, rel=1e-10)
-            assert truth.sigma2 * q[k] == pytest.approx(br.mse_under_truth, rel=1e-10)
+            assert sigma2 * m[0, k] == pytest.approx(br.mse_assumed, rel=1e-10)
+            assert truth.sigma2 * q[0, k] == pytest.approx(br.mse_under_truth, rel=1e-10)
             assert truth.sigma2 * m0[k] == pytest.approx(br.mse_oracle, rel=1e-10)
         # the OU factors against the dense ones, on LHS test points; the
         # dense 1 - r' R^{-1} r carries an absolute round-off near 1e-13,
@@ -261,9 +261,25 @@ class TestOuMseProfiles:
         ou = OuMseFactors(pts, truth.alpha, lhs[:, 0])
         dense = DenseMseFactors(d, 0.5, truth.alpha, lhs)
         np.testing.assert_allclose(ou.m0, dense.m0, rtol=1e-10, atol=1e-11)
-        for a in (0.1, 0.7, 1.7, 3.0, 20.0):
-            for got, want in zip(ou(a), dense(a)):
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-11)
+        alphas = np.array([0.1, 0.7, 1.7, 3.0, 20.0])
+        for got, want in zip(ou(alphas), dense(alphas)):
+            assert got.shape == (alphas.shape[0], lhs.shape[0])
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-11)
+
+    def test_rows_of_a_batch_equal_single_calls(self, rng):
+        # every OU factor operation is elementwise, so row b of a call with B
+        # alphas is bit for bit the call with alpha b alone; the dense rows
+        # are single calls by construction
+        pts = np.sort(rng.uniform(0.05, 0.95, 60))
+        tp = np.concatenate([[0.01, 0.99], rng.uniform(0.0, 1.0, 997)])
+        ou = OuMseFactors(pts, 0.5, tp)
+        dense = DenseMseFactors(Design(points=pts[:, None]), 0.5, 0.5, tp[:, None])
+        alphas = np.exp(rng.uniform(-3.0, 3.0, 17))
+        for factors in (ou, dense):
+            batch = factors(alphas)
+            for b in range(alphas.shape[0]):
+                for got, want in zip(batch, factors(alphas[b:b + 1])):
+                    assert np.array_equal(got[b], want[0])
 
     def test_rejects_coincident(self, rng):
         pts = np.sort(rng.uniform(0, 1, 10))
