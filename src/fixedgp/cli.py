@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .experiments import (
     run_table3,
     sample_gp_path,
 )
-from .gp import load_dataset, save_dataset
+from .gp import DegenerateDataError, load_dataset, save_dataset
 
 
 class ConfigError(Exception):
@@ -106,9 +107,33 @@ def _float_list(text):
 def _grid(text):
     try:
         lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
+        ok = 0 < lo <= hi < math.inf and count >= 1
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'lo:hi:count', got {text!r}")
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi:count' with 0 < lo <= hi, "
+                                         f"count >= 1, got {text!r}")
+    return np.linspace(lo, hi, count)
+
+
+def _positive(parse):
+    """argparse type: ``parse``, then require one finite positive value or a
+    non-empty list of them."""
+    def check(text):
+        value = parse(text)
+        values = value if isinstance(value, tuple) else (value,)
+        if not values or not all(0 < v < math.inf for v in values):
+            raise argparse.ArgumentTypeError(f"expected positive values, got {text!r}")
+        return value
+    check.__name__ = parse.__name__
+    return check
+
+
+def _seed(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative seed, got {text!r}")
+    return int(text)
 
 
 def _add_common(p, include_sizes=True):
@@ -136,9 +161,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a design and one GP path")
     p.add_argument("--d", type=int, default=None, choices=(1, 2))
-    p.add_argument("--n", type=int, default=100,
+    p.add_argument("--n", type=_positive(int), default=100,
                    help="points for d=1, grid side for d=2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--zero-noise", action="store_true")
     p.add_argument("--config", help="flat key = value config file")
@@ -155,8 +180,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="posterior density surfaces on a grid")
     p.add_argument("--data", help="dataset CSV (default: simulate one)")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive(int), default=100)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--theta-grid", type=_grid, default=_grid("0.1:1.5:60"),
                    help="lo:hi:count (default 0.1:1.5:60)")
@@ -165,16 +190,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value config file")
 
     p = sub.add_parser("kl-check", help="symmetrized KL vs its closed-form limit")
-    p.add_argument("--n-values", type=_int_list, default=(100, 200, 400, 800))
-    p.add_argument("--alphas", type=_float_list, default=(0.25, 1.0, 2.0))
-    p.add_argument("--alpha0", type=float, default=0.5)
+    p.add_argument("--n-values", type=_positive(_int_list), default=(100, 200, 400, 800))
+    p.add_argument("--alphas", type=_positive(_float_list), default=(0.25, 1.0, 2.0))
+    p.add_argument("--alpha0", type=_positive(float), default=0.5)
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("lambda-check", help="generalized spectra vs power bounds")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--n", type=int, default=30)
+    p.add_argument("--count", type=_positive(int), default=50)
+    p.add_argument("--n", type=_positive(int), default=30)
     p.add_argument("--d", type=int, default=1, choices=(1, 2))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="out")
 
     return parser
@@ -216,12 +241,16 @@ def _cmd_table(args, runner) -> int:
 
 def _cmd_contour(args) -> int:
     cfg = build_config(args)
-    if args.data:
-        data = load_dataset(args.data)
-    else:
-        design = gen_perturbed_grid(1, args.n, np.random.SeedSequence([args.seed, 1]))
-        data = sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
-    emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=args.out)
+    try:
+        if args.data:
+            data = load_dataset(args.data)
+        else:
+            design = gen_perturbed_grid(1, args.n, np.random.SeedSequence([args.seed, 1]))
+            data = sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
+        # checks the dataset (d = 1, a positive profile) before it writes
+        emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=args.out)
+    except (OSError, ValueError, DegenerateDataError) as err:
+        raise ConfigError(f"contour: {err}") from None
     print(f"wrote contour_grid.csv and contour_ridge.csv in {args.out}")
     return 0
 

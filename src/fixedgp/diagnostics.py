@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .gp import Design, build_correlation_matrix, factorize
+from .gp import Design, build_correlation_matrix, cholesky
 
 __all__ = [
     "LambdaSpectrum",
@@ -71,9 +71,7 @@ def generalized_lambdas(
         raise ValueError(f"theta0 must be positive, got {theta0}")
     sigma2 = theta0 / alpha ** (2.0 * nu)
     sigma2_0 = theta0 / alpha0 ** (2.0 * nu)
-    l0 = np.sqrt(sigma2_0) * factorize(
-        build_correlation_matrix(design, alpha0, nu), 1.0
-    ).corr_chol
+    l0 = np.sqrt(sigma2_0) * cholesky(build_correlation_matrix(design, alpha0, nu))
     r_alpha = sigma2 * build_correlation_matrix(design, alpha, nu)
     half = solve_triangular(l0, r_alpha, lower=True)
     m = solve_triangular(l0, half.T, lower=True)

@@ -35,7 +35,7 @@ from .gp import (
     NotPositiveDefiniteError,
     DegenerateDataError,
     build_correlation_matrix,
-    factorize,
+    cholesky,
     likelihood_block,
     likelihood_engine,
     lockstep_backend,
@@ -120,9 +120,12 @@ class ExperimentConfig:
             raise ValueError(f"experiments support d in {{1,2}}, got {self.d}")
         if self.likelihood not in ("ou", "dense"):
             raise ValueError(f"likelihood must be 'ou' or 'dense', got {self.likelihood!r}")
-        for name in ("n_samples", "n_burnin", "n_replications", "mse_draw_thin"):
-            if getattr(self, name) < (0 if name == "n_burnin" else 1):
-                raise ValueError(f"{name} must be positive")
+        # 0 test points or workers means the default
+        for name, low in (("n_samples", 1), ("n_burnin", 0), ("n_replications", 1),
+                          ("mse_draw_thin", 1), ("n_test_points", 0), ("n_workers", 0),
+                          ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("sigma2_0", "alpha_0", "nu", "theta_shape", "theta_rate",
                      "alpha_shape", "alpha_rate"):
             if not getattr(self, name) > 0:
@@ -244,9 +247,10 @@ def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
     """Draw one path of the mean-zero process on the design via the dense
     Cholesky factor of the true covariance."""
     rng = np.random.default_rng(seed)
-    fac = factorize(build_correlation_matrix(design, truth.alpha, truth.nu), truth.sigma2)
+    chol = cholesky(build_correlation_matrix(design, truth.alpha, truth.nu))
+    chol[np.triu_indices(design.n, 1)] = 0.0   # in place: np.tril would copy to C order
     z = rng.standard_normal(design.n)
-    return GpDataset(design=design, x=fac.chol @ z)
+    return GpDataset(design=design, x=(np.sqrt(truth.sigma2) * chol) @ z)
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .kernels import MaternSpec, matern_correlation, matern_kernel
 
 __all__ = [
     "Design",
     "GpDataset",
-    "CovFactorization",
     "ProfileStats",
     "OuStats",
     "NotPositiveDefiniteError",
@@ -42,7 +41,7 @@ __all__ = [
     "likelihood_engine",
     "is_ou_model",
     "build_correlation_matrix",
-    "factorize",
+    "cholesky",
     "log_likelihood",
     "profile_stats",
     "ou_stats",
@@ -138,42 +137,6 @@ class GpDataset:
         return self.design.n
 
 
-@dataclass
-class CovFactorization:
-    """Cholesky factorization of sigma2 * R with derived solves.
-
-    ``corr_chol`` is the lower factor of the correlation matrix R; the scale
-    sigma2 is carried separately so theta-moves can reuse the factor.
-    """
-
-    corr_chol: np.ndarray
-    sigma2: float
-    log_det: float = field(init=False)
-
-    def __post_init__(self):
-        n = self.corr_chol.shape[0]
-        self.log_det = n * np.log(self.sigma2) + 2.0 * np.sum(
-            np.log(np.diag(self.corr_chol))
-        )
-
-    @property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the full covariance sigma2 * R."""
-        return np.sqrt(self.sigma2) * self.corr_chol
-
-    def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^{-1} b for the correlation factor L (whitening up to scale)."""
-        return solve_triangular(self.corr_chol, b, lower=True)
-
-    def quad_form(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
-        """v' (sigma2 R)^{-1} w (w defaults to v)."""
-        yv = solve_triangular(self.corr_chol, v, lower=True)
-        if w is None:
-            return float(yv @ yv) / self.sigma2
-        yw = solve_triangular(self.corr_chol, w, lower=True)
-        return float(yv @ yw) / self.sigma2
-
-
 @dataclass(frozen=True)
 class ProfileStats:
     """Per-alpha profile quantities: the variance and microergodic maximizers
@@ -211,31 +174,21 @@ def build_correlation_matrix(design: Design, alpha: float, nu: float) -> np.ndar
     return r
 
 
-def factorize(cov: np.ndarray, sigma2: float) -> CovFactorization:
-    """Cholesky-factorize sigma2 * cov, with no diagonal jitter, so failures
-    surface instead of being masked.
+def cholesky(r: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive-definite ``r`` by LAPACK
+    ``dpotrf``, with no jitter: a failure raises :class:`NotPositiveDefiniteError`
+    with its 1-based pivot.
 
-    Parameters
-    ----------
-    cov : ndarray
-        Symmetric positive-definite matrix (typically a correlation matrix).
-    sigma2 : float
-        Positive scale.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        With the 1-based failing pivot index.
+    A C-ordered ``r`` is overwritten: its Fortran-ordered transpose is
+    factorized in place and returned.  Only the lower triangle is the factor;
+    the strict upper triangle still holds entries of ``r``.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    a = np.array(cov, dtype=float)
-    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    chol, info = lapack.dpotrf(r.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(int(info))
     if info < 0:
         raise ValueError(f"invalid argument {-info} to dpotrf")
-    return CovFactorization(corr_chol=c, sigma2=float(sigma2))
+    return chol
 
 
 class _Engine:
@@ -284,10 +237,8 @@ class DenseEngine(_Engine):
     The distance matrix is built once; distances are nonnegative by
     construction, so the per-call checks of :func:`matern_correlation` are
     not needed.  Each evaluation builds the correlation from the cached
-    distances, factorizes it in place with LAPACK ``dpotrf`` (the symmetric
-    matrix is passed as its Fortran-ordered transpose, so nothing is copied)
-    and whitens the data with ``dtrtrs``: the routines :func:`factorize` and
-    ``solve_triangular`` call, so the numbers are the same.
+    distances, factorizes it in place with :func:`cholesky` and whitens the
+    data with LAPACK ``dtrtrs``.
     """
 
     def __init__(self, data: GpDataset, nu: float):
@@ -303,9 +254,7 @@ class DenseEngine(_Engine):
             raise ValueError(f"alpha must be positive, got {alpha}")
         r = self._corr(alpha * self.dist)
         np.fill_diagonal(r, 1.0)
-        chol, info = lapack.dpotrf(r.T, lower=1, clean=0, overwrite_a=1)
-        if info > 0:
-            raise NotPositiveDefiniteError(int(info))
+        chol = cholesky(r)
         # a successful dpotrf leaves a positive diagonal, so dtrtrs cannot fail
         y, _ = lapack.dtrtrs(chol, self.data.x, lower=1)
         return float(y @ y), 2.0 * np.sum(np.log(np.diag(chol)))
@@ -539,7 +488,7 @@ def load_dataset(path, T: float = 1.0) -> GpDataset:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
     expected = [f"s{i + 1}" for i in range(len(header) - 1)] + ["x"]
     if [h.strip() for h in header] != expected:

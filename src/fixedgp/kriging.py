@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
-from .gp import DegenerateDataError, Design, GpDataset, build_correlation_matrix, factorize
-from .kernels import MaternSpec, matern_correlation
+from .gp import DegenerateDataError, Design, GpDataset, build_correlation_matrix, cholesky
+from .kernels import MaternSpec, matern_correlation, matern_kernel
 
 __all__ = [
     "PredictionQuery",
@@ -81,28 +81,18 @@ class EfficiencyRatios:
     varsigma_hat: float
 
 
-def _check_distinct(design: Design, s: np.ndarray):
-    dists = np.sqrt(np.sum((design.points - s[None, :]) ** 2, axis=1))
-    if dists.min() == 0.0:
-        raise CoincidentTestPointError(f"test point {s} coincides with a design point")
-
-
-def _cross_correlation(design: Design, alpha: float, nu: float, s: np.ndarray) -> np.ndarray:
-    dists = np.sqrt(np.sum((design.points - s[None, :]) ** 2, axis=1))
-    return matern_correlation(alpha, nu, dists)
-
-
 def blup(data: GpDataset, alpha: float, nu: float, query: PredictionQuery) -> float:
     """Best linear unbiased predictor r' R^{-1} X_n at the query point.
 
     Depends on alpha but not on the variance, which cancels from the
     weights.
     """
-    _check_distinct(data.design, query.s_star)
-    r = build_correlation_matrix(data.design, alpha, nu)
-    fac = factorize(r, 1.0)
-    rv = _cross_correlation(data.design, alpha, nu, query.s_star)
-    return float(fac.quad_form(rv, data.x))
+    dists = np.sqrt(np.sum((data.design.points - query.s_star[None, :]) ** 2, axis=1))
+    if dists.min() == 0.0:
+        raise CoincidentTestPointError(f"test point {query.s_star} coincides with a design point")
+    chol = cholesky(build_correlation_matrix(data.design, alpha, nu))
+    y, _ = lapack.dtrtrs(chol, matern_correlation(alpha, nu, dists), lower=1)
+    return float(y @ lapack.dtrtrs(chol, data.x, lower=1)[0])
 
 
 def mse_breakdown(
@@ -139,16 +129,15 @@ class DenseMseFactors:
     """
 
     def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
-        self.nu = nu
+        self._corr = matern_kernel(nu)
         self.dist_nn = design.distance_matrix()
         diffs = design.points[None, :, :] - points[:, None, :]
         self.dist_nk = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
         if np.any(self.dist_nk == 0.0):
             raise CoincidentTestPointError("test points must avoid design points")
-        self.r0 = matern_correlation(alpha0, nu, self.dist_nn)
-        np.fill_diagonal(self.r0, 1.0)
-        self.rv0 = matern_correlation(alpha0, nu, self.dist_nk)
-        y0 = factorize(self.r0, 1.0).half_solve(self.rv0)
+        self.r0 = self._corr_nn(alpha0)
+        self.rv0 = self._corr(alpha0 * self.dist_nk)
+        y0, _ = lapack.dtrtrs(cholesky(self.r0.copy()), self.rv0, lower=1)
         self.m0 = 1.0 - np.sum(y0 * y0, axis=0)
         _check_positive("m0", self.m0)
 
@@ -156,12 +145,16 @@ class DenseMseFactors:
         m, q = zip(*(self._one(a) for a in alpha))
         return np.stack(m), np.stack(q)
 
-    def _one(self, alpha):
-        r = matern_correlation(alpha, self.nu, self.dist_nn)
+    def _corr_nn(self, alpha):
+        r = self._corr(alpha * self.dist_nn)
         np.fill_diagonal(r, 1.0)
-        fac = factorize(r, 1.0)
-        rv = matern_correlation(alpha, self.nu, self.dist_nk)
-        w = solve_triangular(fac.corr_chol.T, fac.half_solve(rv), lower=False)
+        return r
+
+    def _one(self, alpha):
+        chol = cholesky(self._corr_nn(alpha))
+        rv = self._corr(alpha * self.dist_nk)
+        y, _ = lapack.dtrtrs(chol, rv, lower=1)
+        w, _ = lapack.dtrtrs(chol, y, lower=1, trans=1)
         m = 1.0 - np.sum(rv * w, axis=0)
         q = 1.0 - 2.0 * np.sum(self.rv0 * w, axis=0) + np.sum(w * (self.r0 @ w), axis=0)
         _check_positive("m", m)
@@ -195,8 +188,9 @@ def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> flo
     if abs(nu - 0.5) > 1e-14:
         raise ValueError("sym_kl_finite is derived for nu = 1/2")
     n = design.n
-    la = factorize(build_correlation_matrix(design, alpha, nu), 1.0).corr_chol
-    l0 = factorize(build_correlation_matrix(design, alpha0, nu), 1.0).corr_chol
+    la, l0 = (cholesky(build_correlation_matrix(design, a, nu)) for a in (alpha, alpha0))
+    upper = np.triu_indices(n, 1)
+    la[upper] = l0[upper] = 0.0   # in place: np.tril would copy to C order
     # tr(A^{-1} B) = ||chol(A) \ chol(B)||_F^2, via triangular solves only
     g = solve_triangular(la, l0, lower=True)
     h = solve_triangular(l0, la, lower=True)

@@ -174,3 +174,62 @@ class TestChecks:
         assert code == 0
         lines = (tmp_path / "lam" / "lambda_check.csv").read_text().strip().splitlines()
         assert len(lines) == 9
+
+
+MALFORMED_DATASETS = {
+    "bad_header.csv": "s1,y\n0.1,1\n0.5,2\n0.9,1\n",
+    "duplicate.csv": "s1,x\n0.1,1\n0.1,2\n0.5,1\n",
+    "non_numeric.csv": "s1,x\n0.1,abc\n0.3,1\n0.5,1\n",
+    "all_zero.csv": "s1,x\n0.1,0\n0.3,0\n0.5,0\n",
+    "nan.csv": "s1,x\n0.1,nan\n0.3,1\n0.5,1\n",
+    "empty.csv": "",
+}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with a message on stderr, before any
+    replication runs and without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "-3"],
+        ["simulate", "--n", "0"],
+        ["simulate", "--seed", "-1"],
+        ["lambda-check", "--n", "0"],
+        ["lambda-check", "--count", "-1"],
+        ["lambda-check", "--count", "0"],
+        ["kl-check", "--alphas", "-1"],
+        ["kl-check", "--alphas", "nan"],
+        ["kl-check", "--alpha0", "0"],
+        ["kl-check", "--n-values", "0"],
+        ["kl-check", "--n-values", ","],
+        ["contour", "--n", "0"],
+        ["contour", "--n", "2"],
+        ["contour", "--seed", "-1"],
+        ["contour", "--alpha-grid", "0:1:3"],
+        ["contour", "--theta-grid", "0.1:1:0"],
+        ["contour", "--theta-grid", "1:0.5:3"],
+        ["contour", "--data", "{tmp}/missing.csv"],
+        *(["contour", "--data", f"{{tmp}}/{name}"] for name in MALFORMED_DATASETS),
+        ["table1", "--workers", "-1"],
+        ["table1", "--seed", "-1"],
+    ], ids=lambda argv: " ".join(argv).replace("{tmp}/", ""))
+    def test_exit_2_with_message(self, argv, tmp_path, capsys):
+        for name, text in MALFORMED_DATASETS.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        try:
+            code = main(argv + ["--out", str(tmp_path / "out")])
+        except SystemExit as stop:   # argparse rejects a bad value itself
+            code = stop.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["n_workers = -1", "n_test_points = -5",
+                                      "master_seed = -1"])
+    def test_negative_config_value_exit_2(self, line, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{line}\n")
+        assert main(["table3", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats as sp_stats
+from scipy import linalg as sp_linalg, stats as sp_stats
 
 from fixedgp import experiments
 from fixedgp.experiments import (
@@ -22,7 +22,7 @@ from fixedgp.experiments import (
     _chain_init,
     _seed_seq,
 )
-from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, factorize,
+from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, cholesky,
                         likelihood_engine, ou_profile_stats, profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.posterior import joint_target, log_joint_posterior, rwm_chains
@@ -104,17 +104,27 @@ class TestGpPathSampling:
         p = sp_stats.ks_2samp(last_chol, last_markov).pvalue
         assert p > 0.01
 
+    @pytest.mark.parametrize("d, n, nu", [(1, 40, 0.5), (2, 6, 1.5)])
+    def test_path_bits_match_scipy_cholesky(self, d, n, nu):
+        # the table hashes rest on these bits: the factor must reach the
+        # matvec Fortran-ordered, as scipy's is (a C-ordered copy moves them)
+        design = gen_perturbed_grid(d, n, seed=5)
+        truth = MaternSpec(1.7, 0.9, nu)
+        r = build_correlation_matrix(design, truth.alpha, truth.nu)
+        z = np.random.default_rng(8).standard_normal(design.n)
+        expected = (np.sqrt(truth.sigma2) * sp_linalg.cholesky(r, lower=True)) @ z
+        assert np.array_equal(sample_gp_path(design, truth, 8).x, expected)
+
     def test_replication_streams_uncorrelated(self):
         # whitened innovations across replications: mean pairwise correlation
         # near zero and no duplicated streams
         design = gen_perturbed_grid(1, 100, seed=11)
         truth = MaternSpec(1.0, 0.5, 0.5)
-        fac = factorize(build_correlation_matrix(design, truth.alpha, truth.nu),
-                        truth.sigma2)
+        chol = cholesky(build_correlation_matrix(design, truth.alpha, truth.nu))
         innov = []
         for rep in range(100):
             x = sample_gp_path(design, truth, _seed_seq(12345, 1, 100, rep, 0, 2)).x
-            innov.append(fac.half_solve(x))
+            innov.append(sp_linalg.solve_triangular(chol, x, lower=True))
         innov = np.array(innov)
         corr = np.corrcoef(innov)
         off = corr[np.triu_indices(100, k=1)]

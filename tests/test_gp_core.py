@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from fixedgp.gp import (
     DenseEngine,
@@ -8,7 +9,7 @@ from fixedgp.gp import (
     NotPositiveDefiniteError,
     OuEngine,
     build_correlation_matrix,
-    factorize,
+    cholesky,
     likelihood_engine,
     load_dataset,
     log_likelihood,
@@ -95,41 +96,54 @@ class TestCorrelationMatrix:
                 assert r[i, j] == pytest.approx(expected, abs=1e-15)
 
 
+def chol_log_det(chol):
+    return 2.0 * np.sum(np.log(np.diag(chol)))
+
+
 class TestFactorize:
     def test_identity(self):
-        fac = factorize(np.eye(5), 1.0)
-        assert fac.log_det == pytest.approx(0.0, abs=1e-14)
+        assert chol_log_det(cholesky(np.eye(5))) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_by_two_closed_form(self):
         rho = 0.37
-        fac = factorize(np.array([[1.0, rho], [rho, 1.0]]), 1.0)
-        assert fac.log_det == pytest.approx(np.log(1 - rho**2), rel=1e-14)
+        chol = cholesky(np.array([[1.0, rho], [rho, 1.0]]))
+        assert chol_log_det(chol) == pytest.approx(np.log(1 - rho**2), rel=1e-14)
 
     def test_ou_grid_determinant(self):
         n, alpha = 6, 0.8
         r = build_correlation_matrix(equispaced_design(n), alpha, 0.5)
-        fac = factorize(r, 1.0)
-        assert fac.log_det == pytest.approx((n - 1) * np.log(1 - np.exp(-2 * alpha / n)), rel=1e-12)
+        assert chol_log_det(cholesky(r)) == pytest.approx(
+            (n - 1) * np.log(1 - np.exp(-2 * alpha / n)), rel=1e-12)
 
     def test_not_positive_definite_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc.value.pivot == 2
 
     def test_scale_in_log_det_and_solves(self, rng):
         r = build_correlation_matrix(Design(points=rng.uniform(0, 1, (6, 1))), 1.0, 0.5)
-        fac = factorize(r, 3.0)
-        assert fac.log_det == pytest.approx(np.linalg.slogdet(3.0 * r)[1], rel=1e-12)
+        chol = cholesky(3.0 * r)
+        assert chol_log_det(chol) == pytest.approx(np.linalg.slogdet(3.0 * r)[1], rel=1e-12)
         v = rng.standard_normal(6)
-        assert fac.quad_form(v) == pytest.approx(v @ np.linalg.solve(3.0 * r, v), rel=1e-10)
+        y = solve_triangular(chol, v, lower=True)
+        assert y @ y == pytest.approx(v @ np.linalg.solve(3.0 * r, v), rel=1e-10)
 
     def test_reconstruction_roundtrip(self, rng):
         for n in (5, 20, 50):
             d = Design(points=rng.uniform(0, 1, (n, 2)))
             r = build_correlation_matrix(d, 0.8, 1.5)
-            fac = factorize(r, 2.5)
-            recon = fac.chol @ fac.chol.T
-            assert np.max(np.abs(recon - 2.5 * r)) <= 1e-8 * 2.5
+            low = np.tril(cholesky(2.5 * r))
+            assert np.max(np.abs(low @ low.T - 2.5 * r)) <= 1e-8 * 2.5
+
+    def test_factorizes_in_place(self, rng):
+        # the contract callers rely on: a C-ordered input is overwritten by
+        # its Fortran-ordered factor, whose strict upper triangle keeps r
+        r = build_correlation_matrix(Design(points=rng.uniform(0, 1, (7, 2))), 1.2, 1.5)
+        before = r.copy()
+        chol = cholesky(r)
+        assert np.shares_memory(chol, r) and chol.flags.f_contiguous
+        upper = np.triu_indices(7, 1)
+        assert np.array_equal(chol[upper], before[upper])
 
 
 class TestLogLikelihood:
@@ -415,7 +429,7 @@ class TestLikelihoodEngines:
         data = GpDataset(design=gen_perturbed_grid(1, 100, seed=0), x=np.ones(100))
         engine = DenseEngine(data, 2.5)
         with pytest.raises(NotPositiveDefiniteError) as dense_err:
-            factorize(build_correlation_matrix(data.design, 0.1, 2.5), 1.0)
+            cholesky(build_correlation_matrix(data.design, 0.1, 2.5))
         for call in (lambda: engine.profile(0.1), lambda: engine.loglik(1.0, 0.1)):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 call()
