@@ -39,12 +39,8 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _flag(text):
-    return text.lower() in ("1", "true", "yes")
-
-
 # one parser per ExperimentConfig field, chosen by the type of its default
-_PARSERS = {bool: _flag, int: int, float: float, tuple: _int_list, str: str}
+_PARSERS = {int: int, float: float, tuple: _int_list, str: str}
 _FIELD_PARSERS = {f.name: _PARSERS[type(f.default)]
                   for f in dataclasses.fields(ExperimentConfig)}
 

@@ -32,13 +32,12 @@ from .diagnostics import w2_distance
 from .gp import (
     Design,
     GpDataset,
+    LikelihoodBlock,
     NotPositiveDefiniteError,
     DegenerateDataError,
     build_correlation_matrix,
     cholesky,
-    likelihood_block,
     likelihood_engine,
-    lockstep_backend,
     ou_stats,
 )
 from .kernels import MaternSpec
@@ -113,7 +112,6 @@ class ExperimentConfig:
     n_workers: int = 0              # 0 means min(4, cpu_count)
     likelihood: str = "ou"          # "ou" (d=1, nu=1/2 only) or "dense"
     mse_draw_thin: int = 1          # Table 3 sweep keeps every k-th draw (for dense factors)
-    zero_noise: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -195,6 +193,8 @@ def gen_perturbed_grid(d: int, n_or_m: int, seed, zero_noise: bool = False) -> D
     Points are clamped to [0,1] and regenerated in the (measure-zero) event
     of a duplicate.
     """
+    if n_or_m < 1:
+        raise ValueError(f"a perturbed grid needs at least one point per axis, got {n_or_m}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         if d == 1:
@@ -292,9 +292,7 @@ class _Setup:
 def _setup_once(cfg, d, n_or_m, rep, attempt) -> _Setup:
     n = n_or_m if d == 1 else n_or_m * n_or_m
     master = cfg.master_seed
-    design = gen_perturbed_grid(
-        d, n_or_m, _seed_seq(master, d, n, rep, attempt, 1), zero_noise=cfg.zero_noise
-    )
+    design = gen_perturbed_grid(d, n_or_m, _seed_seq(master, d, n, rep, attempt, 1))
     data = sample_gp_path(design, cfg.truth, _seed_seq(master, d, n, rep, attempt, 2))
 
     engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
@@ -448,15 +446,12 @@ def _block_task(args):
 
 
 def _run_replications(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool):
-    """One task per (size, contiguous block of replications).
-
-    Under :func:`fixedgp.gp.lockstep_backend` replications run in lockstep:
-    one block per size when serial, each size split across the workers when
-    parallel.  Otherwise they run one per task (see that rule for why).
+    """One task per (size, contiguous block of replications): each block runs
+    in lockstep, one block per size when serial, each size split across the
+    workers when parallel.
     """
     workers = cfg.workers()
-    n_blocks = workers if lockstep_backend(d, cfg.nu, cfg.likelihood) else cfg.n_replications
-    blocks = [b for b in np.array_split(np.arange(cfg.n_replications), n_blocks) if b.size]
+    blocks = [b for b in np.array_split(np.arange(cfg.n_replications), workers) if b.size]
     tasks = [
         (dataclasses.asdict(cfg), d, n_or_m, [int(r) for r in block], compute_ratios)
         for n_or_m in sizes
@@ -605,7 +600,8 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     Returns a dict with the three (len(theta), len(alpha)) surfaces and the
     ridge; optionally writes ``contour_grid.csv`` and ``contour_ridge.csv``.
     The tilted limit exists only for the OU model (nu = 1/2); for any other
-    smoothness its surface is NaN.
+    smoothness its surface is NaN.  The ridge is NaN at an alpha whose
+    correlation fails to factorize, where the surfaces are -inf.
     """
     if data.design.d != 1:
         raise ValueError("contour grids are defined for d = 1 datasets")
@@ -617,13 +613,16 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     theta_tilde_alpha0 = engine.profile(cfg.alpha_0).theta_tilde
     tp = tilted_params(ou_stats(data), n) if engine.is_ou else None
     # one block row per theta, so each alpha column is one call
-    block = likelihood_block([engine] * theta_grid.shape[0])
+    block = LikelihoodBlock([engine] * theta_grid.shape[0])
     ridge = np.empty(alpha_grid.shape[0])
     log_true = np.empty((theta_grid.shape[0], alpha_grid.shape[0]))
     log_profile = np.empty_like(log_true)
     log_tilted = np.empty_like(log_true)
     for j, a in enumerate(alpha_grid):
-        ridge[j] = engine.profile(a).theta_tilde
+        try:
+            ridge[j] = engine.profile(a).theta_tilde
+        except NotPositiveDefiniteError:
+            ridge[j] = np.nan
         prof_ld = profile_posterior_logdensity(engine, prior, a)
         tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, a)
         column = np.column_stack([theta_grid, np.full(theta_grid.shape[0], a)])

@@ -3,11 +3,10 @@ and the O(n) Ornstein-Uhlenbeck fast path (nu = 1/2, d = 1).
 
 The likelihood of a dataset is evaluated by one engine, built once per
 dataset: :class:`DenseEngine` (dense Cholesky) or :class:`OuEngine` (O(n)
-Markov factorization), chosen by :func:`likelihood_engine`.  The posteriors of
-R datasets of one size are evaluated by one block of their engines,
-:class:`DenseBlock` or :class:`OuBlock`, chosen by :func:`likelihood_block`;
-the backend is picked nowhere else.  The module-level functions are thin
-wrappers that build a throwaway engine.
+Markov factorization), chosen by :func:`likelihood_engine`; the backend is
+picked nowhere else.  The posteriors of R datasets of one size are evaluated
+together by a :class:`LikelihoodBlock` of their engines.  The module-level
+functions are thin wrappers that build a throwaway engine.
 
 The log-likelihood convention throughout drops the -(n/2) log(2 pi) constant:
 
@@ -21,7 +20,6 @@ dense path are exact rather than up to a constant.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +36,7 @@ __all__ = [
     "DegenerateDataError",
     "DenseEngine",
     "OuEngine",
+    "LikelihoodBlock",
     "likelihood_engine",
     "is_ou_model",
     "build_correlation_matrix",
@@ -81,6 +80,8 @@ class Design:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] not in (1, 2, 3):
             raise ValueError(f"points must be (n, d) with d in {{1,2,3}}, got {pts.shape}")
+        if pts.shape[0] < 1:
+            raise ValueError("a design needs at least one point, got none")
         if not self.T > 0:
             raise ValueError(f"domain size T must be positive, got {self.T}")
         if np.any(pts < 0) or np.any(pts > self.T):
@@ -194,8 +195,8 @@ def cholesky(r: np.ndarray) -> np.ndarray:
 class _Engine:
     """Likelihood of one dataset with its geometry validated once.
 
-    Subclasses provide ``_terms(alpha) -> (x' R^{-1} x, log|R|)`` and
-    ``loglik(sigma2, alpha)``; the profile is shared.
+    Subclasses provide ``_terms(alpha) -> (x' R^{-1} x, log|R|)``; the
+    log-likelihood and the profile are shared.
     """
 
     data: GpDataset
@@ -211,6 +212,12 @@ class _Engine:
         backend evaluates it."""
         return is_ou_model(self.data.design.d, self.nu)
 
+    def loglik(self, sigma2: float, alpha: float) -> float:
+        """-(1/2) log|sigma2 R| - (1/2) x' (sigma2 R)^{-1} x."""
+        if not sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        return _loglik(self.n, sigma2, *self._terms(alpha))
+
     def profile(self, alpha: float) -> ProfileStats:
         """Profile out the variance at fixed alpha.
 
@@ -220,15 +227,25 @@ class _Engine:
         qf, log_det = self._terms(alpha)
         if qf <= 0.0:
             raise DegenerateDataError(f"x' R^{{-1}} x = {qf} is not positive")
-        n = self.n
-        sigma2_tilde = qf / n
+        sigma2_tilde = qf / self.n
         return ProfileStats(
             alpha=float(alpha),
             nu=self.nu,
             sigma2_tilde=sigma2_tilde,
             theta_tilde=sigma2_tilde * alpha ** (2.0 * self.nu),
-            profile_loglik=-0.5 * n * np.log(sigma2_tilde) - 0.5 * log_det,
+            profile_loglik=_profile_loglik(self.n, qf, log_det),
         )
+
+
+def _loglik(n, sigma2, qf, log_det):
+    """The log-likelihood from an engine's terms, for one dataset or row-wise;
+    every engine and block evaluates it here."""
+    return -0.5 * n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+
+
+def _profile_loglik(n, qf, log_det):
+    """The profile log-likelihood from an engine's terms, as :func:`_loglik`."""
+    return -0.5 * n * np.log(qf / n) - 0.5 * log_det
 
 
 class DenseEngine(_Engine):
@@ -258,13 +275,6 @@ class DenseEngine(_Engine):
         # a successful dpotrf leaves a positive diagonal, so dtrtrs cannot fail
         y, _ = lapack.dtrtrs(chol, self.data.x, lower=1)
         return float(y @ y), 2.0 * np.sum(np.log(np.diag(chol)))
-
-    def loglik(self, sigma2: float, alpha: float) -> float:
-        """-(1/2) log|sigma2 R| - (1/2) x' (sigma2 R)^{-1} x."""
-        if not sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        qf, log_det = self._terms(alpha)
-        return -0.5 * (self.n * np.log(sigma2) + log_det) - 0.5 * (qf / sigma2)
 
     def mse_factors(self, alpha0: float, points: np.ndarray):
         """:class:`fixedgp.kriging.DenseMseFactors` at the (K, d) ``points``."""
@@ -298,13 +308,6 @@ class OuEngine(_Engine):
         qf, log_det = _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha)
         return float(qf), float(log_det)
 
-    def loglik(self, sigma2: float, alpha: float) -> float:
-        """Matches :meth:`DenseEngine.loglik` (same constant convention)."""
-        if not sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        qf, log_det = self._terms(alpha)
-        return -0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
-
     def mse_factors(self, alpha0: float, points: np.ndarray):
         """:class:`fixedgp.kriging.OuMseFactors` at the (K, 1) ``points``."""
         from .kriging import OuMseFactors
@@ -327,71 +330,46 @@ def _ou_terms(gaps, x0_sq, head, tail, alpha):
     return qf, np.add.reduce(np.log(one_minus_rho2), axis=-1)
 
 
-class DenseBlock:
-    """The dense engines of R datasets, evaluated row by row with scalar
-    arithmetic.  Each method maps R rows to R values, -inf in a row whose
+class LikelihoodBlock:
+    """The engines of R datasets of one size and one smoothness, evaluated
+    together.  Each method maps R rows to R values, -inf in a row whose
     parameters are invalid, whose correlation fails to factorize, or whose
     profile is degenerate (x' R^{-1} x <= 0).
+
+    The backends differ only in :meth:`terms`: the arrays of OU engines are
+    stacked so that one :func:`_ou_terms` call evaluates every row, and
+    other engines are evaluated one row at a time.
     """
 
     def __init__(self, engines):
-        self.engines = list(engines)
+        engines = list(engines)
+        self.n, self.nu = engines[0].n, engines[0].nu
+        if any(e.n != self.n or e.nu != self.nu for e in engines):
+            raise ValueError("a likelihood block holds datasets of one size and one nu")
+        self.engines = engines
+        self._stacked = None
+        if all(isinstance(e, OuEngine) for e in engines):
+            self._stacked = (np.stack([e.gaps for e in engines]),
+                             np.array([e._x0_sq for e in engines]),
+                             np.stack([e._head for e in engines]),
+                             np.stack([e._tail for e in engines]))
+
+    def terms(self, alpha):
+        """Row-wise x' R^{-1} x and log|R| at the (R,) positive ``alpha``;
+        (inf, 0) in a row whose correlation fails to factorize, which the
+        methods below turn into -inf."""
+        if self._stacked is not None:
+            return _ou_terms(*self._stacked, alpha[:, None])
+        qf, log_det = np.empty(alpha.shape[0]), np.empty(alpha.shape[0])
+        for r, (engine, a) in enumerate(zip(self.engines, alpha)):
+            try:
+                qf[r], log_det[r] = engine._terms(a)
+            except NotPositiveDefiniteError:
+                qf[r], log_det[r] = np.inf, 0.0
+        return qf, log_det
 
     def log_posterior(self, p, prior):
         """Joint log posterior at the (R, 2) rows (theta, alpha)."""
-        return np.array([_dense_log_posterior(e, prior, t, a)
-                         for e, (t, a) in zip(self.engines, p)])
-
-    def log_profile_posterior(self, alpha, prior):
-        """Profile log-likelihood plus log alpha prior at the (R,) ``alpha``."""
-        return np.array([_dense_log_profile_posterior(e, prior, a)
-                         for e, a in zip(self.engines, alpha)])
-
-
-def _dense_log_posterior(engine, prior, theta, alpha):
-    if not (theta > 0 and alpha > 0) or not math.isfinite(theta) or not math.isfinite(alpha):
-        return -np.inf
-    sigma2 = theta / alpha ** (2.0 * engine.nu)
-    if not math.isfinite(sigma2) or sigma2 <= 0:
-        return -np.inf
-    try:
-        ll = engine.loglik(sigma2, alpha)
-    except NotPositiveDefiniteError:
-        return -np.inf
-    return ll + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha)
-
-
-def _dense_log_profile_posterior(engine, prior, alpha):
-    if not alpha > 0 or not math.isfinite(alpha):
-        return -np.inf
-    try:
-        ps = engine.profile(alpha)
-    except (NotPositiveDefiniteError, DegenerateDataError):
-        return -np.inf
-    return ps.profile_loglik + prior.alpha_prior.logpdf(alpha)
-
-
-class OuBlock:
-    """The OU engines of R datasets of one size, stacked so that one call
-    evaluates all R rows in :class:`OuEngine` operation order; the methods
-    and -inf rows are those of :class:`DenseBlock`."""
-
-    nu = 0.5
-
-    def __init__(self, engines):
-        self.n = engines[0].n
-        if any(e.n != self.n for e in engines):
-            raise ValueError("an OU block stacks datasets of one size")
-        self.gaps = np.stack([e.gaps for e in engines])
-        self._x0_sq = np.array([e._x0_sq for e in engines])
-        self._head = np.stack([e._head for e in engines])
-        self._tail = np.stack([e._tail for e in engines])
-
-    def terms(self, alpha):
-        """Row-wise x' R^{-1} x and log|R| at the (R,) positive ``alpha``."""
-        return _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha[:, None])
-
-    def log_posterior(self, p, prior):
         theta, alpha = p[:, 0], p[:, 1]
         ok = np.all((p > 0) & (p < np.inf), axis=1)
         if not ok.all():
@@ -400,12 +378,12 @@ class OuBlock:
         ok &= (sigma2 > 0) & (sigma2 < np.inf)
         if not ok.all():
             sigma2 = np.where(ok, sigma2, 1.0)
-        qf, log_det = self.terms(alpha)
-        out = (-0.5 * self.n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
+        out = (_loglik(self.n, sigma2, *self.terms(alpha))
                + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha))
         return np.where(ok, out, -np.inf)
 
     def log_profile_posterior(self, alpha, prior):
+        """Profile log-likelihood plus log alpha prior at the (R,) ``alpha``."""
         ok = (alpha > 0) & (alpha < np.inf)
         if not ok.all():
             alpha = np.where(ok, alpha, 1.0)
@@ -413,8 +391,7 @@ class OuBlock:
         ok &= qf > 0.0
         if not ok.all():
             qf = np.where(ok, qf, 1.0)
-        out = (-0.5 * self.n * np.log(qf / self.n) - 0.5 * log_det
-               + prior.alpha_prior.logpdf(alpha))
+        out = _profile_loglik(self.n, qf, log_det) + prior.alpha_prior.logpdf(alpha)
         return np.where(ok, out, -np.inf)
 
 
@@ -423,29 +400,14 @@ def is_ou_model(d: int, nu: float) -> bool:
     return d == 1 and abs(nu - 0.5) < 1e-14
 
 
-def lockstep_backend(d: int, nu: float, likelihood: str) -> bool:
-    """The backend rule: the O(n) OU backend when ``likelihood == "ou"`` and
-    the model is OU, dense otherwise.  Only an OU block evaluates its rows
-    together, so only OU datasets share a block in the harness."""
+def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
+    """The engine of a dataset: :class:`OuEngine` when ``likelihood == "ou"``
+    and the model is OU, :class:`DenseEngine` otherwise."""
     if likelihood not in ("ou", "dense"):
         raise ValueError(f"likelihood must be 'ou' or 'dense', got {likelihood!r}")
-    return likelihood == "ou" and is_ou_model(d, nu)
-
-
-def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
-    """The engine of a dataset under :func:`lockstep_backend`'s rule:
-    :class:`OuEngine` or :class:`DenseEngine`."""
-    if lockstep_backend(data.design.d, nu, likelihood):
+    if likelihood == "ou" and is_ou_model(data.design.d, nu):
         return OuEngine(data)
     return DenseEngine(data, nu)
-
-
-def likelihood_block(engines):
-    """The block of engines made by :func:`likelihood_engine`: an
-    :class:`OuBlock` of OU engines, a :class:`DenseBlock` otherwise."""
-    if all(isinstance(e, OuEngine) for e in engines):
-        return OuBlock(engines)
-    return DenseBlock(engines)
 
 
 def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:

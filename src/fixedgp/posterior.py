@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import DegenerateDataError, OuStats, likelihood_block, ou_stats
+from .gp import DegenerateDataError, LikelihoodBlock, OuStats, ou_stats
 
 __all__ = [
     "GammaPrior",
@@ -54,12 +54,6 @@ class GammaPrior:
         return self.shape / self.rate
 
     def logpdf(self, x) -> float:
-        # same left-to-right evaluation on both paths, so a scalar gives the
-        # bits of the corresponding array element
-        if isinstance(x, float):
-            if not x > 0:
-                return -np.inf
-            return float(self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x)
         x = np.asarray(x, dtype=float)
         positive = x > 0
         if positive.all():
@@ -140,10 +134,10 @@ class TiltedParams:
 def log_joint_posterior(engine, prior: PriorSpec, theta: float, alpha: float) -> float:
     """Unnormalized log posterior of (theta, alpha) for the dataset and
     smoothness of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`): one
-    row of its :func:`fixedgp.gp.likelihood_block`, so -inf (a rejectable
+    row of its :class:`fixedgp.gp.LikelihoodBlock`, so -inf (a rejectable
     value) for invalid parameters or a covariance that fails to factorize."""
     point = np.array([[theta, alpha]], dtype=float)
-    return float(likelihood_block([engine]).log_posterior(point, prior)[0])
+    return float(LikelihoodBlock([engine]).log_posterior(point, prior)[0])
 
 
 def chain_start(log_target, init):
@@ -271,7 +265,7 @@ def joint_target(engines, prior: PriorSpec):
     """The joint log posterior of R datasets as one function of an (R, 2)
     array of (theta, alpha) rows: row r is :func:`log_joint_posterior` of
     ``engines[r]`` bit for bit."""
-    block = likelihood_block(engines)
+    block = LikelihoodBlock(engines)
     return lambda p: block.log_posterior(p, prior)
 
 
@@ -291,7 +285,7 @@ def profile_posterior_logdensity(engine, prior: PriorSpec, alpha: float) -> floa
     theta, see :class:`PriorSpec`); one block row, as in
     :func:`log_joint_posterior`."""
     point = np.array([alpha], dtype=float)
-    return float(likelihood_block([engine]).log_profile_posterior(point, prior)[0])
+    return float(LikelihoodBlock([engine]).log_profile_posterior(point, prior)[0])
 
 
 def tilted_params(stats: OuStats, n: int) -> TiltedParams:
@@ -341,7 +335,7 @@ def _limit_target(kind, engines, tilted, prior: PriorSpec):
         stacked = TiltedParams(u_star=np.array([tp.u_star for tp in tilted]),
                                v_star=np.array([tp.v_star for tp in tilted]))
         return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
-    block = likelihood_block(engines)
+    block = LikelihoodBlock(engines)
     return lambda a: block.log_profile_posterior(a[:, 0], prior)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -27,11 +28,11 @@ def tiny_config(tmp_path):
 class TestConfigFile:
     def test_parse_values(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("d = 2\nn_values = 25, 50\nalpha_0 = 0.7\nzero_noise = true\n"
+        p.write_text("d = 2\nn_values = 25, 50\nalpha_0 = 0.7\n"
                      "output_dir = results  # trailing comment\n")
         values = parse_config_file(p)
         assert values == {"d": 2, "n_values": (25, 50), "alpha_0": 0.7,
-                          "zero_noise": True, "output_dir": "results"}
+                          "output_dir": "results"}
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -102,9 +103,10 @@ class TestTables:
 
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("nonsense_key = 3\n")
-        code = main(["table1", "--config", str(p)])
-        assert code == 2
+        for line in ("nonsense_key = 3", "zero_noise = true"):
+            p.write_text(f"{line}\n")
+            code = main(["table1", "--config", str(p)])
+            assert code == 2, line
 
     def test_bad_value_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -147,6 +149,23 @@ class TestContourCli:
         assert code == 0
         lines = (tmp_path / "ct" / "contour_grid.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6 * 5
+
+    def test_ridge_is_nan_where_the_correlation_fails(self, tmp_path):
+        # at nu = 5/2 the n = 100 correlation fails to factorize at small alpha
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text("nu = 2.5\nlikelihood = dense\n")
+        out = tmp_path / "ct"
+        code = main(["contour", "--config", str(cfg), "--n", "100", "--out", str(out)])
+        assert code == 0
+        with open(out / "contour_ridge.csv", newline="") as fh:
+            ridge = [float(row["theta_tilde"]) for row in csv.DictReader(fh)]
+        with open(out / "contour_grid.csv", newline="") as fh:
+            failed = {}
+            for row in csv.DictReader(fh):
+                failed.setdefault(row["alpha"], []).append(float(row["log_profile_limit"]) == -np.inf)
+        assert all(len(set(cells)) == 1 for cells in failed.values())
+        assert [np.isnan(t) for t in ridge] == [cells[0] for cells in failed.values()]
+        assert any(np.isnan(ridge)) and not all(np.isnan(ridge))
 
     def test_from_dataset_file(self, tmp_path):
         sim = str(tmp_path / "sim")

@@ -215,28 +215,29 @@ class TestTableRuns:
     def test_parallel_matches_serial(self, tmp_path):
         # serial: one block of 3 replications per size; 2 workers: blocks of
         # 2 and 1; 3 workers: blocks of one replication
-        outs = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}"
-            cfg = ExperimentConfig(n_values=(25, 40), output_dir=str(out),
-                                   **dict(TINY, n_replications=3, n_workers=workers))
-            run_table1(cfg)
-            outs.append(out)
-        for name in ("table1.csv", "table1_replications.csv"):
-            for out in outs[1:]:
-                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out, name)
+        for label, model in (("ou", {}), ("dense", dict(likelihood="dense", nu=1.5))):
+            outs = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"{label}{workers}"
+                cfg = ExperimentConfig(n_values=(25, 40), output_dir=str(out), **model,
+                                       **dict(TINY, n_replications=3, n_workers=workers))
+                run_table1(cfg)
+                outs.append(out)
+            for name in ("table1.csv", "table1_replications.csv"):
+                for out in outs[1:]:
+                    assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out, name)
 
-    def test_only_ou_replications_share_a_block(self, monkeypatch):
-        # serial OU: one lockstep block per size; dense: one replication per task
+    def test_replications_share_a_block(self, monkeypatch):
+        # serial: one lockstep block per size, whatever the backend
         seen = []
         monkeypatch.setattr(experiments, "_run_block",
                             lambda cfg, d, n_or_m, reps, ratios: seen.append(reps) or [])
-        for likelihood, blocks in (("ou", [[0, 1, 2]]), ("dense", [[0], [1], [2]])):
+        for likelihood in ("ou", "dense"):
             seen.clear()
             cfg = ExperimentConfig(likelihood=likelihood,
                                    **dict(TINY, n_replications=3, n_workers=1))
             experiments._run_replications(cfg, 1, (25,), False)
-            assert seen == blocks, likelihood
+            assert seen == [[0, 1, 2]], likelihood
 
     def test_retry_after_the_chains_reruns_the_replication_alone(self, tmp_path, monkeypatch):
         # a post-chain failure of replication 1 at attempt 0: the block run

@@ -62,6 +62,14 @@ class TestDesign:
         with pytest.raises(ValueError):
             Design(points=np.array([[0.1, 0.2], [0.1, 0.2]]))
 
+    def test_rejects_an_empty_point_set(self):
+        from fixedgp.experiments import gen_perturbed_grid
+        for points in (np.empty(0), np.empty((0, 2))):
+            with pytest.raises(ValueError, match="at least one point"):
+                Design(points=points)
+        with pytest.raises(ValueError, match="at least one point"):
+            gen_perturbed_grid(1, 0, seed=0)
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             Design(points=np.array([[1.5]]), T=1.0)

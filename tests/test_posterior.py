@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from fixedgp.gp import (DenseBlock, DenseEngine, Design, GpDataset, NotPositiveDefiniteError,
-                        OuBlock, OuEngine, likelihood_block, ou_stats, profile_stats)
+from fixedgp.gp import (DenseEngine, Design, GpDataset, LikelihoodBlock, NotPositiveDefiniteError,
+                        OuEngine, ou_stats, profile_stats)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -399,9 +399,8 @@ class TestLikelihoodBlock:
     points = np.array([[0.8, 1.3], [0.3, 0.1], [2.0, 7.5], [0.0, 1.0], [-1.0, 0.5],
                        [1.0, np.inf], [np.inf, 1.0], [0.5, 0.1]])
 
-    def _check(self, engines, block_type):
-        block = likelihood_block(engines)
-        assert type(block) is block_type
+    def _check(self, engines):
+        block = LikelihoodBlock(engines)
         for p in self.points:
             rows = np.tile(p, (len(engines), 1))
             joint = block.log_posterior(rows, self.prior)
@@ -418,7 +417,7 @@ class TestLikelihoodBlock:
     def test_ou_rows(self, rng):
         engines = [OuEngine(ou_data(60, rng)) for _ in range(2)]
         zero = OuEngine(GpDataset(design=engines[0].data.design, x=np.zeros(60)))
-        block = self._check(engines + [zero], OuBlock)
+        block = self._check(engines + [zero])
         # an all-zero path is degenerate in the profile only
         assert block.log_profile_posterior(np.array([1.0, 1.0, 1.0]), self.prior)[2] == -np.inf
         assert np.isfinite(block.log_posterior(np.array([[1.0, 1.0]] * 3), self.prior)[2])
@@ -430,13 +429,23 @@ class TestLikelihoodBlock:
             DenseEngine(GpDataset(design=design, x=np.ones(100)), 2.5).loglik(1.0, 0.1)
         assert err.value.pivot == 5
         paths = [rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100), np.zeros(100)]
-        engines = [DenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths]
-        engines.append(DenseEngine(ou_data(40, rng), 0.5))
-        block = self._check(engines, DenseBlock)
-        failed = block.log_posterior(np.array([[0.5, 0.1]] * 4), self.prior)
-        assert np.all(failed[:3] == -np.inf) and np.isfinite(failed[3])
-        profile = block.log_profile_posterior(np.array([1.0] * 4), self.prior)
-        assert profile[2] == -np.inf and np.all(np.isfinite(profile[[0, 1, 3]]))
+        block = self._check([DenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths])
+        assert np.all(block.log_posterior(np.array([[0.5, 0.1]] * 3), self.prior) == -np.inf)
+        profile = block.log_profile_posterior(np.array([1.0] * 3), self.prior)
+        assert profile[2] == -np.inf and np.all(np.isfinite(profile[:2]))
+        smooth = self._check([DenseEngine(ou_data(40, rng), 0.5)])
+        assert np.isfinite(smooth.log_posterior(np.array([[0.5, 0.1]]), self.prior)[0])
+        assert np.isfinite(smooth.log_profile_posterior(np.array([1.0]), self.prior)[0])
+
+    def test_one_size_and_one_nu_per_block(self, rng):
+        data = ou_data(30, rng)
+        mixed = ([OuEngine(data), OuEngine(ou_data(31, rng))],
+                 [DenseEngine(data, 0.5), DenseEngine(ou_data(31, rng), 0.5)],
+                 [DenseEngine(data, 0.5), DenseEngine(data, 1.5)],
+                 [OuEngine(data), DenseEngine(data, 2.5)])
+        for engines in mixed:
+            with pytest.raises(ValueError, match="one size and one nu"):
+                LikelihoodBlock(engines)
 
 
 class TestLockstep:
