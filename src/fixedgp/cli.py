@@ -28,7 +28,7 @@ from .experiments import (
     run_table3,
     sample_gp_path,
 )
-from .gp import DegenerateDataError, load_dataset, save_dataset
+from .gp import DegenerateDataError, NotPositiveDefiniteError, load_dataset, save_dataset
 
 
 class ConfigError(Exception):
@@ -71,25 +71,10 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(args) -> ExperimentConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    if getattr(args, "seed", None) is not None:
-        values["master_seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
-        values["n_replications"] = args.reps
-    if getattr(args, "out", None) is not None:
-        values["output_dir"] = args.out
-    if getattr(args, "likelihood", None) is not None:
-        values["likelihood"] = args.likelihood
-    if getattr(args, "n_values", None) is not None:
-        values["n_values"] = args.n_values
-    if getattr(args, "m_values", None) is not None:
-        values["m_values"] = args.m_values
-    if getattr(args, "d", None) is not None:
-        values["d"] = args.d
-    if getattr(args, "workers", None) is not None:
-        values["n_workers"] = args.workers
+    """The config file's values, overridden by every parsed flag whose
+    ``dest`` is a config field and that was given."""
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update({k: v for k, v in vars(args).items() if k in _FIELD_PARSERS and v is not None})
     try:
         return ExperimentConfig(**values)
     except (TypeError, ValueError) as err:
@@ -132,20 +117,22 @@ def _seed(text):
     return int(text)
 
 
-def _add_common(p, include_sizes=True):
+def _add_common(p):
+    """The table flags: each sets the ExperimentConfig field named by its dest."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--reps", type=int, help="number of replications")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, help="parallel replication workers")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
+    p.add_argument("--reps", dest="n_replications", metavar="REPS", type=int,
+                   help="number of replications")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
+    p.add_argument("--workers", dest="n_workers", metavar="WORKERS", type=int,
+                   help="parallel replication workers")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--fast-ou", dest="likelihood", action="store_const", const="ou",
                    help="O(n) OU likelihood (d=1, nu=1/2)")
     g.add_argument("--dense", dest="likelihood", action="store_const", const="dense",
                    help="dense Cholesky likelihood")
-    if include_sizes:
-        p.add_argument("--n-values", type=_int_list, help="comma-separated d=1 sizes")
-        p.add_argument("--m-values", type=_int_list, help="comma-separated d=2 grid sides")
+    p.add_argument("--n-values", type=_int_list, help="comma-separated d=1 sizes")
+    p.add_argument("--m-values", type=_int_list, help="comma-separated d=2 grid sides")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -201,12 +188,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _simulate(cfg, d, args, zero_noise=False):
+    """The dataset of ``simulate`` and ``contour``: a perturbed grid of
+    ``args.n`` per axis and one path from ``args.seed``.  A truth correlation
+    that does not factorize is a numerical failure (exit 3)."""
+    design = gen_perturbed_grid(d, args.n, np.random.SeedSequence([args.seed, 1]),
+                                zero_noise=zero_noise)
+    try:
+        return sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
+    except NotPositiveDefiniteError as err:
+        raise FailureBudgetExceededError(
+            f"the truth correlation at n={design.n}, nu={cfg.nu} does not factorize: {err}"
+        ) from None
+
+
 def _cmd_simulate(args) -> int:
     cfg = build_config(args)
     d = cfg.d
-    design = gen_perturbed_grid(d, args.n, np.random.SeedSequence([args.seed, 1]),
-                                zero_noise=args.zero_noise)
-    data = sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
+    data = _simulate(cfg, d, args, args.zero_noise)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dataset.csv")
     save_dataset(data, path)
@@ -238,11 +237,7 @@ def _cmd_table(args, runner) -> int:
 def _cmd_contour(args) -> int:
     cfg = build_config(args)
     try:
-        if args.data:
-            data = load_dataset(args.data)
-        else:
-            design = gen_perturbed_grid(1, args.n, np.random.SeedSequence([args.seed, 1]))
-            data = sample_gp_path(design, cfg.truth, np.random.SeedSequence([args.seed, 2]))
+        data = load_dataset(args.data) if args.data else _simulate(cfg, 1, args)
         # checks the dataset (d = 1, a positive profile) before it writes
         emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=args.out)
     except (OSError, ValueError, DegenerateDataError) as err:

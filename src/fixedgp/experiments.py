@@ -53,7 +53,6 @@ from .posterior import (
     joint_target,
     limit_setup,
     log_joint_posterior,  # unused here; perfbench's trace wraps this name
-    profile_posterior_logdensity,
     rwm_chains,
     sample_limits,
     tilted_logdensity,
@@ -148,10 +147,16 @@ class ExperimentConfig:
             alpha_prior=GammaPrior(self.alpha_shape, self.alpha_rate),
         )
 
-    def test_point_count(self, d: int) -> int:
+    @property
+    def sizes(self) -> tuple:
+        """The sizes of a table: n for d = 1, the grid side m for d = 2."""
+        return self.n_values if self.d == 1 else self.m_values
+
+    @property
+    def test_point_count(self) -> int:
         if self.n_test_points > 0:
             return self.n_test_points
-        return 1000 if d == 1 else 2500
+        return 1000 if self.d == 1 else 2500
 
     def workers(self) -> int:
         if self.n_workers > 0:
@@ -289,9 +294,8 @@ class _Setup:
     tilted: LimitSetup | None
 
 
-def _setup_once(cfg, d, n_or_m, rep, attempt) -> _Setup:
-    n = n_or_m if d == 1 else n_or_m * n_or_m
-    master = cfg.master_seed
+def _setup(cfg, n_or_m, rep, attempt) -> _Setup:
+    d, n, master = cfg.d, n_or_m ** cfg.d, cfg.master_seed
     design = gen_perturbed_grid(d, n_or_m, _seed_seq(master, d, n, rep, attempt, 1))
     data = sample_gp_path(design, cfg.truth, _seed_seq(master, d, n, rep, attempt, 2))
 
@@ -306,70 +310,65 @@ def _setup_once(cfg, d, n_or_m, rep, attempt) -> _Setup:
     )
 
     def limit(kind, purpose):
-        limit_cfg = McmcConfig(
-            n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
-            step_sizes=(1.7 * np.sqrt(2.0 / n), 2.0),
-            seed=_seed_int(master, d, n, rep, attempt, purpose),
-        )
+        limit_cfg = McmcConfig(n_samples=cfg.n_samples, n_burnin=cfg.n_burnin, step_sizes=(2.0,),
+                               seed=_seed_int(master, d, n, rep, attempt, purpose))
         return limit_setup(kind, engine, prior, cfg.theta_0, cfg.alpha_0, limit_cfg)
 
     return _Setup(rep, attempt, design, engine, init, joint_cfg,
                   limit("joint-profile", 4), limit("ou-tilted", 5) if engine.is_ou else None)
 
 
-def _setup(cfg, d, n_or_m, rep, first_attempt, last_err=None) -> _Setup:
-    """The first attempt from ``first_attempt`` on whose data set up cleanly."""
-    n = n_or_m if d == 1 else n_or_m * n_or_m
-    for attempt in range(first_attempt, MAX_RETRIES):
-        try:
-            return _setup_once(cfg, d, n_or_m, rep, attempt)
-        except _RETRIED as err:
-            last_err = err
-            _log_retry(rep, n, err, attempt)
-    raise FailureBudgetExceededError(
-        f"replication {rep} at n={n}, nu={cfg.nu} failed {MAX_RETRIES} times; "
-        f"last error {type(last_err).__name__}: {last_err}"
-    )
-
-
-def _log_retry(rep, n, err, attempt):
+def _retried(cfg, n, rep, attempt, err):
+    """Log a replication's retried failure and return it for the next
+    attempt, or raise if that was its last."""
     if attempt + 1 < MAX_RETRIES:
         logger.warning("replication %d at n=%d failed (%s); retrying with "
                        "attempt %d seed", rep, n, err, attempt + 1)
-    else:
-        logger.warning("replication %d at n=%d failed (%s) on its last attempt %d; "
-                       "giving up", rep, n, err, attempt)
+        return rep
+    logger.warning("replication %d at n=%d failed (%s) on its last attempt %d; "
+                   "giving up", rep, n, err, attempt)
+    raise FailureBudgetExceededError(
+        f"replication {rep} at n={n}, nu={cfg.nu} failed {MAX_RETRIES} times; "
+        f"last error {type(err).__name__}: {err}"
+    )
 
 
-def _run_block(cfg, d, n_or_m, reps, compute_ratios, first_attempt=0, last_err=None):
-    """Replications ``reps`` of one size: each is set up on its own, then
-    their joint chains run in lockstep, and then their limit chains.
+def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
+    """Replications ``reps`` of one size at one attempt: each is set up on
+    its own, then their joint chains run in lockstep, and then their limit
+    chains.
 
     A replication's numbers depend on its own (rep, attempt) streams only, so
-    they do not depend on the block.  One that fails after its chains is
-    run again alone at the next attempt.
+    they do not depend on the block.  Those that fail, in their set-up or
+    after their chains, run again together at the next attempt.
     """
-    setups = [_setup(cfg, d, n_or_m, rep, first_attempt, last_err) for rep in reps]
-    prior = cfg.prior
-    chains = rwm_chains(joint_target([s.engine for s in setups], prior),
-                        [s.joint_cfg for s in setups], [s.init for s in setups],
-                        target_label="joint-posterior")
-    limits = sample_limits([s.limit for s in setups]
-                           + [s.tilted for s in setups if s.tilted is not None], prior)
-    profile, tilted = limits[:len(setups)], limits[len(setups):] or [None] * len(setups)
-    results = []
-    for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
+    n = n_or_m ** cfg.d
+    setups, failed, results = [], [], []
+    for rep in reps:
         try:
-            results.append(_replication_result(cfg, d, setup, chain, limit, tilt,
-                                               compute_ratios))
+            setups.append(_setup(cfg, n_or_m, rep, attempt))
         except _RETRIED as err:
-            _log_retry(setup.rep, setup.engine.n, err, setup.attempt)
-            results += _run_block(cfg, d, n_or_m, [setup.rep], compute_ratios,
-                                  setup.attempt + 1, err)
+            failed.append(_retried(cfg, n, rep, attempt, err))
+    if setups:
+        prior = cfg.prior
+        chains = rwm_chains(joint_target([s.engine for s in setups], prior),
+                            [s.joint_cfg for s in setups], [s.init for s in setups],
+                            target_label="joint-posterior")
+        limits = sample_limits([s.limit for s in setups]
+                               + [s.tilted for s in setups if s.tilted is not None], prior)
+        profile, tilted = limits[:len(setups)], limits[len(setups):] or [None] * len(setups)
+        for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
+            try:
+                results.append(_replication_result(cfg, setup, chain, limit, tilt,
+                                                   compute_ratios))
+            except _RETRIED as err:
+                failed.append(_retried(cfg, n, setup.rep, attempt, err))
+    if failed:
+        results += _run_block(cfg, n_or_m, failed, compute_ratios, attempt + 1)
     return results
 
 
-def _replication_result(cfg, d, setup, chain, limit, tilted, compute_ratios):
+def _replication_result(cfg, setup, chain, limit, tilted, compute_ratios):
     """The table row of one replication from its chains."""
     n = setup.engine.n
     if tilted is not None:
@@ -381,8 +380,8 @@ def _replication_result(cfg, d, setup, chain, limit, tilted, compute_ratios):
 
     if compute_ratios:
         queries = gen_lhs_testpoints(
-            d, cfg.test_point_count(d),
-            _seed_seq(cfg.master_seed, d, n, setup.rep, setup.attempt, 6), setup.design
+            cfg.d, cfg.test_point_count,
+            _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6), setup.design
         )
         r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, chain, queries)
     else:
@@ -440,28 +439,20 @@ def _posterior_mean_max_ratios(cfg, engine, chain, queries):
 # ---------------------------------------------------------------------------
 # table drivers
 
-def _block_task(args):
-    cfg_dict, d, n_or_m, reps, compute_ratios = args
-    return _run_block(ExperimentConfig(**cfg_dict), d, n_or_m, reps, compute_ratios)
-
-
-def _run_replications(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool):
+def _run_replications(cfg: ExperimentConfig, compute_ratios: bool):
     """One task per (size, contiguous block of replications): each block runs
     in lockstep, one block per size when serial, each size split across the
     workers when parallel.
     """
     workers = cfg.workers()
     blocks = [b for b in np.array_split(np.arange(cfg.n_replications), workers) if b.size]
-    tasks = [
-        (dataclasses.asdict(cfg), d, n_or_m, [int(r) for r in block], compute_ratios)
-        for n_or_m in sizes
-        for block in blocks
-    ]
+    tasks = [(cfg, n_or_m, [int(r) for r in block], compute_ratios)
+             for n_or_m in cfg.sizes for block in blocks]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks_done = list(pool.map(_block_task, tasks, chunksize=1))
+            blocks_done = list(pool.map(_run_block, *zip(*tasks), chunksize=1))
     else:
-        blocks_done = [_block_task(t) for t in tasks]
+        blocks_done = [_run_block(*t) for t in tasks]
     results = [r for block in blocks_done for r in block]
     results.sort(key=lambda r: (r.n, r.rep_index))
     return results
@@ -556,10 +547,9 @@ def _write_manifest(path, cfg: ExperimentConfig, table: str, results, elapsed: f
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _run_table(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool,
-               table: str, columns):
+def _run_table(cfg: ExperimentConfig, compute_ratios: bool, table: str, columns):
     start = time.time()
-    results = _run_replications(cfg, d, sizes, compute_ratios)
+    results = _run_replications(cfg, compute_ratios)
     rows = aggregate(results, columns)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -572,21 +562,21 @@ def _run_table(cfg: ExperimentConfig, d: int, sizes, compute_ratios: bool,
 
 def run_table1(cfg: ExperimentConfig):
     """d=1 protocol over cfg.n_values: posterior means and the three W2
-    columns, aggregated over replications."""
-    return _run_table(cfg, 1, cfg.n_values, False, "table1", _TABLE_COLUMNS)
+    columns, aggregated over replications; runs at d=1 whatever cfg.d."""
+    return _run_table(dataclasses.replace(cfg, d=1), False, "table1", _TABLE_COLUMNS)
 
 
 def run_table2(cfg: ExperimentConfig):
-    """d=2 protocol over cfg.m_values (n = m^2); no tilted-normal column."""
+    """d=2 protocol over cfg.m_values (n = m^2), whatever cfg.d; no
+    tilted-normal column."""
     cols = [c for c in _TABLE_COLUMNS if "tilted" not in c[0]]
-    return _run_table(cfg, 2, cfg.m_values, False, "table2", cols)
+    return _run_table(dataclasses.replace(cfg, d=2), False, "table2", cols)
 
 
 def run_table3(cfg: ExperimentConfig):
-    """Posterior means of the max-over-test-set MSE ratios."""
+    """Posterior means of the max-over-test-set MSE ratios at cfg.d."""
     cols = [("max_r1", "mean_max_r1"), ("max_r2", "mean_max_r2")]
-    sizes = cfg.n_values if cfg.d == 1 else cfg.m_values
-    return _run_table(cfg, cfg.d, sizes, True, "table3", cols)
+    return _run_table(cfg, True, "table3", cols)
 
 
 # ---------------------------------------------------------------------------
@@ -607,55 +597,42 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
         raise ValueError("contour grids are defined for d = 1 datasets")
     theta_grid = np.asarray(theta_grid, dtype=float)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
+    if not np.all(alpha_grid > 0):
+        raise ValueError(f"alpha grid values must be positive, got {alpha_grid}")
     engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
     prior = cfg.prior
     n = data.n
     theta_tilde_alpha0 = engine.profile(cfg.alpha_0).theta_tilde
-    tp = tilted_params(ou_stats(data), n) if engine.is_ou else None
+    alpha_block = LikelihoodBlock([engine] * alpha_grid.shape[0])
+    qf, _ = alpha_block.terms(alpha_grid)
+    ridge = np.where(np.isfinite(qf), qf / n * alpha_grid ** (2.0 * cfg.nu), np.nan)
     # one block row per theta, so each alpha column is one call
-    block = LikelihoodBlock([engine] * theta_grid.shape[0])
-    ridge = np.empty(alpha_grid.shape[0])
-    log_true = np.empty((theta_grid.shape[0], alpha_grid.shape[0]))
-    log_profile = np.empty_like(log_true)
-    log_tilted = np.empty_like(log_true)
-    for j, a in enumerate(alpha_grid):
-        try:
-            ridge[j] = engine.profile(a).theta_tilde
-        except NotPositiveDefiniteError:
-            ridge[j] = np.nan
-        prof_ld = profile_posterior_logdensity(engine, prior, a)
-        tilt_ld = np.nan if tp is None else tilted_logdensity(tp, prior, a)
-        column = np.column_stack([theta_grid, np.full(theta_grid.shape[0], a)])
-        log_true[:, j] = block.log_posterior(column, prior)
-        for i, t in enumerate(theta_grid):
-            norm_ld = conditional_bvm_logdensity(t, theta_tilde_alpha0, cfg.theta_0, n)
-            log_profile[i, j] = norm_ld + prof_ld
-            log_tilted[i, j] = norm_ld + tilt_ld
-
+    theta_block = LikelihoodBlock([engine] * theta_grid.shape[0])
+    log_true = np.column_stack([
+        theta_block.log_posterior(np.column_stack([theta_grid, np.full_like(theta_grid, a)]), prior)
+        for a in alpha_grid
+    ])
+    norm = conditional_bvm_logdensity(theta_grid, theta_tilde_alpha0, cfg.theta_0, n)[:, None]
+    tilted = (tilted_logdensity(tilted_params(ou_stats(data), n), prior, alpha_grid)
+              if engine.is_ou else np.full(alpha_grid.shape, np.nan))
     surfaces = {
         "theta_grid": theta_grid,
         "alpha_grid": alpha_grid,
         "log_posterior": log_true,
-        "log_profile_limit": log_profile,
-        "log_tilted_limit": log_tilted,
+        "log_profile_limit": norm + alpha_block.log_profile_posterior(alpha_grid, prior),
+        "log_tilted_limit": norm + tilted,
         "ridge": ridge,
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "contour_grid.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "alpha", "log_posterior",
-                             "log_profile_limit", "log_tilted_limit"])
-            for i, t in enumerate(theta_grid):
-                for j, a in enumerate(alpha_grid):
-                    writer.writerow([_fmt(float(t)), _fmt(float(a)),
-                                     _fmt(log_true[i, j]), _fmt(log_profile[i, j]),
-                                     _fmt(log_tilted[i, j])])
-        with open(os.path.join(out_dir, "contour_ridge.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "theta_tilde"])
-            for a, t in zip(alpha_grid, ridge):
-                writer.writerow([_fmt(float(a)), _fmt(float(t))])
+        theta, alpha = np.meshgrid(theta_grid, alpha_grid, indexing="ij")
+        cells = {"theta": theta, "alpha": alpha,
+                 **{k: surfaces[k] for k in ("log_posterior", "log_profile_limit",
+                                             "log_tilted_limit")}}
+        _write_rows(os.path.join(out_dir, "contour_grid.csv"),
+                    [dict(zip(cells, row)) for row in zip(*(v.ravel() for v in cells.values()))])
+        _write_rows(os.path.join(out_dir, "contour_ridge.csv"),
+                    [{"alpha": a, "theta_tilde": t} for a, t in zip(alpha_grid, ridge)])
     return surfaces
 
 

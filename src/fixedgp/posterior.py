@@ -24,7 +24,6 @@ __all__ = [
     "log_joint_posterior",
     "rwm_chain",
     "conditional_bvm_logdensity",
-    "profile_posterior_logdensity",
     "tilted_params",
     "tilted_logdensity",
     "joint_limit_sampler",
@@ -277,15 +276,6 @@ def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n
     theta = np.asarray(theta, dtype=float)
     out = -0.5 * np.log(2.0 * np.pi * var) - (theta - theta_tilde_alpha) ** 2 / (2.0 * var)
     return float(out) if out.ndim == 0 else out
-
-
-def profile_posterior_logdensity(engine, prior: PriorSpec, alpha: float) -> float:
-    """Unnormalized log density of the profile posterior for alpha: the
-    profile log-likelihood plus the log prior of alpha (independent of
-    theta, see :class:`PriorSpec`); one block row, as in
-    :func:`log_joint_posterior`."""
-    point = np.array([alpha], dtype=float)
-    return float(LikelihoodBlock([engine]).log_profile_posterior(point, prior)[0])
 
 
 def tilted_params(stats: OuStats, n: int) -> TiltedParams:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fixedgp.gp import DegenerateDataError, GpDataset
+from fixedgp.gp import DegenerateDataError, GpDataset, LikelihoodBlock
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import DenseMseFactors
 
@@ -39,6 +39,14 @@ def ou_profile_loglik(stats, n: int, alpha: float) -> float:
     if arg <= 0.0:
         raise DegenerateDataError(f"quadratic-form argument {arg} is not positive")
     return -0.5 * n * np.log(arg) + 0.5 * np.log1p(-q * q)
+
+
+def profile_posterior_logdensity(engine, prior, alpha: float) -> float:
+    """Unnormalized log density of the profile posterior for alpha: the
+    profile log-likelihood plus the log prior of alpha, as a one-row block
+    call; the oracle that the rows of a larger block are checked against."""
+    point = np.array([alpha], dtype=float)
+    return float(LikelihoodBlock([engine]).log_profile_posterior(point, prior)[0])
 
 
 def sample_ou_path_markov(design, truth, seed) -> GpDataset:

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fixedgp.cli import ConfigError, main, parse_config_file
+from fixedgp.cli import ConfigError, build_config, main, make_parser, parse_config_file
+from fixedgp.experiments import ExperimentConfig
 from fixedgp.gp import load_dataset
 
 
@@ -139,6 +141,53 @@ class TestTables:
         monkeypatch.setattr(cli, "run_table1", boom)
         code = main(["table1", "--out", str(tmp_path)])
         assert code == 3
+
+
+class TestTableFlags:
+    """Each table flag sets the config field named by its dest, so a new
+    flag cannot silently miss the config."""
+
+    # a value that differs from the field's default, as text and as parsed
+    VALUES = {"master_seed": ("7", 7), "n_replications": ("3", 3), "output_dir": ("res", "res"),
+              "n_workers": ("2", 2), "n_values": ("5,6", (5, 6)), "m_values": ("3,4", (3, 4)),
+              "d": ("2", 2)}
+
+    @pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+    def test_every_flag_fills_its_field(self, command):
+        parser = make_parser()
+        sub, = (a for a in parser._actions if a.dest == "command")
+        actions = [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {a.dest for a in actions} <= fields
+        argv, expected = [command], {}
+        # the last of the flags that share a dest: --dense, not the default --fast-ou
+        for dest, action in {a.dest: a for a in actions}.items():
+            if action.nargs == 0:
+                argv.append(action.option_strings[0])
+                expected[dest] = action.const
+            else:
+                text, expected[dest] = self.VALUES[dest]
+                argv += [action.option_strings[0], text]
+        default = ExperimentConfig()
+        assert all(getattr(default, k) != v for k, v in expected.items())
+        cfg = build_config(parser.parse_args(argv))
+        assert {k: getattr(cfg, k) for k in expected} == expected
+
+
+class TestTruthFailure:
+    @pytest.mark.parametrize("command", ["simulate", "contour"])
+    def test_truth_that_does_not_factorize_exits_3(self, command, tmp_path, capsys):
+        # the nu = 5/2 truth correlation of 400 perturbed grid points fails
+        # to factorize (pivot 6): a numerical failure, not a traceback
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text("nu = 2.5\nlikelihood = dense\n")
+        code = main([command, "--config", str(cfg), "--n", "400",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "n=400" in err and "nu=2.5" in err and "pivot 6" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestContourCli:

@@ -17,13 +17,15 @@ from fixedgp.experiments import (
     kl_check_sweep,
     lambda_check_sweep,
     run_table1,
+    run_table2,
     run_table3,
     sample_gp_path,
     _chain_init,
     _seed_seq,
 )
-from fixedgp.gp import (Design, NotPositiveDefiniteError, build_correlation_matrix, cholesky,
-                        likelihood_engine, ou_profile_stats, profile_stats)
+from fixedgp.gp import (DegenerateDataError, Design, NotPositiveDefiniteError,
+                        build_correlation_matrix, cholesky, likelihood_engine, ou_profile_stats,
+                        profile_stats)
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.posterior import joint_target, log_joint_posterior, rwm_chains
 from conftest import per_draw_mean_max_ratios, sample_ou_path_markov
@@ -197,13 +199,13 @@ class TestTableRuns:
     def test_exhausted_setup_names_n_nu_and_the_error(self, monkeypatch, caplog):
         # a replication whose data never factorizes: four retries, then the
         # budget error names the size, the smoothness and the pivot
-        def npd(cfg, d, n_or_m, rep, attempt):
+        def npd(cfg, n_or_m, rep, attempt):
             raise NotPositiveDefiniteError(7)
-        monkeypatch.setattr(experiments, "_setup_once", npd)
+        monkeypatch.setattr(experiments, "_setup", npd)
         cfg = ExperimentConfig(nu=1.5, **TINY)
         with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
             with pytest.raises(FailureBudgetExceededError) as exc:
-                experiments._setup(cfg, 1, 30, 2, 0)
+                experiments._run_block(cfg, 30, [2], False)
         assert str(exc.value) == (
             "replication 2 at n=30, nu=1.5 failed 5 times; last error "
             "NotPositiveDefiniteError: matrix not positive definite at pivot 7")
@@ -211,6 +213,22 @@ class TestTableRuns:
         assert [m.endswith(f"retrying with attempt {a} seed")
                 for a, m in enumerate(messages, start=1)] == [True] * 4 + [False]
         assert messages[-1].endswith("on its last attempt 4; giving up")
+
+    def test_table2_records_d2(self, tmp_path):
+        cfg = ExperimentConfig(m_values=(3,), output_dir=str(tmp_path), **TINY)
+        assert cfg.d == 1
+        run_table2(cfg)
+        manifest = json.loads((tmp_path / "table2_manifest.json").read_text())
+        assert manifest["config"]["d"] == 2
+
+    def test_table1_runs_and_records_d1_whatever_the_config(self, tmp_path):
+        for d in (1, 2):
+            run_table1(ExperimentConfig(d=d, n_values=(25,), output_dir=str(tmp_path / str(d)),
+                                        **TINY))
+            manifest = json.loads((tmp_path / str(d) / "table1_manifest.json").read_text())
+            assert manifest["config"]["d"] == 1, d
+        for name in ("table1.csv", "table1_replications.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
         # serial: one block of 3 replications per size; 2 workers: blocks of
@@ -231,12 +249,12 @@ class TestTableRuns:
         # serial: one lockstep block per size, whatever the backend
         seen = []
         monkeypatch.setattr(experiments, "_run_block",
-                            lambda cfg, d, n_or_m, reps, ratios: seen.append(reps) or [])
+                            lambda cfg, n_or_m, reps, ratios: seen.append(reps) or [])
         for likelihood in ("ou", "dense"):
             seen.clear()
-            cfg = ExperimentConfig(likelihood=likelihood,
+            cfg = ExperimentConfig(likelihood=likelihood, n_values=(25,),
                                    **dict(TINY, n_replications=3, n_workers=1))
-            experiments._run_replications(cfg, 1, (25,), False)
+            experiments._run_replications(cfg, False)
             assert seen == [[0, 1, 2]], likelihood
 
     def test_retry_after_the_chains_reruns_the_replication_alone(self, tmp_path, monkeypatch):
@@ -247,11 +265,11 @@ class TestTableRuns:
         def patch():
             failed = []
 
-            def flaky(cfg, d, setup, *args):
+            def flaky(cfg, setup, *args):
                 if setup.rep == 1 and setup.attempt == 0 and not failed:
                     failed.append(setup.rep)
                     raise NotPositiveDefiniteError(3)
-                return real(cfg, d, setup, *args)
+                return real(cfg, setup, *args)
             monkeypatch.setattr(experiments, "_replication_result", flaky)
 
         cfg = ExperimentConfig(n_values=(25,), output_dir=str(tmp_path / "block"),
@@ -260,24 +278,63 @@ class TestTableRuns:
         results, _ = run_table1(cfg)
         assert [r.retries for r in results] == [0, 1, 0]
         patch()
-        alone = experiments._run_block(cfg, 1, 25, [1], False)
+        alone = experiments._run_block(cfg, 25, [1], False)
         assert [r.retries for r in alone] == [1]
         experiments._write_replications(tmp_path / "alone.csv", alone)
         block_rows = (tmp_path / "block" / "table1_replications.csv").read_text().splitlines()
         alone_rows = (tmp_path / "alone.csv").read_text().splitlines()
         assert block_rows[2] == alone_rows[1]
         monkeypatch.setattr(experiments, "_replication_result", real)
-        first_try = experiments._run_block(cfg, 1, 25, [1], False)
+        first_try = experiments._run_block(cfg, 25, [1], False)
         assert first_try[0].retries == 0
         assert first_try[0].posterior_mean_theta != alone[0].posterior_mean_theta
 
+    def test_setup_and_post_chain_failures_retry_as_one_block(self, monkeypatch, caplog):
+        # replication 0 fails its set-up and replication 2 fails after its
+        # chains, both at attempt 0: they rerun together at attempt 1, and
+        # each row is the row of that replication run alone at attempt 1
+        real_setup, real_result, real_block = (experiments._setup,
+                                               experiments._replication_result,
+                                               experiments._run_block)
 
-def _joint_chain(cfg, d, n_or_m):
+        def setup(cfg, n_or_m, rep, attempt):
+            if rep == 0 and attempt == 0:
+                raise NotPositiveDefiniteError(5)
+            return real_setup(cfg, n_or_m, rep, attempt)
+
+        def result(cfg, setup, *args):
+            if setup.rep == 2 and setup.attempt == 0:
+                raise DegenerateDataError("forced")
+            return real_result(cfg, setup, *args)
+
+        blocks = []
+
+        def block(cfg, n_or_m, reps, compute_ratios, attempt=0):
+            blocks.append((list(reps), attempt))
+            return real_block(cfg, n_or_m, reps, compute_ratios, attempt)
+
+        monkeypatch.setattr(experiments, "_setup", setup)
+        monkeypatch.setattr(experiments, "_replication_result", result)
+        monkeypatch.setattr(experiments, "_run_block", block)
+        cfg = ExperimentConfig(n_values=(25,), **dict(TINY, n_replications=3))
+        with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
+            results = experiments._run_replications(cfg, False)
+        assert [r.retries for r in results] == [1, 0, 1]
+        assert blocks == [([0, 1, 2], 0), ([0, 2], 1)]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2 and all(m.endswith("retrying with attempt 1 seed")
+                                          for m in messages), messages
+        for row in (results[0], results[2]):
+            alone, = real_block(cfg, 25, [row.rep_index], False, attempt=1)
+            assert repr(row) == repr(alone)
+
+
+def _joint_chain(cfg, n_or_m):
     """Replication 0's engine, joint chain and Table 3 test points."""
-    setup = experiments._setup(cfg, d, n_or_m, 0, 0)
+    setup = experiments._setup(cfg, n_or_m, 0, 0)
     chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [setup.joint_cfg],
                         [setup.init])
-    queries = gen_lhs_testpoints(d, cfg.test_point_count(d), 6, setup.design)
+    queries = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
     return setup.engine, chain, queries
 
 
@@ -306,7 +363,7 @@ class TestMseSweep:
     ])
     def test_real_chains_match_the_per_draw_oracle(self, label, d, n_or_m, kw):
         cfg = ExperimentConfig(d=d, n_samples=700, n_burnin=100, n_test_points=200, **kw)
-        engine, chain, queries = _joint_chain(cfg, d, n_or_m)
+        engine, chain, queries = _joint_chain(cfg, n_or_m)
         assert 0.0 < chain.acceptance_rate < 1.0, label
         assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, queries)
                 == per_draw_mean_max_ratios(cfg, engine, chain, queries)), label
@@ -406,6 +463,14 @@ class TestContourGrid:
         want = [[log_joint_posterior(engine, cfg.prior, t, a) for a in alpha_grid]
                 for t in theta_grid]
         assert np.array_equal(s["log_posterior"], np.array(want))
+
+    @pytest.mark.parametrize("likelihood", ["ou", "dense"])
+    def test_nonpositive_alpha_is_rejected(self, likelihood):
+        cfg = ExperimentConfig(likelihood=likelihood)
+        data = sample_gp_path(gen_perturbed_grid(1, 30, seed=3), cfg.truth, 4)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                emit_contour_grid(data, cfg, np.linspace(0.2, 1.0, 3), np.array([0.5, bad]))
 
     def test_csv_emission(self, tmp_path):
         design = gen_perturbed_grid(1, 30, seed=3)

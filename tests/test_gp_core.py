@@ -21,7 +21,7 @@ from fixedgp.gp import (
 )
 from fixedgp.kernels import MaternSpec, matern_correlation
 
-from conftest import ou_profile_loglik
+from conftest import ou_profile_loglik, profile_posterior_logdensity
 
 
 def equispaced_design(n):
@@ -431,8 +431,7 @@ class TestLikelihoodEngines:
 
     def test_cholesky_failure_surfaces_with_pivot(self):
         from fixedgp.experiments import gen_perturbed_grid
-        from fixedgp.posterior import (PriorSpec, log_joint_posterior,
-                                       profile_posterior_logdensity)
+        from fixedgp.posterior import PriorSpec, log_joint_posterior
 
         data = GpDataset(design=gen_perturbed_grid(1, 100, seed=0), x=np.ones(100))
         engine = DenseEngine(data, 2.5)

@@ -17,7 +17,6 @@ from fixedgp.posterior import (
     joint_target,
     limit_setup,
     log_joint_posterior,
-    profile_posterior_logdensity,
     rwm_chain,
     rwm_chains,
     sample_limits,
@@ -25,6 +24,7 @@ from fixedgp.posterior import (
     tilted_params,
 )
 from fixedgp.gp import log_likelihood
+from conftest import profile_posterior_logdensity
 
 
 def ou_data(n, rng, alpha0=0.5):
