@@ -15,10 +15,9 @@ import numpy as np
 from fixedgp import (
     MaternSpec,
     gen_perturbed_grid,
+    likelihood_engine,
     log_likelihood,
     ou_loglik_fast,
-    ou_profile_stats,
-    profile_stats,
     sample_gp_path,
 )
 
@@ -28,7 +27,8 @@ alphas = np.array([0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 for n in (50, 400):
     design = gen_perturbed_grid(1, n, seed=11)
     data = sample_gp_path(design, truth, seed=n)
-    ridge = np.array([ou_profile_stats(data, a).theta_tilde for a in alphas])
+    engine = likelihood_engine(data, truth.nu, "ou")   # O(n) OU backend
+    ridge = np.array([engine.profile(a).theta_tilde for a in alphas])
     print(f"n={n:>3}: theta_tilde over alpha grid = {np.round(ridge, 4)}")
     assert np.all(np.diff(ridge) >= 0)
 print("ridge is monotone; its spread shrinks with n (infill concentration).")
@@ -42,7 +42,7 @@ fast = ou_loglik_fast(data, 0.8, 1.3)
 print(f"\ndense log-likelihood : {dense:.10f}")
 print(f"fast  log-likelihood : {fast:.10f}   (diff {abs(dense - fast):.2e})")
 
-ps_dense = profile_stats(data, 1.3, 0.5)
-ps_fast = ou_profile_stats(data, 1.3)
+ps_dense = likelihood_engine(data, 0.5, "dense").profile(1.3)
+ps_fast = likelihood_engine(data, 0.5, "ou").profile(1.3)
 print(f"profiled theta, dense vs fast: {ps_dense.theta_tilde:.8f} vs "
       f"{ps_fast.theta_tilde:.8f}")

@@ -16,11 +16,12 @@ from fixedgp import (
     ExperimentConfig,
     McmcConfig,
     gen_perturbed_grid,
-    joint_limit_sampler,
+    joint_target,
     likelihood_engine,
-    log_joint_posterior,
-    rwm_chain,
+    limit_setup,
+    rwm_chains,
     sample_gp_path,
+    sample_limits,
     w2_distance,
 )
 
@@ -32,17 +33,16 @@ for n in (50, 200, 400):
     data = sample_gp_path(design, cfg.truth, seed=n)
     engine = likelihood_engine(data, cfg.nu, "ou")   # O(n) OU backend
 
-    def target(p):
-        return log_joint_posterior(engine, prior, p[0], p[1])
-
     mcmc = McmcConfig(n_samples=5000, n_burnin=1000,
                       step_sizes=(1.7 * np.sqrt(2 / n), 1.5), seed=n + 1)
-    chain = rwm_chain(target, mcmc, np.array([11.0, 11.0]), "joint-posterior")
+    # the joint target maps (R, 2) rows of (theta, alpha) to R values; here R = 1
+    chain, = rwm_chains(joint_target([engine], prior), [mcmc], [np.array([11.0, 11.0])],
+                        "joint-posterior")
 
-    limit = joint_limit_sampler("joint-profile", engine, prior,
-                                cfg.theta_0, cfg.alpha_0, mcmc)
-    tilted = joint_limit_sampler("ou-tilted", engine, prior,
-                                 cfg.theta_0, cfg.alpha_0, mcmc)
+    # both limits of this dataset, their alpha chains run in lockstep
+    limit, tilted = sample_limits(
+        [limit_setup(kind, engine, prior, cfg.theta_0, cfg.alpha_0, mcmc)
+         for kind in ("joint-profile", "ou-tilted")], prior)
 
     print(f"n={n:>3}  E(theta)={chain.theta.mean():.4f}  E(alpha)={chain.alpha.mean():.3f}"
           f"  sd(alpha)={chain.alpha.std():.3f}  acc={chain.acceptance_rate:.2f}")

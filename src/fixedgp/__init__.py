@@ -9,17 +9,11 @@ the reference study at desk scale.
 
 __version__ = "0.1.0"
 
-# The names the demos use; everything else is imported from its module.
+# The names the demos use (a test keeps the two in step); everything else is
+# imported from its module.
 from .kernels import MaternSpec, bessel_k, matern_correlation, spectral_density
-from .gp import (
-    Design,
-    likelihood_engine,
-    log_likelihood,
-    ou_loglik_fast,
-    ou_profile_stats,
-    profile_stats,
-)
-from .posterior import McmcConfig, joint_limit_sampler, log_joint_posterior, rwm_chain
+from .gp import Design, likelihood_engine, log_likelihood, ou_loglik_fast
+from .posterior import McmcConfig, joint_target, limit_setup, rwm_chains, sample_limits
 from .kriging import (
     PredictionQuery,
     blup,

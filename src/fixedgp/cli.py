@@ -117,22 +117,25 @@ def _seed(text):
     return int(text)
 
 
+def _field_flag(p, flag, dest, **kwargs):
+    """A flag that sets ExperimentConfig field ``dest``, parsed as in a config file."""
+    p.add_argument(flag, dest=dest, type=_FIELD_PARSERS[dest], **kwargs)
+
+
 def _add_common(p):
     """The table flags: each sets the ExperimentConfig field named by its dest."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
-    p.add_argument("--reps", dest="n_replications", metavar="REPS", type=int,
-                   help="number of replications")
-    p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
-    p.add_argument("--workers", dest="n_workers", metavar="WORKERS", type=int,
-                   help="parallel replication workers")
+    _field_flag(p, "--seed", "master_seed", metavar="SEED", help="master seed")
+    _field_flag(p, "--reps", "n_replications", metavar="REPS", help="number of replications")
+    _field_flag(p, "--out", "output_dir", metavar="OUT", help="output directory")
+    _field_flag(p, "--workers", "n_workers", metavar="WORKERS", help="parallel replication workers")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--fast-ou", dest="likelihood", action="store_const", const="ou",
                    help="O(n) OU likelihood (d=1, nu=1/2)")
     g.add_argument("--dense", dest="likelihood", action="store_const", const="dense",
                    help="dense Cholesky likelihood")
-    p.add_argument("--n-values", type=_int_list, help="comma-separated d=1 sizes")
-    p.add_argument("--m-values", type=_int_list, help="comma-separated d=2 grid sides")
+    _field_flag(p, "--n-values", "n_values", help="comma-separated d=1 sizes")
+    _field_flag(p, "--m-values", "m_values", help="comma-separated d=2 grid sides")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -159,7 +162,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table3", help="posterior means of max MSE ratios")
     _add_common(p)
-    p.add_argument("--d", type=int, choices=(1, 2), help="dimension (default 1)")
+    _field_flag(p, "--d", "d", choices=(1, 2), help="dimension (default 1)")
 
     p = sub.add_parser("contour", help="posterior density surfaces on a grid")
     p.add_argument("--data", help="dataset CSV (default: simulate one)")
@@ -242,6 +245,9 @@ def _cmd_contour(args) -> int:
         emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=args.out)
     except (OSError, ValueError, DegenerateDataError) as err:
         raise ConfigError(f"contour: {err}") from None
+    except NotPositiveDefiniteError as err:   # at alpha_0, where the limits are centred
+        raise FailureBudgetExceededError(f"the correlation at n={data.n}, nu={cfg.nu}, alpha_0="
+                                         f"{cfg.alpha_0} does not factorize: {err}") from None
     print(f"wrote contour_grid.csv and contour_ridge.csv in {args.out}")
     return 0
 

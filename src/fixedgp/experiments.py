@@ -41,7 +41,6 @@ from .gp import (
     ou_stats,
 )
 from .kernels import MaternSpec
-from .kriging import PredictionQuery
 from .posterior import (
     GammaPrior,
     InitializationError,
@@ -52,7 +51,6 @@ from .posterior import (
     conditional_bvm_logdensity,
     joint_target,
     limit_setup,
-    log_joint_posterior,  # unused here; perfbench's trace wraps this name
     rwm_chains,
     sample_limits,
     tilted_logdensity,
@@ -224,10 +222,11 @@ def gen_perturbed_grid(d: int, n_or_m: int, seed, zero_noise: bool = False) -> D
     raise FailureBudgetExceededError("could not generate a distinct perturbed grid")
 
 
-def gen_lhs_testpoints(d: int, count: int, seed, design: Design | None = None):
-    """Latin hypercube test points: one point per stratum per axis, with
-    in-stratum jitter and independent stratum permutations across axes.
-    Points colliding with design points are re-jittered."""
+def gen_lhs_testpoints(d: int, count: int, seed, design: Design | None = None) -> np.ndarray:
+    """Latin hypercube test points as a (count, d) array: one point per
+    stratum per axis, with in-stratum jitter and independent stratum
+    permutations across axes.  Points colliding with design points are
+    re-jittered, in index order."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -237,7 +236,8 @@ def gen_lhs_testpoints(d: int, count: int, seed, design: Design | None = None):
         cols.append((perm + rng.uniform(0.0, 1.0, count)) / count)
     pts = np.column_stack(cols)
     if design is not None:
-        for i in range(count):
+        hits = (pts[:, None, :] == design.points[None, :, :]).all(axis=2).any(axis=1)
+        for i in np.flatnonzero(hits):
             guard = 0
             while np.any(np.all(design.points == pts[i][None, :], axis=1)):
                 stratum = np.floor(pts[i] * count) / count
@@ -245,7 +245,7 @@ def gen_lhs_testpoints(d: int, count: int, seed, design: Design | None = None):
                 guard += 1
                 if guard > 50:
                     raise FailureBudgetExceededError("LHS collision resampling failed")
-    return [PredictionQuery(s_star=p) for p in pts]
+    return pts
 
 
 def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
@@ -379,11 +379,11 @@ def _replication_result(cfg, setup, chain, limit, tilted, compute_ratios):
         w2_alpha_tilted = np.nan
 
     if compute_ratios:
-        queries = gen_lhs_testpoints(
+        points = gen_lhs_testpoints(
             cfg.d, cfg.test_point_count,
             _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6), setup.design
         )
-        r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, chain, queries)
+        r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, chain, points)
     else:
         r1 = r2 = np.nan
 
@@ -405,8 +405,8 @@ def _replication_result(cfg, setup, chain, limit, tilted, compute_ratios):
     )
 
 
-def _posterior_mean_max_ratios(cfg, engine, chain, queries):
-    """Average over posterior draws of the max-over-test-points MSE ratios.
+def _posterior_mean_max_ratios(cfg, engine, chain, points):
+    """Average over posterior draws of the max MSE ratios over the (K, d) ``points``.
 
     A rejected RWM proposal repeats the previous draw, so the ratios are
     evaluated once per run of identical consecutive draws, MSE_CHUNK runs per
@@ -414,7 +414,7 @@ def _posterior_mean_max_ratios(cfg, engine, chain, queries):
     same values in the same order as one evaluation per draw.
     """
     truth = cfg.truth
-    factors = engine.mse_factors(truth.alpha, np.asarray([q.s_star for q in queries]))
+    factors = engine.mse_factors(truth.alpha, points)
     mse_oracle = truth.sigma2 * factors.m0
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]

@@ -5,8 +5,9 @@ The likelihood of a dataset is evaluated by one engine, built once per
 dataset: :class:`DenseEngine` (dense Cholesky) or :class:`OuEngine` (O(n)
 Markov factorization), chosen by :func:`likelihood_engine`; the backend is
 picked nowhere else.  The posteriors of R datasets of one size are evaluated
-together by a :class:`LikelihoodBlock` of their engines.  The module-level
-functions are thin wrappers that build a throwaway engine.
+together by a :class:`LikelihoodBlock` of their engines.
+:func:`log_likelihood` and :func:`ou_loglik_fast` evaluate one dataset at one
+point through a throwaway engine, for checks that compare the two backends.
 
 The log-likelihood convention throughout drops the -(n/2) log(2 pi) constant:
 
@@ -42,10 +43,8 @@ __all__ = [
     "build_correlation_matrix",
     "cholesky",
     "log_likelihood",
-    "profile_stats",
     "ou_stats",
     "ou_loglik_fast",
-    "ou_profile_stats",
     "load_dataset",
     "save_dataset",
 ]
@@ -415,11 +414,6 @@ def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:
     return DenseEngine(data, spec.nu).loglik(spec.sigma2, spec.alpha)
 
 
-def profile_stats(data: GpDataset, alpha: float, nu: float) -> ProfileStats:
-    """Dense profile statistics at fixed alpha; see :meth:`DenseEngine.profile`."""
-    return DenseEngine(data, nu).profile(alpha)
-
-
 def ou_stats(data: GpDataset) -> OuStats:
     """Interior, cross, and total quadratic statistics of a 1-d dataset."""
     if data.design.d != 1:
@@ -435,11 +429,6 @@ def ou_stats(data: GpDataset) -> OuStats:
 def ou_loglik_fast(data: GpDataset, sigma2: float, alpha: float) -> float:
     """Exact OU (nu = 1/2, d = 1) log-likelihood in O(n); see :class:`OuEngine`."""
     return OuEngine(data).loglik(sigma2, alpha)
-
-
-def ou_profile_stats(data: GpDataset, alpha: float) -> ProfileStats:
-    """O(n) version of :func:`profile_stats` for nu = 1/2, d = 1 designs."""
-    return OuEngine(data).profile(alpha)
 
 
 def load_dataset(path, T: float = 1.0) -> GpDataset:

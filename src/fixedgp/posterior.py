@@ -21,12 +21,13 @@ __all__ = [
     "ChainSamples",
     "TiltedParams",
     "InitializationError",
-    "log_joint_posterior",
-    "rwm_chain",
+    "joint_target",
+    "rwm_chains",
     "conditional_bvm_logdensity",
     "tilted_params",
     "tilted_logdensity",
-    "joint_limit_sampler",
+    "limit_setup",
+    "sample_limits",
 ]
 
 
@@ -130,15 +131,6 @@ class TiltedParams:
             raise DegenerateDataError(f"v_star must be positive, got {self.v_star}")
 
 
-def log_joint_posterior(engine, prior: PriorSpec, theta: float, alpha: float) -> float:
-    """Unnormalized log posterior of (theta, alpha) for the dataset and
-    smoothness of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`): one
-    row of its :class:`fixedgp.gp.LikelihoodBlock`, so -inf (a rejectable
-    value) for invalid parameters or a covariance that fails to factorize."""
-    point = np.array([[theta, alpha]], dtype=float)
-    return float(LikelihoodBlock([engine]).log_posterior(point, prior)[0])
-
-
 def chain_start(log_target, init):
     """Start points of RWM chains on log coordinates, and their target values
     with the Jacobian included, as :func:`rwm_chains` starts from them.
@@ -232,8 +224,8 @@ def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list
     ``log_target`` maps an (R, 2) array of points on the original
     (positive) scale to their R log densities; chain r starts at
     ``inits[r]`` and is deterministic given ``configs[r].seed``.  Chain r is
-    bit for bit the chain :func:`rwm_chain` draws alone from the same config
-    and start, whatever R and the other rows.
+    bit for bit the chain drawn alone (R = 1) from the same config and start,
+    whatever R and the other rows.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
     samples, acc = _rwm_core(log_target, configs, inits, rngs)
@@ -246,24 +238,10 @@ def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list
     ]
 
 
-def rwm_chain(log_target, config: McmcConfig, init, target_label: str = "custom") -> ChainSamples:
-    """Random-walk Metropolis over the positive pair (theta, alpha).
-
-    ``log_target`` takes the parameter vector on the original (positive)
-    scale; proposals are Gaussian on the log scale, so positivity holds
-    structurally.  Deterministic given ``config.seed``.  One chain of
-    :func:`rwm_chains`.
-    """
-    def block_target(p):
-        return np.array([log_target(p[0])], dtype=float)
-
-    return rwm_chains(block_target, [config], [init], target_label)[0]
-
-
 def joint_target(engines, prior: PriorSpec):
-    """The joint log posterior of R datasets as one function of an (R, 2)
-    array of (theta, alpha) rows: row r is :func:`log_joint_posterior` of
-    ``engines[r]`` bit for bit."""
+    """The unnormalized joint log posterior of the engines' R datasets as one
+    function of an (R, 2) array of (theta, alpha) rows: -inf (a rejectable
+    value) in a row of invalid parameters or a failed factorization."""
     block = LikelihoodBlock(engines)
     return lambda p: block.log_posterior(p, prior)
 
@@ -331,11 +309,14 @@ def _limit_target(kind, engines, tilted, prior: PriorSpec):
 
 def limit_setup(kind: str, engine, prior: PriorSpec, theta0: float, alpha0: float,
                 config: McmcConfig) -> LimitSetup:
-    """The part of :func:`joint_limit_sampler` that depends on the data alone:
-    the i.i.d. theta draws, the tilted parameters and the alpha chain's
-    checked start.  Raises what the data can make it raise
-    (``NotPositiveDefiniteError``, ``DegenerateDataError``,
-    ``InitializationError``) before any alpha draw."""
+    """A limiting posterior of the dataset of ``engine`` with its data-only
+    parts drawn and checked; :func:`sample_limits` draws its alpha chain.
+    ``"joint-profile"``: theta ~ N(theta_tilde at alpha0, 2 theta0^2/n)
+    i.i.d., alpha from the profile posterior; ``"ou-tilted"`` (OU model
+    only): the same theta, alpha from the tilted normal limit.  Theta and
+    alpha use independent streams from ``config.seed``.  Raises what the
+    data can make it raise (``NotPositiveDefiniteError``,
+    ``DegenerateDataError``, ``InitializationError``) before any alpha draw."""
     if kind not in _LIMIT_LABELS:
         raise ValueError(f"unknown limit sampler kind {kind!r}")
     n = engine.n
@@ -364,8 +345,7 @@ def limit_setup(kind: str, engine, prior: PriorSpec, theta0: float, alpha0: floa
 
 def sample_limits(setups, prior: PriorSpec) -> list:
     """Run the alpha chains of limit setups in lockstep, whatever their kinds.
-    Chain r is bit for bit what :func:`joint_limit_sampler` draws for setup r
-    alone."""
+    Chain r is bit for bit what setup r draws alone."""
     parts = []
     for kind in _LIMIT_LABELS:
         rows = [i for i, s in enumerate(setups) if s.kind == kind]
@@ -391,30 +371,6 @@ def sample_limits(setups, prior: PriorSpec) -> list:
                      target_label=_LIMIT_LABELS[s.kind])
         for s, x, a in zip(setups, samples, acc)
     ]
-
-
-def joint_limit_sampler(
-    kind: str,
-    engine,
-    prior: PriorSpec,
-    theta0: float,
-    alpha0: float,
-    config: McmcConfig,
-) -> ChainSamples:
-    """Draw from one of the limiting posteriors of the dataset and smoothness
-    of ``engine`` (see :func:`fixedgp.gp.likelihood_engine`).
-
-    kind:
-      * ``"joint-profile"`` theta ~ N(theta_tilde at alpha0, 2 theta0^2/n)
-        i.i.d., alpha from the profile posterior by 1-d RWM.
-      * ``"ou-tilted"``     same theta stream, alpha from the tilted normal
-        limit (requires the OU model: d = 1, nu = 1/2).
-
-    The theta and alpha streams use independent RNG streams derived from
-    ``config.seed``, so they are independent draws.  It is
-    :func:`limit_setup` followed by :func:`sample_limits` of one setup.
-    """
-    return sample_limits([limit_setup(kind, engine, prior, theta0, alpha0, config)], prior)[0]
 
 
 def _positive_normal_draws(rng, center, sd, size):

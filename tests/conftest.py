@@ -4,6 +4,7 @@ import pytest
 from fixedgp.gp import DegenerateDataError, GpDataset, LikelihoodBlock
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import DenseMseFactors
+from fixedgp.posterior import joint_target
 
 # Pass/fail lines recorded by the acceptance tests, echoed at the end of the
 # run so they are visible without -s.
@@ -41,6 +42,14 @@ def ou_profile_loglik(stats, n: int, alpha: float) -> float:
     return -0.5 * n * np.log(arg) + 0.5 * np.log1p(-q * q)
 
 
+def joint_posterior_logdensity(engine, prior, theta: float, alpha: float) -> float:
+    """Unnormalized joint log posterior of (theta, alpha) as a one-row
+    :func:`fixedgp.posterior.joint_target` call; the oracle that the rows of
+    a larger block and the cells of a contour grid are checked against."""
+    point = np.array([[theta, alpha]], dtype=float)
+    return float(joint_target([engine], prior)(point)[0])
+
+
 def profile_posterior_logdensity(engine, prior, alpha: float) -> float:
     """Unnormalized log density of the profile posterior for alpha: the
     profile log-likelihood plus the log prior of alpha, as a one-row block
@@ -64,12 +73,11 @@ def sample_ou_path_markov(design, truth, seed) -> GpDataset:
     return GpDataset(design=design, x=x)
 
 
-def efficiency_envelope(design, nu, alpha, truth, test_points) -> float:
-    """Max over the test points (``PredictionQuery`` objects) of the two MSE
-    ratio deviations when the assumed variance is the half-oracle
+def efficiency_envelope(design, nu, alpha, truth, pts) -> float:
+    """Max over the (K, d) test points ``pts`` of the two MSE ratio
+    deviations when the assumed variance is the half-oracle
     theta0 / alpha^{2 nu}: both vanish at alpha = alpha0, and the max
     estimates the efficiency sequence at this alpha."""
-    pts = np.asarray([q.s_star for q in test_points], dtype=float)
     if pts.shape[0] == 0:
         raise ValueError("efficiency_envelope requires at least one test point")
     factors = DenseMseFactors(design, nu, truth.alpha, pts)
@@ -79,13 +87,13 @@ def efficiency_envelope(design, nu, alpha, truth, test_points) -> float:
                             np.abs(mse_assumed / (truth.sigma2 * factors.m0) - 1.0)).max())
 
 
-def per_draw_mean_max_ratios(cfg, engine, chain, queries):
+def per_draw_mean_max_ratios(cfg, engine, chain, points):
     """Posterior means of the two max-over-test-points MSE ratios with one
     MSE-factor evaluation per retained draw: the oracle
     :func:`fixedgp.experiments._posterior_mean_max_ratios` must equal bit
     for bit."""
     truth = cfg.truth
-    factors = engine.mse_factors(truth.alpha, np.asarray([q.s_star for q in queries]))
+    factors = engine.mse_factors(truth.alpha, points)
     mse_oracle = truth.sigma2 * factors.m0
     thetas = chain.theta[:: cfg.mse_draw_thin]
     alphas = chain.alpha[:: cfg.mse_draw_thin]

@@ -18,7 +18,7 @@ from fixedgp.experiments import (
     run_table2,
     run_table3,
 )
-from fixedgp.gp import Design, GpDataset, build_correlation_matrix, ou_profile_stats
+from fixedgp.gp import Design, GpDataset, OuEngine, build_correlation_matrix
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import (
     PredictionQuery,
@@ -151,7 +151,8 @@ class TestCriterion5PropertySuite:
             r = np.exp(-truth.alpha * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            tt = np.array([ou_profile_stats(data, a).theta_tilde for a in alphas])
+            engine = OuEngine(data)
+            tt = np.array([engine.profile(a).theta_tilde for a in alphas])
             rel = np.diff(tt) / tt[1:]
             worst = min(worst, rel.min()) if rel.size else worst
             assert np.all(np.diff(tt) >= -1e-10 * tt[1:])

@@ -189,6 +189,22 @@ class TestTruthFailure:
         assert "n=400" in err and "nu=2.5" in err and "pivot 6" in err
         assert not (tmp_path / "out").exists()
 
+    def test_contour_data_that_does_not_factorize_exits_3(self, tmp_path, capsys):
+        # the default nu = 1/2 dataset of 400 points, read under nu = 5/2: its
+        # correlation at alpha_0 fails to factorize (pivot 6) before any write
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--n", "400", "--out", str(sim)]) == 0
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text("nu = 2.5\nlikelihood = dense\n")
+        capsys.readouterr()
+        code = main(["contour", "--data", str(sim / "dataset.csv"), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert all(part in err for part in ("n=400", "nu=2.5", "alpha_0=0.5", "pivot 6"))
+        assert not (tmp_path / "out").exists()
+
 
 class TestContourCli:
     def test_from_simulated(self, tmp_path):

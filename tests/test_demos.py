@@ -1,5 +1,7 @@
-"""Each demo script runs to completion against the package in ``src``."""
+"""Each demo script runs to completion against the package in ``src``, and
+the package exports exactly the names the demos import from it."""
 
+import ast
 import glob
 import os
 import subprocess
@@ -17,3 +19,21 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _imported_names(path, wanted):
+    """Names bound by the ``from ... import`` statements of a file that
+    ``wanted(node)`` selects."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and wanted(node) for alias in node.names}
+
+
+def test_exports_are_the_names_the_demos_import():
+    exported = _imported_names(os.path.join(ROOT, "src", "fixedgp", "__init__.py"),
+                               lambda node: node.level == 1)
+    imported = set().union(*(
+        _imported_names(path, lambda node: node.level == 0 and node.module == "fixedgp")
+        for path in DEMOS))
+    assert exported == imported, (sorted(exported - imported), sorted(imported - exported))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fixedgp.diagnostics import generalized_lambdas, summarize, w2_distance
-from fixedgp.gp import Design, GpDataset, build_correlation_matrix, profile_stats
+from fixedgp.gp import DenseEngine, Design, GpDataset, build_correlation_matrix
 
 
 class TestW2Distance:
@@ -92,6 +92,7 @@ class TestGeneralizedLambdas:
         r0 = build_correlation_matrix(design, alpha0, nu)
         x = np.linalg.cholesky(sigma2_0 * r0) @ rng.standard_normal(n)
         data = GpDataset(design=design, x=x)
+        engine = DenseEngine(data, nu)
         l0 = np.linalg.cholesky(sigma2_0 * r0)
         for alpha in (0.3, 1.1, 2.4):
             spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
@@ -102,8 +103,8 @@ class TestGeneralizedLambdas:
                 design, alpha, nu)).T)
             _, vec = np.linalg.eigh(0.5 * (whitened + whitened.T))
             y = vec.T @ np.linalg.solve(l0, x)
-            lhs = n * (profile_stats(data, alpha, nu).theta_tilde
-                       - profile_stats(data, alpha0, nu).theta_tilde) / theta0
+            lhs = n * (engine.profile(alpha).theta_tilde
+                       - engine.profile(alpha0).theta_tilde) / theta0
             rhs = np.sum((1.0 / spec.lambdas - 1.0) * y**2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 

@@ -23,12 +23,11 @@ from fixedgp.experiments import (
     _chain_init,
     _seed_seq,
 )
-from fixedgp.gp import (DegenerateDataError, Design, NotPositiveDefiniteError,
-                        build_correlation_matrix, cholesky, likelihood_engine, ou_profile_stats,
-                        profile_stats)
+from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, NotPositiveDefiniteError,
+                        OuEngine, build_correlation_matrix, cholesky, likelihood_engine)
 from fixedgp.kernels import MaternSpec, matern_correlation
-from fixedgp.posterior import joint_target, log_joint_posterior, rwm_chains
-from conftest import per_draw_mean_max_ratios, sample_ou_path_markov
+from fixedgp.posterior import joint_target, rwm_chains
+from conftest import joint_posterior_logdensity, per_draw_mean_max_ratios, sample_ou_path_markov
 
 
 TINY = dict(n_samples=300, n_burnin=100, n_replications=2, n_workers=1,
@@ -66,13 +65,13 @@ class TestPerturbedGrid:
 class TestLhsTestpoints:
     def test_stratification_1d(self):
         pts = gen_lhs_testpoints(1, 4, seed=5)
-        vals = np.sort([q.s_star[0] for q in pts])
+        assert pts.shape == (4, 1)
+        vals = np.sort(pts[:, 0])
         for k, v in enumerate(vals):
             assert k / 4.0 <= v < (k + 1) / 4.0
 
     def test_marginal_uniformity_2d(self):
-        pts = gen_lhs_testpoints(2, 100, seed=9)
-        arr = np.array([q.s_star for q in pts])
+        arr = gen_lhs_testpoints(2, 100, seed=9)
         for axis in range(2):
             hist, _ = np.histogram(arr[:, axis], bins=10, range=(0, 1))
             assert np.all(hist == 10)
@@ -81,9 +80,30 @@ class TestLhsTestpoints:
         design = gen_perturbed_grid(1, 30, seed=2)
         a = gen_lhs_testpoints(1, 50, seed=4, design=design)
         b = gen_lhs_testpoints(1, 50, seed=4, design=design)
-        assert np.array_equal([q.s_star for q in a], [q.s_star for q in b])
-        for q in a:
-            assert np.min(np.abs(design.coords_1d - q.s_star[0])) > 0
+        assert np.array_equal(a, b)
+        for p in a:
+            assert np.min(np.abs(design.coords_1d - p[0])) > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_collisions_rejittered_in_index_order(self, d):
+        # a design that holds three of the points exactly: those are
+        # re-jittered within their strata, with the draws the per-point loop
+        # made, and every other point is the point drawn without a design
+        count = 40
+        free = gen_lhs_testpoints(d, count, seed=6)
+        hit = [30, 3, 17]
+        design = Design(points=free[hit])
+        got = gen_lhs_testpoints(d, count, seed=6, design=design)
+        rng = np.random.default_rng(6)
+        want = np.column_stack([(rng.permutation(count) + rng.uniform(0.0, 1.0, count)) / count
+                                for _ in range(d)])
+        for i in range(count):
+            while np.any(np.all(design.points == want[i], axis=1)):
+                want[i] = np.floor(want[i] * count) / count + rng.uniform(0.0, 1.0, d) / count
+        assert np.array_equal(got, want)
+        moved = np.any(got != free, axis=1)
+        assert np.flatnonzero(moved).tolist() == sorted(hit)
+        assert np.array_equal(np.floor(got * count), np.floor(free * count))
 
 
 class TestGpPathSampling:
@@ -334,8 +354,8 @@ def _joint_chain(cfg, n_or_m):
     setup = experiments._setup(cfg, n_or_m, 0, 0)
     chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [setup.joint_cfg],
                         [setup.init])
-    queries = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
-    return setup.engine, chain, queries
+    points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
+    return setup.engine, chain, points
 
 
 def _runs_chain(rng, n_runs, thin=1):
@@ -363,10 +383,10 @@ class TestMseSweep:
     ])
     def test_real_chains_match_the_per_draw_oracle(self, label, d, n_or_m, kw):
         cfg = ExperimentConfig(d=d, n_samples=700, n_burnin=100, n_test_points=200, **kw)
-        engine, chain, queries = _joint_chain(cfg, n_or_m)
+        engine, chain, points = _joint_chain(cfg, n_or_m)
         assert 0.0 < chain.acceptance_rate < 1.0, label
-        assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, queries)
-                == per_draw_mean_max_ratios(cfg, engine, chain, queries)), label
+        assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, points)
+                == per_draw_mean_max_ratios(cfg, engine, chain, points)), label
 
     def _synthetic_chains(self, rng):
         def one(theta, alpha):
@@ -384,16 +404,16 @@ class TestMseSweep:
     def test_synthetic_chains_match_the_per_draw_oracle(self, likelihood, rng):
         data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
         engine = likelihood_engine(data, 0.5, likelihood)
-        queries = gen_lhs_testpoints(1, 150, 7, data.design)
+        points = gen_lhs_testpoints(1, 150, 7, data.design)
         for label, thin, chain in self._synthetic_chains(rng):
             cfg = ExperimentConfig(mse_draw_thin=thin)
-            assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, queries)
-                    == per_draw_mean_max_ratios(cfg, engine, chain, queries)), label
+            assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, points)
+                    == per_draw_mean_max_ratios(cfg, engine, chain, points)), label
 
     def test_factors_see_each_run_once_in_draw_order(self, rng):
         data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
         engine = likelihood_engine(data, 0.5, "ou")
-        queries = gen_lhs_testpoints(1, 50, 7, data.design)
+        points = gen_lhs_testpoints(1, 50, 7, data.design)
         calls = []
 
         class Spy:
@@ -407,7 +427,7 @@ class TestMseSweep:
         spied = SimpleNamespace(mse_factors=lambda a0, pts: Spy(engine.mse_factors(a0, pts)))
         n_runs = 3 * self.CHUNK + 2
         chain = _runs_chain(rng, n_runs)
-        experiments._posterior_mean_max_ratios(ExperimentConfig(), spied, chain, queries)
+        experiments._posterior_mean_max_ratios(ExperimentConfig(), spied, chain, points)
         new = np.r_[True, (chain.theta[1:] != chain.theta[:-1])
                     | (chain.alpha[1:] != chain.alpha[:-1])]
         assert new.sum() == n_runs
@@ -436,8 +456,6 @@ class TestContourGrid:
         assert np.ptp(s400["ridge"]) < np.ptp(s50["ridge"])
 
     def test_grid_argmax_matches_fine_search(self):
-        from fixedgp.gp import OuEngine
-        from fixedgp.posterior import log_joint_posterior
         data, s = self._surfaces(50)
         theta_grid = s["theta_grid"]
         cell = theta_grid[1] - theta_grid[0]
@@ -445,7 +463,7 @@ class TestContourGrid:
             a = s["alpha_grid"][j]
             coarse_best = theta_grid[np.argmax(s["log_posterior"][:, j])]
             fine = np.linspace(theta_grid[0], theta_grid[-1], 400)
-            vals = [log_joint_posterior(OuEngine(data), self.cfg.prior, t, a)
+            vals = [joint_posterior_logdensity(OuEngine(data), self.cfg.prior, t, a)
                     for t in fine]
             fine_best = fine[np.argmax(vals)]
             assert abs(coarse_best - fine_best) <= cell
@@ -460,7 +478,7 @@ class TestContourGrid:
         theta_grid, alpha_grid = np.linspace(0.05, 2.0, 7), np.linspace(0.1, 6.0, 5)
         s = emit_contour_grid(data, cfg, theta_grid, alpha_grid)
         engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
-        want = [[log_joint_posterior(engine, cfg.prior, t, a) for a in alpha_grid]
+        want = [[joint_posterior_logdensity(engine, cfg.prior, t, a) for a in alpha_grid]
                 for t in theta_grid]
         assert np.array_equal(s["log_posterior"], np.array(want))
 
@@ -507,8 +525,8 @@ class TestChainInit:
         data = sample_gp_path(design, cfg.truth, 3)
         engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
         init = _chain_init(engine, cfg.prior, lambda p: -np.inf)
-        assert init[0] == profile_stats(data, 1.0, 1.5).theta_tilde
-        assert init[0] != ou_profile_stats(data, 1.0).theta_tilde
+        assert init[0] == DenseEngine(data, 1.5).profile(1.0).theta_tilde
+        assert init[0] != OuEngine(data).profile(1.0).theta_tilde
         assert init[1] == 1.0
 
 

@@ -14,14 +14,12 @@ from fixedgp.gp import (
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
-    ou_profile_stats,
     ou_stats,
-    profile_stats,
     save_dataset,
 )
 from fixedgp.kernels import MaternSpec, matern_correlation
 
-from conftest import ou_profile_loglik, profile_posterior_logdensity
+from conftest import joint_posterior_logdensity, ou_profile_loglik, profile_posterior_logdensity
 
 
 def equispaced_design(n):
@@ -191,7 +189,7 @@ class TestLogLikelihood:
 class TestProfileStats:
     def test_single_point(self):
         data = GpDataset(design=Design(points=np.array([[0.5]])), x=np.array([3.0]))
-        ps = profile_stats(data, 2.0, 0.5)
+        ps = DenseEngine(data, 0.5).profile(2.0)
         assert ps.sigma2_tilde == pytest.approx(9.0, rel=1e-14)
         assert ps.theta_tilde == pytest.approx(18.0, rel=1e-14)
 
@@ -199,7 +197,8 @@ class TestProfileStats:
         alphas = np.logspace(-3, 3, 50)
         for _ in range(8):
             data = ou_dataset(40, rng)
-            tt = np.array([ou_profile_stats(data, a).theta_tilde for a in alphas])
+            engine = OuEngine(data)
+            tt = np.array([engine.profile(a).theta_tilde for a in alphas])
             assert np.all(np.diff(tt) >= -1e-10 * tt[1:])
 
     def test_theta_monotone_dense_designs(self, rng):
@@ -211,7 +210,8 @@ class TestProfileStats:
             pts = rng.uniform(0, 1, (8, d))
             x = rng.standard_normal(8)
             data = GpDataset(design=Design(points=pts), x=x)
-            tt = np.array([profile_stats(data, a, nu).theta_tilde for a in alphas])
+            engine = DenseEngine(data, nu)
+            tt = np.array([engine.profile(a).theta_tilde for a in alphas])
             assert np.all(np.diff(tt) >= -1e-4 * tt[1:])
             well_posed = alphas >= 0.05
             twp = tt[well_posed]
@@ -222,15 +222,15 @@ class TestProfileStats:
         # the profile value minus n/2
         data = ou_dataset(25, rng)
         for alpha in (0.4, 1.7):
-            ps = profile_stats(data, alpha, 0.5)
+            ps = DenseEngine(data, 0.5).profile(alpha)
             full = log_likelihood(data, MaternSpec(ps.sigma2_tilde, alpha, 0.5))
             assert full == pytest.approx(ps.profile_loglik - 25 / 2.0, abs=1e-9)
 
     def test_fast_matches_dense(self, rng):
         data = ou_dataset(60, rng)
         for alpha in (0.2, 1.0, 5.0):
-            dense = profile_stats(data, alpha, 0.5)
-            fast = ou_profile_stats(data, alpha)
+            dense = DenseEngine(data, 0.5).profile(alpha)
+            fast = OuEngine(data).profile(alpha)
             assert fast.theta_tilde == pytest.approx(dense.theta_tilde, rel=1e-10)
             assert fast.profile_loglik == pytest.approx(dense.profile_loglik, abs=1e-8)
 
@@ -268,7 +268,7 @@ class TestOuProfileLoglik:
             stats = ou_stats(data)
             for alpha in (0.3, 1.0, 2.5):
                 closed = ou_profile_loglik(stats, n, alpha)
-                dense = profile_stats(data, alpha, 0.5).profile_loglik
+                dense = DenseEngine(data, 0.5).profile(alpha).profile_loglik
                 assert closed == pytest.approx(dense - 0.5 * n * np.log(n), abs=1e-8)
 
     def test_diverges_as_alpha_vanishes(self, rng):
@@ -309,7 +309,7 @@ class TestOuFastPath:
         design = equispaced_design(n)
         x = rng.standard_normal(n)
         data = GpDataset(design=design, x=x)
-        qf = n * ou_profile_stats(data, alpha).sigma2_tilde
+        qf = n * OuEngine(data).profile(alpha).sigma2_tilde
         log_det = -2.0 * ou_loglik_fast(data, 1.0, alpha) - qf
         assert log_det == pytest.approx((n - 1) * np.log(1 - np.exp(-2 * alpha / n)), abs=1e-9)
 
@@ -431,7 +431,7 @@ class TestLikelihoodEngines:
 
     def test_cholesky_failure_surfaces_with_pivot(self):
         from fixedgp.experiments import gen_perturbed_grid
-        from fixedgp.posterior import PriorSpec, log_joint_posterior
+        from fixedgp.posterior import PriorSpec
 
         data = GpDataset(design=gen_perturbed_grid(1, 100, seed=0), x=np.ones(100))
         engine = DenseEngine(data, 2.5)
@@ -442,6 +442,6 @@ class TestLikelihoodEngines:
                 call()
             assert err.value.pivot == dense_err.value.pivot > 0
         prior = PriorSpec()
-        assert log_joint_posterior(engine, prior, 1e-5 * 0.1**5, 0.1) == -np.inf
+        assert joint_posterior_logdensity(engine, prior, 1e-5 * 0.1**5, 0.1) == -np.inf
         assert profile_posterior_logdensity(engine, prior, 0.1) == -np.inf
         assert np.isfinite(profile_posterior_logdensity(engine, prior, 0.5))

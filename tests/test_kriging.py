@@ -146,13 +146,13 @@ class TestEfficiencyEnvelope:
     def test_zero_at_truth(self, rng):
         truth = MaternSpec(1.0, 0.5, 0.5)
         d = random_design(12, 1, rng)
-        pts = [PredictionQuery(s_star=rng.uniform(0, 1, 1)) for _ in range(5)]
+        pts = rng.uniform(0, 1, (5, 1))
         assert efficiency_envelope(d, 0.5, 0.5, truth, pts) == pytest.approx(0.0, abs=1e-9)
 
     def test_decreases_with_n(self, rng):
         truth = MaternSpec(1.0, 0.5, 0.5)
         base = rng.uniform(0.01, 0.99, 25)
-        pts = [PredictionQuery(s_star=np.array([s])) for s in base]
+        pts = base[:, None]
         vals = {}
         for n in (100, 400):
             vals[n] = efficiency_envelope(equispaced(n), 0.5, 1.0, truth, pts)
@@ -166,19 +166,20 @@ class TestEfficiencyEnvelope:
         br = mse_breakdown(d, 0.5, assumed, truth, q)
         direct = max(abs(br.mse_assumed / br.mse_under_truth - 1),
                      abs(br.mse_assumed / br.mse_oracle - 1))
-        assert efficiency_envelope(d, 0.5, 2.0, truth, [q]) == pytest.approx(direct, rel=1e-12)
+        assert efficiency_envelope(d, 0.5, 2.0, truth, q.s_star[None, :]) == pytest.approx(
+            direct, rel=1e-12)
 
     def test_empty_test_set(self, rng):
         with pytest.raises(ValueError):
             efficiency_envelope(random_design(5, 1, rng), 0.5, 1.0,
-                                MaternSpec(1, 0.5, 0.5), [])
+                                MaternSpec(1, 0.5, 0.5), np.empty((0, 1)))
 
     def test_envelope_decay_rate(self, rng):
         # the envelope over a fixed test set decays roughly like 1/n on the
         # filling OU grid (same mechanism as the KL-gap bound)
         truth = MaternSpec(1.0, 0.5, 0.5)
         base = rng.uniform(0.01, 0.99, 30)
-        pts = [PredictionQuery(s_star=np.array([s])) for s in base]
+        pts = base[:, None]
         ns = np.array([100, 200, 400])
         vals = np.array([efficiency_envelope(equispaced(n), 0.5, 1.0, truth, pts)
                          for n in ns])
@@ -257,7 +258,7 @@ class TestOuMseProfiles:
         # the OU factors against the dense ones, on LHS test points; the
         # dense 1 - r' R^{-1} r carries an absolute round-off near 1e-13,
         # which is most of a factor of 1e-5 next to a design point
-        lhs = np.array([q.s_star for q in gen_lhs_testpoints(1, 300, 4, d)])
+        lhs = gen_lhs_testpoints(1, 300, 4, d)
         ou = OuMseFactors(pts, truth.alpha, lhs[:, 0])
         dense = DenseMseFactors(d, 0.5, truth.alpha, lhs)
         np.testing.assert_allclose(ou.m0, dense.m0, rtol=1e-10, atol=1e-11)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sp_stats
 
 from fixedgp.gp import (DenseEngine, Design, GpDataset, LikelihoodBlock, NotPositiveDefiniteError,
-                        OuEngine, ou_stats, profile_stats)
+                        OuEngine, ou_stats)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -13,18 +13,15 @@ from fixedgp.posterior import (
     PriorSpec,
     TiltedParams,
     conditional_bvm_logdensity,
-    joint_limit_sampler,
     joint_target,
     limit_setup,
-    log_joint_posterior,
-    rwm_chain,
     rwm_chains,
     sample_limits,
     tilted_logdensity,
     tilted_params,
 )
 from fixedgp.gp import log_likelihood
-from conftest import profile_posterior_logdensity
+from conftest import joint_posterior_logdensity, profile_posterior_logdensity
 
 
 def ou_data(n, rng, alpha0=0.5):
@@ -66,8 +63,8 @@ class TestLogJointPosterior:
         prior = PriorSpec()
         t1, t2, a = 0.6, 0.9, 1.3
         engine = DenseEngine(data, 0.5)
-        diff = (log_joint_posterior(engine, prior, t1, a)
-                - log_joint_posterior(engine, prior, t2, a))
+        diff = (joint_posterior_logdensity(engine, prior, t1, a)
+                - joint_posterior_logdensity(engine, prior, t2, a))
         direct = (
             log_likelihood(data, MaternSpec(t1 / a, a, 0.5))
             - log_likelihood(data, MaternSpec(t2 / a, a, 0.5))
@@ -91,32 +88,33 @@ class TestLogJointPosterior:
                 lo = m1
             else:
                 hi = m2
-        expected = profile_stats(data, alpha, 0.5).theta_tilde
+        expected = DenseEngine(data, 0.5).profile(alpha).theta_tilde
         assert (lo + hi) / 2 == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_parameters_give_minus_inf(self, rng):
         data = ou_data(5, rng)
         prior = PriorSpec()
         engine = DenseEngine(data, 0.5)
-        assert log_joint_posterior(engine, prior, -1.0, 1.0) == -np.inf
-        assert log_joint_posterior(engine, prior, 1.0, 0.0) == -np.inf
-        assert log_joint_posterior(engine, prior, np.inf, 1.0) == -np.inf
+        assert joint_posterior_logdensity(engine, prior, -1.0, 1.0) == -np.inf
+        assert joint_posterior_logdensity(engine, prior, 1.0, 0.0) == -np.inf
+        assert joint_posterior_logdensity(engine, prior, np.inf, 1.0) == -np.inf
 
     def test_ou_matches_dense(self, rng):
         data = ou_data(30, rng)
         prior = PriorSpec()
         for theta, alpha in [(0.5, 0.5), (1.2, 3.0)]:
-            assert log_joint_posterior(OuEngine(data), prior, theta, alpha) == pytest.approx(
-                log_joint_posterior(DenseEngine(data, 0.5), prior, theta, alpha), abs=1e-8)
+            ou = joint_posterior_logdensity(OuEngine(data), prior, theta, alpha)
+            dense = joint_posterior_logdensity(DenseEngine(data, 0.5), prior, theta, alpha)
+            assert ou == pytest.approx(dense, abs=1e-8)
 
 
 class TestRwmChain:
     def test_prior_only_target_recovers_gamma_moments(self):
         prior = PriorSpec()
         def target(p):
-            return prior.theta_prior.logpdf(p[0]) + prior.alpha_prior.logpdf(p[1])
+            return prior.theta_prior.logpdf(p[:, 0]) + prior.alpha_prior.logpdf(p[:, 1])
         cfg = McmcConfig(n_samples=30000, n_burnin=2000, step_sizes=(1.2, 1.2), seed=11)
-        ch = rwm_chain(target, cfg, np.array([5.0, 5.0]))
+        ch, = rwm_chains(target, [cfg], [np.array([5.0, 5.0])])
         # mean 11, var 110; MC standard error from the effective sample size
         for draws in (ch.theta, ch.alpha):
             ess = _ess(draws)
@@ -126,11 +124,10 @@ class TestRwmChain:
     def test_deterministic_given_seed(self, rng):
         data = ou_data(20, rng)
         prior = PriorSpec()
-        def target(p):
-            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
+        target = joint_target([OuEngine(data)], prior)
         cfg = McmcConfig(n_samples=500, n_burnin=100, step_sizes=(0.4, 1.0), seed=99)
-        a = rwm_chain(target, cfg, np.array([11.0, 11.0]))
-        b = rwm_chain(target, cfg, np.array([11.0, 11.0]))
+        a, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
+        b, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.alpha, b.alpha)
         assert a.acceptance_rate == b.acceptance_rate
@@ -138,21 +135,20 @@ class TestRwmChain:
     def test_acceptance_in_tuning_window(self, rng):
         data = ou_data(50, rng)
         prior = PriorSpec()
-        def target(p):
-            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
+        target = joint_target([OuEngine(data)], prior)
         cfg = McmcConfig(n_samples=4000, n_burnin=1000,
                          step_sizes=(1.7 * np.sqrt(2 / 50), 1.5), seed=5)
-        ch = rwm_chain(target, cfg, np.array([11.0, 11.0]))
+        ch, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
         assert 0.1 < ch.acceptance_rate < 0.6
 
     def test_initialization_error(self):
         def target(p):
-            return -np.inf
+            return np.full(p.shape[0], -np.inf)
         cfg = McmcConfig(n_samples=10, n_burnin=0, step_sizes=(0.5,), seed=0)
         with pytest.raises(InitializationError):
-            rwm_chain(target, cfg, np.array([1.0]))
+            rwm_chains(target, [cfg], [np.array([1.0])])
         with pytest.raises(InitializationError):
-            rwm_chain(lambda p: 0.0, cfg, np.array([-1.0]))
+            rwm_chains(lambda p: np.zeros(p.shape[0]), [cfg], [np.array([-1.0])])
 
     def test_sample_covariance_on_gaussian_log_target(self):
         # target whose log-coordinates are exactly N(mu, Sigma)
@@ -161,9 +157,10 @@ class TestRwmChain:
         prec = np.linalg.inv(cov)
         def target(p):
             u = np.log(p)
-            return -0.5 * (u - mu) @ prec @ (u - mu) - np.sum(u)
+            z = u - mu
+            return -0.5 * np.einsum("ri,ij,rj->r", z, prec, z) - np.sum(u, axis=1)
         cfg = McmcConfig(n_samples=50000, n_burnin=3000, step_sizes=(1.0, 1.2), seed=17)
-        ch = rwm_chain(target, cfg, np.exp(mu))
+        ch, = rwm_chains(target, [cfg], [np.exp(mu)])
         u = np.log(np.column_stack([ch.theta, ch.alpha]))
         got = np.cov(u.T)
         assert np.linalg.norm(got - cov) / np.linalg.norm(cov) < 0.15
@@ -171,10 +168,9 @@ class TestRwmChain:
     def test_positivity_structural(self, rng):
         data = ou_data(10, rng)
         prior = PriorSpec()
-        def target(p):
-            return log_joint_posterior(OuEngine(data), prior, p[0], p[1])
+        target = joint_target([OuEngine(data)], prior)
         cfg = McmcConfig(n_samples=2000, n_burnin=200, step_sizes=(2.0, 2.0), seed=1)
-        ch = rwm_chain(target, cfg, np.array([11.0, 11.0]))
+        ch, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
         assert np.all(ch.theta > 0) and np.all(ch.alpha > 0)
 
 
@@ -219,8 +215,8 @@ class TestProfilePosterior:
         engine = DenseEngine(data, 0.5)
         diff = (profile_posterior_logdensity(engine, prior, a1)
                 - profile_posterior_logdensity(engine, prior, a2))
-        direct = (profile_stats(data, a1, 0.5).profile_loglik
-                  - profile_stats(data, a2, 0.5).profile_loglik
+        direct = (engine.profile(a1).profile_loglik
+                  - engine.profile(a2).profile_loglik
                   + prior.alpha_prior.logpdf(a1) - prior.alpha_prior.logpdf(a2))
         assert diff == pytest.approx(direct, abs=1e-10)
 
@@ -342,17 +338,19 @@ class TestJointLimitSampler:
         self.prior = PriorSpec()
         self.cfg = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(0.2, 2.0), seed=3)
 
+    def _limits(self, kinds, engine):
+        return sample_limits([limit_setup(kind, engine, self.prior, 0.5, 0.5, self.cfg)
+                              for kind in kinds], self.prior)
+
     def test_theta_marginal_moments(self):
-        ch = joint_limit_sampler("joint-profile", OuEngine(self.data), self.prior, 0.5, 0.5,
-                                 self.cfg)
-        center = profile_stats(self.data, 0.5, 0.5).theta_tilde
+        ch, = self._limits(["joint-profile"], OuEngine(self.data))
+        center = DenseEngine(self.data, 0.5).profile(0.5).theta_tilde
         var = 2 * 0.25 / 100
         assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(var / 5000)
         assert np.var(ch.theta) == pytest.approx(var, rel=0.10)
 
     def test_theta_alpha_independent(self):
-        ch = joint_limit_sampler("joint-profile", OuEngine(self.data), self.prior, 0.5, 0.5,
-                                 self.cfg)
+        ch, = self._limits(["joint-profile"], OuEngine(self.data))
         corr = np.corrcoef(ch.theta, ch.alpha)[0, 1]
         assert abs(corr) < 0.05
 
@@ -365,15 +363,13 @@ class TestJointLimitSampler:
             r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            engine = OuEngine(data)
-            prof = joint_limit_sampler("joint-profile", engine, self.prior, 0.5, 0.5, self.cfg)
-            tilt = joint_limit_sampler("ou-tilted", engine, self.prior, 0.5, 0.5, self.cfg)
+            prof, tilt = self._limits(["joint-profile", "ou-tilted"], OuEngine(data))
             w2[n] = w2_distance(prof.alpha, tilt.alpha)
         assert w2[400] < w2[100]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            joint_limit_sampler("bogus", OuEngine(self.data), self.prior, 0.5, 0.5, self.cfg)
+            self._limits(["bogus"], OuEngine(self.data))
 
 
 class _CountingDenseEngine(DenseEngine):
@@ -406,7 +402,7 @@ class TestLikelihoodBlock:
             joint = block.log_posterior(rows, self.prior)
             profile = block.log_profile_posterior(rows[:, 1], self.prior)
             for r, e in enumerate(engines):
-                assert joint[r] == log_joint_posterior(e, self.prior, p[0], p[1]), (p, r)
+                assert joint[r] == joint_posterior_logdensity(e, self.prior, p[0], p[1]), (p, r)
                 assert profile[r] == profile_posterior_logdensity(e, self.prior, p[1]), (p, r)
             if not (0 < p[0] < np.inf and p[1] < np.inf):
                 assert np.all(joint == -np.inf), p
@@ -471,17 +467,14 @@ class TestLockstep:
         for e, cfg, init, chain in zip(engines, configs, inits, block):
             self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init],
                                                 "joint")[0])
-
-            def target(p, e=e):
-                return log_joint_posterior(e, self.prior, p[0], p[1])
-            self._assert_same(chain, rwm_chain(target, cfg, init, "joint"))
         for kind in kinds:
             configs = self._configs(len(engines), 70)
             setups = [limit_setup(kind, e, self.prior, 0.5, 0.5, cfg)
                       for e, cfg in zip(engines, configs)]
             block = sample_limits(setups, self.prior)
             for e, cfg, chain in zip(engines, configs, block):
-                self._assert_same(chain, joint_limit_sampler(kind, e, self.prior, 0.5, 0.5, cfg))
+                alone = limit_setup(kind, e, self.prior, 0.5, 0.5, cfg)
+                self._assert_same(chain, sample_limits([alone], self.prior)[0])
 
     def test_ou_block_equals_single_chains(self):
         rng = np.random.default_rng(21)
