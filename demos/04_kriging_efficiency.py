@@ -14,7 +14,6 @@ import numpy as np
 from fixedgp import (
     Design,
     MaternSpec,
-    PredictionQuery,
     blup,
     efficiency_ratios,
     gen_perturbed_grid,
@@ -30,22 +29,22 @@ assumed = MaternSpec.from_theta(truth.theta, alpha_wrong, truth.nu)
 print(f"truth: alpha={truth.alpha}, sigma2={truth.sigma2}; "
       f"assumed: alpha={assumed.alpha}, sigma2={assumed.sigma2:.4f} (same theta)")
 
-# the kriging predictor interpolates and ignores the variance scale
+# the kriging predictor interpolates and ignores the variance scale; test
+# points are always a (K, d) array, here K = 1 and d = 1
 design = gen_perturbed_grid(1, 30, seed=2)
 data = sample_gp_path(design, truth, seed=7)
-s = PredictionQuery(s_star=np.array([0.512]))
-print(f"\nBLUP at s*=0.512: {blup(data, alpha_wrong, 0.5, s):.4f} "
+pred, = blup(data, alpha_wrong, 0.5, np.array([[0.512]]))
+print(f"\nBLUP at s*=0.512: {pred:.4f} "
       f"(nearest obs {data.x[np.argmin(np.abs(design.coords_1d - 0.512))]:.4f})")
 
 print("\nMSE ratio deviations shrink with n:")
 for n in (25, 100, 400):
     d = Design(points=(np.arange(1, n + 1) / n)[:, None])
-    q = PredictionQuery(s_star=np.array([0.5 + 0.37 / n]))
-    br = mse_breakdown(d, 0.5, assumed, truth, q)
-    r = efficiency_ratios(br)
-    print(f"  n={n:>3}: mse_assumed={br.mse_assumed:.5f} "
-          f"mse_truth={br.mse_under_truth:.5f} oracle={br.mse_oracle:.5f} "
-          f"r1={r.r1:.4f} r2={r.r2:.4f}")
+    br = mse_breakdown(d, 0.5, assumed, truth, np.array([[0.5 + 0.37 / n]]))
+    (r1,), (r2,) = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)
+    print(f"  n={n:>3}: mse_assumed={br.mse_assumed[0]:.5f} "
+          f"mse_truth={br.mse_under_truth[0]:.5f} oracle={br.mse_oracle[0]:.5f} "
+          f"r1={r1:.4f} r2={r2:.4f}")
 
 print("\nsymmetrized KL increases to its closed-form limit:")
 r_lim = sym_kl_limit(alpha_wrong, truth.alpha)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -146,29 +147,34 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a design and one GP path")
-    p.add_argument("--d", type=int, default=None, choices=(1, 2))
+    p.set_defaults(run=_cmd_simulate)
+    _field_flag(p, "--d", "d", choices=(1, 2))
     p.add_argument("--n", type=_positive(int), default=100,
                    help="points for d=1, grid side for d=2")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default="out")
+    _field_flag(p, "--out", "output_dir", metavar="OUT")
     p.add_argument("--zero-noise", action="store_true")
     p.add_argument("--config", help="flat key = value config file")
 
     p = sub.add_parser("table1", help="d=1 posterior means and W2 distances")
+    p.set_defaults(run=functools.partial(_cmd_table, runner=run_table1))
     _add_common(p)
 
     p = sub.add_parser("table2", help="d=2 posterior means and W2 distances")
+    p.set_defaults(run=functools.partial(_cmd_table, runner=run_table2))
     _add_common(p)
 
     p = sub.add_parser("table3", help="posterior means of max MSE ratios")
+    p.set_defaults(run=functools.partial(_cmd_table, runner=run_table3))
     _add_common(p)
     _field_flag(p, "--d", "d", choices=(1, 2), help="dimension (default 1)")
 
     p = sub.add_parser("contour", help="posterior density surfaces on a grid")
+    p.set_defaults(run=_cmd_contour)
     p.add_argument("--data", help="dataset CSV (default: simulate one)")
     p.add_argument("--n", type=_positive(int), default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default="out")
+    _field_flag(p, "--out", "output_dir", metavar="OUT")
     p.add_argument("--theta-grid", type=_grid, default=_grid("0.1:1.5:60"),
                    help="lo:hi:count (default 0.1:1.5:60)")
     p.add_argument("--alpha-grid", type=_grid, default=_grid("0.05:8:60"),
@@ -176,12 +182,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value config file")
 
     p = sub.add_parser("kl-check", help="symmetrized KL vs its closed-form limit")
+    p.set_defaults(run=_cmd_kl_check)
     p.add_argument("--n-values", type=_positive(_int_list), default=(100, 200, 400, 800))
     p.add_argument("--alphas", type=_positive(_float_list), default=(0.25, 1.0, 2.0))
     p.add_argument("--alpha0", type=_positive(float), default=0.5)
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("lambda-check", help="generalized spectra vs power bounds")
+    p.set_defaults(run=_cmd_lambda_check)
     p.add_argument("--count", type=_positive(int), default=50)
     p.add_argument("--n", type=_positive(int), default=30)
     p.add_argument("--d", type=int, default=1, choices=(1, 2))
@@ -209,14 +217,14 @@ def _cmd_simulate(args) -> int:
     cfg = build_config(args)
     d = cfg.d
     data = _simulate(cfg, d, args, args.zero_noise)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "dataset.csv")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, "dataset.csv")
     save_dataset(data, path)
     meta = {
         "d": d, "n": data.n, "seed": args.seed,
         "truth": dataclasses.asdict(cfg.truth), "zero_noise": args.zero_noise,
     }
-    with open(os.path.join(args.out, "dataset_manifest.json"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "dataset_manifest.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     print(f"wrote {path} (n={data.n}, d={d})")
     return 0
@@ -242,13 +250,13 @@ def _cmd_contour(args) -> int:
     try:
         data = load_dataset(args.data) if args.data else _simulate(cfg, 1, args)
         # checks the dataset (d = 1, a positive profile) before it writes
-        emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=args.out)
+        emit_contour_grid(data, cfg, args.theta_grid, args.alpha_grid, out_dir=cfg.output_dir)
     except (OSError, ValueError, DegenerateDataError) as err:
         raise ConfigError(f"contour: {err}") from None
     except NotPositiveDefiniteError as err:   # at alpha_0, where the limits are centred
         raise FailureBudgetExceededError(f"the correlation at n={data.n}, nu={cfg.nu}, alpha_0="
                                          f"{cfg.alpha_0} does not factorize: {err}") from None
-    print(f"wrote contour_grid.csv and contour_ridge.csv in {args.out}")
+    print(f"wrote contour_grid.csv and contour_ridge.csv in {cfg.output_dir}")
     return 0
 
 
@@ -275,28 +283,13 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "table1":
-            return _cmd_table(args, run_table1)
-        if args.command == "table2":
-            return _cmd_table(args, run_table2)
-        if args.command == "table3":
-            return _cmd_table(args, run_table3)
-        if args.command == "contour":
-            return _cmd_contour(args)
-        if args.command == "kl-check":
-            return _cmd_kl_check(args)
-        if args.command == "lambda-check":
-            return _cmd_lambda_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except FailureBudgetExceededError as err:
         print(f"numerical failure budget exceeded: {err}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

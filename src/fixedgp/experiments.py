@@ -28,7 +28,7 @@ import scipy
 logger = logging.getLogger(__name__)
 
 from . import __version__
-from .diagnostics import w2_distance
+from .diagnostics import generalized_lambdas, w2_distance
 from .gp import (
     Design,
     GpDataset,
@@ -41,6 +41,7 @@ from .gp import (
     ou_stats,
 )
 from .kernels import MaternSpec
+from .kriging import efficiency_ratios, sym_kl_finite, sym_kl_limit
 from .posterior import (
     GammaPrior,
     InitializationError,
@@ -204,7 +205,9 @@ def gen_perturbed_grid(d: int, n_or_m: int, seed, zero_noise: bool = False) -> D
             n = n_or_m
             base = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
             pts = base if zero_noise else base + rng.uniform(-GRID_NOISE_1D, GRID_NOISE_1D, n)
-            pts = np.clip(pts, 0.0, 1.0)[:, None]
+            # sorted for the OU engine: past n = 2,500 the jitter can swap
+            # neighbours
+            pts = np.sort(np.clip(pts, 0.0, 1.0))[:, None]
         elif d == 2:
             m = n_or_m
             base = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
@@ -429,9 +432,9 @@ def _posterior_mean_max_ratios(cfg, engine, chain, points):
         # th / al ** (2 nu) stays a scalar pow: array power can differ in the
         # last bit
         scale = [th / al ** (2.0 * cfg.nu) for th, al in zip(thetas[block], alphas[block])]
-        mse_assumed = np.array(scale)[:, None] * m
-        max_r1[block] = np.abs(mse_assumed / (truth.sigma2 * q) - 1.0).max(axis=1)
-        max_r2[block] = np.abs(mse_assumed / mse_oracle - 1.0).max(axis=1)
+        r1, r2 = efficiency_ratios(np.array(scale)[:, None] * m, truth.sigma2 * q, mse_oracle)
+        max_r1[block] = r1.max(axis=1)
+        max_r2[block] = r2.max(axis=1)
     run = np.cumsum(new) - 1
     return float(np.mean(max_r1[run])), float(np.mean(max_r2[run]))
 
@@ -639,8 +642,6 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
 def kl_check_sweep(n_values, alphas, alpha0: float = 0.5, out_path=None):
     """Finite-n symmetrized KL against its closed-form limit on the
     equispaced unit-interval grid s_i = i/n."""
-    from .kriging import sym_kl_finite, sym_kl_limit
-
     rows = []
     for n in n_values:
         design = Design(points=(np.arange(1, n + 1) / n)[:, None], T=1.0)
@@ -658,8 +659,6 @@ def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1,
                        theta0: float = 0.5, out_path=None):
     """Random matched-theta instances with the generalized spectrum checked
     against its min/max power bounds."""
-    from .diagnostics import generalized_lambdas
-
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(count):
@@ -667,6 +666,8 @@ def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1,
         alpha0 = float(10 ** rng.uniform(-0.7, 0.7))
         nu = 0.5
         pts = rng.uniform(0.0, 1.0, (n, d))
+        if d == 1:
+            pts.sort(axis=0)
         design = Design(points=pts, T=1.0)
         spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
         ratio = (alpha0 / alpha) ** (2.0 * nu + d)

@@ -66,8 +66,9 @@ class DegenerateDataError(Exception):
 class Design:
     """Distinct sampling points in [0, T]^d, d in {1, 2, 3}.
 
-    Points are stored as an (n, d) array.  For d = 1 they are sorted
-    ascending, which the OU fast path requires.
+    Points are stored as an (n, d) array in the order given, so the i-th
+    point stays paired with the i-th observation of a dataset.  The OU fast
+    path requires d = 1 points in ascending order.
     """
 
     points: np.ndarray
@@ -86,8 +87,7 @@ class Design:
         if np.any(pts < 0) or np.any(pts > self.T):
             raise ValueError("all coordinates must lie in [0, T]")
         if pts.shape[1] == 1:
-            pts = pts[np.argsort(pts[:, 0])]
-            if np.any(np.diff(pts[:, 0]) <= 0):
+            if np.any(np.diff(np.sort(pts[:, 0])) <= 0):
                 raise ValueError("design points must be pairwise distinct")
         else:
             diff = pts[:, None, :] - pts[None, :, :]
@@ -107,7 +107,7 @@ class Design:
 
     @property
     def coords_1d(self) -> np.ndarray:
-        """Sorted coordinate vector; only defined for d = 1."""
+        """Coordinate vector, in the design's order; only defined for d = 1."""
         if self.d != 1:
             raise ValueError(f"coords_1d requires d = 1, design has d = {self.d}")
         return self.points[:, 0]
@@ -435,7 +435,8 @@ def load_dataset(path, T: float = 1.0) -> GpDataset:
     """Read a dataset CSV with header ``s1[,s2[,s3]],x``.
 
     Validates coordinate bounds and pairwise distinctness through
-    :class:`Design`; 1-d rows are sorted jointly with their observations.
+    :class:`Design`; 1-d rows are sorted jointly with their observations, so
+    the OU engine accepts a file in any row order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -1,5 +1,6 @@
-"""Kriging prediction, the three prediction MSEs at a new location, the
-derived efficiency ratios, and the symmetrized-KL convergence diagnostic.
+"""Kriging prediction, the three prediction MSEs at a (K, d) array of test
+points, the efficiency ratios, and the symmetrized-KL convergence
+diagnostic.
 
 For a misspecified inverse range alpha with correlation matrix R and
 cross-correlation vector r(s*), the predictor is r' R^{-1} X_n and
@@ -8,7 +9,8 @@ cross-correlation vector r(s*), the predictor is r' R^{-1} X_n and
     mse_under_truth = sigma0^2 (1 - 2 r' R^{-1} r0 + r' R^{-1} R0 R^{-1} r)
     mse_oracle      = sigma0^2 (1 - r0' R0^{-1} r0)
 
-where the 0-subscripted quantities use the true parameters.
+where the 0-subscripted quantities use the true parameters.  Every entry
+point takes its K test points as one (K, d) array and returns K values.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
+from .diagnostics import generalized_lambdas
 from .gp import DegenerateDataError, Design, GpDataset, build_correlation_matrix, cholesky
-from .kernels import MaternSpec, matern_correlation, matern_kernel
+from .kernels import MaternSpec, matern_kernel
 
 __all__ = [
-    "PredictionQuery",
     "MseBreakdown",
-    "EfficiencyRatios",
     "CoincidentTestPointError",
     "DenseMseFactors",
     "OuMseFactors",
@@ -42,57 +43,48 @@ class CoincidentTestPointError(ValueError):
 
 
 @dataclass(frozen=True)
-class PredictionQuery:
-    """A prediction location distinct from all design points."""
-
-    s_star: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.s_star, dtype=float))
-        if s.ndim != 1 or s.shape[0] not in (1, 2, 3):
-            raise ValueError(f"s_star must be a 1/2/3-vector, got shape {s.shape}")
-        object.__setattr__(self, "s_star", s)
-
-
-@dataclass(frozen=True)
 class MseBreakdown:
-    mse_assumed: float
-    mse_under_truth: float
-    mse_oracle: float
+    """The three prediction MSEs at K test points, each a (K,) array."""
+
+    mse_assumed: np.ndarray
+    mse_under_truth: np.ndarray
+    mse_oracle: np.ndarray
 
     def __post_init__(self):
-        if min(self.mse_assumed, self.mse_under_truth, self.mse_oracle) <= 0:
+        if not all(np.all(v > 0) for v in (self.mse_assumed, self.mse_under_truth,
+                                            self.mse_oracle)):
             raise ValueError(f"all MSEs must be positive, got {self}")
         # oracle BLUP optimality, up to factorization round-off
-        if self.mse_under_truth < self.mse_oracle * (1.0 - 1e-8) - 1e-12:
+        if np.any(self.mse_under_truth < self.mse_oracle * (1.0 - 1e-8) - 1e-12):
             raise ValueError(
                 f"mse_under_truth {self.mse_under_truth} below oracle {self.mse_oracle}"
             )
 
 
-@dataclass(frozen=True)
-class EfficiencyRatios:
-    """r1 compares the assumed MSE to its value under the truth, r2 to the
-    oracle MSE; varsigma_hat is their max, which is the per-point envelope
-    contribution when the assumed variance is theta0 / alpha^{2 nu}."""
+def _cross_distances(design: Design, points: np.ndarray) -> np.ndarray:
+    """The (n, K) distances from the design points to the (K, d) ``points``,
+    none of which may coincide with a design point."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != design.d:
+        raise ValueError(f"test points must be a (K, {design.d}) array, got shape {points.shape}")
+    diffs = design.points[None, :, :] - points[:, None, :]
+    dist = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
+    if np.any(dist == 0.0):
+        raise CoincidentTestPointError("test points must avoid design points")
+    return dist
 
-    r1: float
-    r2: float
-    varsigma_hat: float
 
-
-def blup(data: GpDataset, alpha: float, nu: float, query: PredictionQuery) -> float:
-    """Best linear unbiased predictor r' R^{-1} X_n at the query point.
+def blup(data: GpDataset, alpha: float, nu: float, points: np.ndarray) -> np.ndarray:
+    """Best linear unbiased predictor r' R^{-1} X_n at each of the (K, d)
+    ``points``, as a (K,) array.
 
     Depends on alpha but not on the variance, which cancels from the
     weights.
     """
-    dists = np.sqrt(np.sum((data.design.points - query.s_star[None, :]) ** 2, axis=1))
-    if dists.min() == 0.0:
-        raise CoincidentTestPointError(f"test point {query.s_star} coincides with a design point")
+    dist = _cross_distances(data.design, points)
     chol = cholesky(build_correlation_matrix(data.design, alpha, nu))
-    y, _ = lapack.dtrtrs(chol, matern_correlation(alpha, nu, dists), lower=1)
-    return float(y @ lapack.dtrtrs(chol, data.x, lower=1)[0])
+    y, _ = lapack.dtrtrs(chol, matern_kernel(nu)(alpha * dist), lower=1)
+    return lapack.dtrtrs(chol, data.x, lower=1)[0] @ y
 
 
 def mse_breakdown(
@@ -100,16 +92,17 @@ def mse_breakdown(
     nu: float,
     assumed: MaternSpec,
     truth: MaternSpec,
-    query: PredictionQuery,
+    points: np.ndarray,
 ) -> MseBreakdown:
-    """The three prediction MSEs at one test point; see the module header."""
+    """The three prediction MSEs at the (K, d) ``points``; see the module
+    header."""
     if abs(assumed.nu - nu) > 1e-14 or abs(truth.nu - nu) > 1e-14:
         raise ValueError("assumed and truth specs must share the smoothness nu")
-    factors = DenseMseFactors(design, nu, truth.alpha, query.s_star[None, :])
+    factors = DenseMseFactors(design, nu, truth.alpha, points)
     m, q = factors(np.array([assumed.alpha]))
-    return MseBreakdown(mse_assumed=float(assumed.sigma2 * m[0, 0]),
-                        mse_under_truth=float(truth.sigma2 * q[0, 0]),
-                        mse_oracle=float(truth.sigma2 * factors.m0[0]))
+    return MseBreakdown(mse_assumed=assumed.sigma2 * m[0],
+                        mse_under_truth=truth.sigma2 * q[0],
+                        mse_oracle=truth.sigma2 * factors.m0)
 
 
 class DenseMseFactors:
@@ -131,10 +124,7 @@ class DenseMseFactors:
     def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
         self._corr = matern_kernel(nu)
         self.dist_nn = design.distance_matrix()
-        diffs = design.points[None, :, :] - points[:, None, :]
-        self.dist_nk = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
-        if np.any(self.dist_nk == 0.0):
-            raise CoincidentTestPointError("test points must avoid design points")
+        self.dist_nk = _cross_distances(design, points)
         self.r0 = self._corr_nn(alpha0)
         self.rv0 = self._corr(alpha0 * self.dist_nk)
         y0, _ = lapack.dtrtrs(cholesky(self.r0.copy()), self.rv0, lower=1)
@@ -167,19 +157,22 @@ def _check_positive(name, factor):
         raise DegenerateDataError(f"MSE factor {name} is not positive at every test point")
 
 
-def efficiency_ratios(breakdown: MseBreakdown) -> EfficiencyRatios:
-    """Absolute relative deviations of the assumed MSE from the other two."""
-    r1 = abs(breakdown.mse_assumed / breakdown.mse_under_truth - 1.0)
-    r2 = abs(breakdown.mse_assumed / breakdown.mse_oracle - 1.0)
-    return EfficiencyRatios(r1=r1, r2=r2, varsigma_hat=max(r1, r2))
+def efficiency_ratios(mse_assumed, mse_under_truth, mse_oracle):
+    """Elementwise absolute relative deviations of the assumed MSE from the
+    MSE under the truth (r1) and from the oracle MSE (r2), as ``(r1, r2)``."""
+    return np.abs(mse_assumed / mse_under_truth - 1.0), np.abs(mse_assumed / mse_oracle - 1.0)
 
 
 def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> float:
     """Finite-sample symmetrized KL divergence between the matched-theta
     models with inverse ranges alpha and alpha0:
 
-        -n + (c/2) tr(R^{-1} R0) + (1/(2c)) tr(R0^{-1} R),  c = (alpha/alpha0)^{2 nu}
+        r_n = (1/2) sum_k (lambda_k - 1)^2 / lambda_k
 
+    over the generalized eigenvalues lambda_k of the pair
+    (:func:`fixedgp.diagnostics.generalized_lambdas`), in which the shared
+    microergodic value cancels.  At alpha = alpha0 the two laws are one and
+    r_n is exactly 0, which the computed spectrum gives only to rounding.
     Only nu = 1/2 is accepted, the one smoothness whose limit is known in
     closed form (:func:`sym_kl_limit`).
     """
@@ -187,15 +180,10 @@ def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> flo
         raise ValueError("alpha and alpha0 must be positive")
     if abs(nu - 0.5) > 1e-14:
         raise ValueError("sym_kl_finite is derived for nu = 1/2")
-    n = design.n
-    la, l0 = (cholesky(build_correlation_matrix(design, a, nu)) for a in (alpha, alpha0))
-    upper = np.triu_indices(n, 1)
-    la[upper] = l0[upper] = 0.0   # in place: np.tril would copy to C order
-    # tr(A^{-1} B) = ||chol(A) \ chol(B)||_F^2, via triangular solves only
-    g = solve_triangular(la, l0, lower=True)
-    h = solve_triangular(l0, la, lower=True)
-    c = (alpha / alpha0) ** (2.0 * nu)
-    return float(-n + 0.5 * c * np.sum(g * g) + 0.5 / c * np.sum(h * h))
+    if alpha == alpha0:
+        return 0.0
+    lam = generalized_lambdas(design, nu, alpha, alpha0, 1.0).lambdas
+    return float(0.5 * np.sum((lam - 1.0) ** 2 / lam))
 
 
 def sym_kl_limit(alpha: float, alpha0: float) -> float:

@@ -227,10 +227,11 @@ def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list
     bit for bit the chain drawn alone (R = 1) from the same config and start,
     whatever R and the other rows.
     """
+    k = np.atleast_2d(np.asarray(inits, dtype=float)).shape[1]
+    if k != 2:
+        raise ValueError(f"rwm_chains samples (theta, alpha), got {k} variables")
     rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
     samples, acc = _rwm_core(log_target, configs, inits, rngs)
-    if samples.shape[2] != 2:
-        raise ValueError(f"rwm_chains samples (theta, alpha), got {samples.shape[2]} variables")
     return [
         ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a),
                      target_label=target_label)

@@ -3,7 +3,7 @@ import pytest
 
 from fixedgp.gp import DegenerateDataError, GpDataset, LikelihoodBlock
 from fixedgp.kernels import MaternSpec
-from fixedgp.kriging import DenseMseFactors
+from fixedgp.kriging import DenseMseFactors, efficiency_ratios
 from fixedgp.posterior import joint_target
 
 # Pass/fail lines recorded by the acceptance tests, echoed at the end of the
@@ -83,8 +83,8 @@ def efficiency_envelope(design, nu, alpha, truth, pts) -> float:
     factors = DenseMseFactors(design, nu, truth.alpha, pts)
     m, q = factors(np.array([alpha]))
     mse_assumed = MaternSpec.from_theta(truth.theta, alpha, nu).sigma2 * m[0]
-    return float(np.maximum(np.abs(mse_assumed / (truth.sigma2 * q) - 1.0),
-                            np.abs(mse_assumed / (truth.sigma2 * factors.m0) - 1.0)).max())
+    r1, r2 = efficiency_ratios(mse_assumed, truth.sigma2 * q[0], truth.sigma2 * factors.m0)
+    return float(np.maximum(r1, r2).max())
 
 
 def per_draw_mean_max_ratios(cfg, engine, chain, points):

@@ -144,21 +144,27 @@ class TestTables:
 
 
 class TestTableFlags:
-    """Each table flag sets the config field named by its dest, so a new
-    flag cannot silently miss the config."""
+    """Each flag of a subcommand that takes a config sets the config field
+    named by its dest, or is one of that subcommand's dataset flags, so a
+    new flag cannot silently miss the config."""
 
     # a value that differs from the field's default, as text and as parsed
     VALUES = {"master_seed": ("7", 7), "n_replications": ("3", 3), "output_dir": ("res", "res"),
               "n_workers": ("2", 2), "n_values": ("5,6", (5, 6)), "m_values": ("3,4", (3, 4)),
               "d": ("2", 2)}
+    # the flags that describe the simulated or loaded dataset, not the run
+    DATASET_FLAGS = {"simulate": {"--n", "--seed", "--zero-noise"},
+                     "contour": {"--data", "--n", "--seed", "--theta-grid", "--alpha-grid"}}
 
-    @pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+    @pytest.mark.parametrize("command", ["simulate", "table1", "table2", "table3", "contour"])
     def test_every_flag_fills_its_field(self, command):
         parser = make_parser()
         sub, = (a for a in parser._actions if a.dest == "command")
         actions = [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert {a.dest for a in actions} <= fields
+        dataset = {a.option_strings[0] for a in actions if a.dest not in fields}
+        assert dataset == self.DATASET_FLAGS.get(command, set())
+        actions = [a for a in actions if a.dest in fields]
         argv, expected = [command], {}
         # the last of the flags that share a dest: --dense, not the default --fast-ou
         for dest, action in {a.dest: a for a in actions}.items():

@@ -1,5 +1,6 @@
-"""Each demo script runs to completion against the package in ``src``, and
-the package exports exactly the names the demos import from it."""
+"""Each demo script runs to completion against the package in ``src``, the
+package exports exactly the names the demos import from it, and no other
+module of the package imports a name it never reads."""
 
 import ast
 import glob
@@ -37,3 +38,20 @@ def test_exports_are_the_names_the_demos_import():
         _imported_names(path, lambda node: node.level == 0 and node.module == "fixedgp")
         for path in DEMOS))
     assert exported == imported, (sorted(exported - imported), sorted(imported - exported))
+
+
+# __init__ is left out: its imports are the package's exports
+MODULES = sorted(path for path in glob.glob(os.path.join(ROOT, "src", "fixedgp", "*.py"))
+                 if os.path.basename(path) != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=os.path.basename)
+def test_module_reads_every_name_it_imports(module):
+    with open(module) as fh:
+        tree = ast.parse(fh.read())
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported <= read, sorted(imported - read)

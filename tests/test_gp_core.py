@@ -49,10 +49,24 @@ def ou_tridiagonal_inverse(n, alpha):
 
 
 class TestDesign:
-    def test_sorting_and_dimensions(self):
+    def test_order_and_dimensions(self):
+        # the points keep their given order, so each stays paired with its
+        # observation
         d = Design(points=np.array([[0.9], [0.1], [0.5]]))
-        assert np.all(np.diff(d.coords_1d) > 0)
+        assert d.coords_1d.tolist() == [0.9, 0.1, 0.5]
         assert (d.n, d.d) == (3, 1)
+        data = GpDataset(design=d, x=np.array([9.0, 1.0, 5.0]))
+        assert dict(zip(data.design.coords_1d, data.x)) == {0.9: 9.0, 0.1: 1.0, 0.5: 5.0}
+
+    def test_likelihood_does_not_depend_on_point_order(self, rng):
+        pts, x = rng.uniform(0, 1, 10), rng.standard_normal(10)
+        order = np.argsort(pts)
+        shuffled = DenseEngine(GpDataset(design=Design(points=pts[:, None]), x=x), 0.5)
+        ordered = DenseEngine(GpDataset(design=Design(points=pts[order, None]), x=x[order]), 0.5)
+        assert np.any(np.diff(pts) < 0)
+        for alpha in (0.3, 2.0, 9.0):
+            assert shuffled.loglik(1.7, alpha) == pytest.approx(ordered.loglik(1.7, alpha),
+                                                                rel=1e-12)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):

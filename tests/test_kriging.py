@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from fixedgp.experiments import gen_lhs_testpoints
-from fixedgp.gp import Design, GpDataset
+from scipy.linalg import solve_triangular
+
+from fixedgp.gp import Design, GpDataset, build_correlation_matrix
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.kriging import (
     CoincidentTestPointError,
     DenseMseFactors,
     MseBreakdown,
     OuMseFactors,
-    PredictionQuery,
     blup,
     efficiency_ratios,
     mse_breakdown,
@@ -33,49 +34,77 @@ class TestBlup:
         x = rng.standard_normal(8)
         data = GpDataset(design=d, x=x)
         s = d.points[3, 0] + 1e-9
-        pred = blup(data, 1.0, 0.5, PredictionQuery(s_star=np.array([s])))
+        pred, = blup(data, 1.0, 0.5, np.array([[s]]))
         assert pred == pytest.approx(x[3], abs=1e-6)
 
     def test_single_point_scalar_algebra(self, rng):
         d = Design(points=np.array([[0.4]]))
         data = GpDataset(design=d, x=np.array([2.5]))
-        q = PredictionQuery(s_star=np.array([0.7]))
         rho = matern_correlation(1.2, 1.5, 0.3)
-        assert blup(data, 1.2, 1.5, q) == pytest.approx(rho * 2.5, rel=1e-12)
+        assert blup(data, 1.2, 1.5, np.array([[0.7]]))[0] == pytest.approx(rho * 2.5, rel=1e-12)
 
     def test_scale_invariance(self, rng):
         d = random_design(6, 2, rng)
         x = rng.standard_normal(6)
-        q = PredictionQuery(s_star=rng.uniform(0, 1, 2))
-        base = blup(GpDataset(design=d, x=x), 0.9, 0.5, q)
-        scaled = blup(GpDataset(design=d, x=3.0 * x), 0.9, 0.5, q)
-        assert scaled / 3.0 == pytest.approx(base, rel=1e-12)
+        pts = rng.uniform(0, 1, (4, 2))
+        base = blup(GpDataset(design=d, x=x), 0.9, 0.5, pts)
+        scaled = blup(GpDataset(design=d, x=3.0 * x), 0.9, 0.5, pts)
+        assert base.shape == (4,)
+        np.testing.assert_allclose(scaled / 3.0, base, rtol=1e-12)
 
     def test_rejects_coincident_point(self, rng):
         d = random_design(5, 1, rng)
         data = GpDataset(design=d, x=np.zeros(5))
         with pytest.raises(CoincidentTestPointError):
-            blup(data, 1.0, 0.5, PredictionQuery(s_star=d.points[0].copy()))
+            blup(data, 1.0, 0.5, d.points[:1].copy())
+
+    def test_points_are_predicted_one_by_one(self, rng):
+        # the K predictions of one call are the K one-point calls
+        d = random_design(7, 2, rng)
+        data = GpDataset(design=d, x=rng.standard_normal(7))
+        pts = rng.uniform(0, 1, (5, 2))
+        one_by_one = [blup(data, 1.3, 1.5, pts[k:k + 1])[0] for k in range(5)]
+        np.testing.assert_allclose(blup(data, 1.3, 1.5, pts), one_by_one, rtol=1e-12)
+
+
+class TestTestPointShape:
+    """Test points are a (K, d) array for the design's d; any other shape is
+    rejected rather than broadcast against the design."""
+
+    @pytest.mark.parametrize("d, points", [
+        (2, np.array([[0.4]])),            # a 1-d point on a 2-d design
+        (2, np.array([0.4, 0.6])),         # one 2-vector, not a (1, 2) array
+        (1, np.array([[0.4, 0.6]])),       # a 2-d point on a 1-d design
+        (1, np.array([0.4, 0.6])),         # K points as a flat vector
+    ])
+    def test_wrong_shape_raises(self, d, points, rng):
+        design = random_design(6, d, rng)
+        data = GpDataset(design=design, x=rng.standard_normal(6))
+        spec = MaternSpec(1.0, 0.5, 0.5)
+        calls = (lambda: blup(data, 0.5, 0.5, points),
+                 lambda: mse_breakdown(design, 0.5, spec, spec, points),
+                 lambda: DenseMseFactors(design, 0.5, 0.5, points))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"\(K, %d\) array" % d):
+                call()
 
 
 class TestMseBreakdown:
     def test_identity_case_zero_ratios(self, rng):
         d = random_design(7, 1, rng)
         spec = MaternSpec(1.0, 0.8, 0.5)
-        q = PredictionQuery(s_star=np.array([0.55]))
-        br = mse_breakdown(d, 0.5, spec, spec, q)
+        br = mse_breakdown(d, 0.5, spec, spec, np.array([[0.55]]))
         assert br.mse_assumed == pytest.approx(br.mse_under_truth, rel=1e-10)
         assert br.mse_assumed == pytest.approx(br.mse_oracle, rel=1e-10)
-        r = efficiency_ratios(br)
-        assert r.r1 == pytest.approx(0.0, abs=1e-10)
-        assert r.r2 == pytest.approx(0.0, abs=1e-10)
+        r1, r2 = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)
+        assert r1 == pytest.approx(0.0, abs=1e-10)
+        assert r2 == pytest.approx(0.0, abs=1e-10)
 
     def test_single_point_closed_form(self):
         d = Design(points=np.array([[0.2]]))
         spec = MaternSpec(1.0, 1.0, 0.5)
-        q = PredictionQuery(s_star=np.array([0.2 + np.log(2.0)]))
-        br = mse_breakdown(d, 0.5, spec, spec, q)
-        assert br.mse_assumed == pytest.approx(0.75, rel=1e-12)
+        br = mse_breakdown(d, 0.5, spec, spec, np.array([[0.2 + np.log(2.0)]]))
+        assert br.mse_assumed == pytest.approx([0.75], rel=1e-12)
 
     def test_monte_carlo_oracle(self, rng):
         # simulate (X_n, X(s*)) under the truth and check the predictive
@@ -84,8 +113,7 @@ class TestMseBreakdown:
         truth = MaternSpec(1.0, 0.5, 0.5)
         assumed = MaternSpec(0.5 / 1.3, 1.3, 0.5)
         s = np.array([0.47])
-        q = PredictionQuery(s_star=s)
-        br = mse_breakdown(d, 0.5, assumed, truth, q)
+        br = mse_breakdown(d, 0.5, assumed, truth, s[None, :])
 
         pts = np.vstack([d.points, s[None, :]])
         dist = np.abs(pts[:, None, 0] - pts[None, :, 0])
@@ -100,7 +128,7 @@ class TestMseBreakdown:
         e2 = err**2
         mc = e2.mean()
         mc_se = e2.std(ddof=1) / np.sqrt(n_draws)
-        assert abs(br.mse_under_truth - mc) < 3 * mc_se
+        assert abs(br.mse_under_truth[0] - mc) < 3 * mc_se
 
     def test_oracle_optimality_and_positivity(self, rng):
         truth = MaternSpec(1.0, 0.5, 0.5)
@@ -108,25 +136,37 @@ class TestMseBreakdown:
             d = random_design(10, int(rng.integers(1, 3)), rng)
             alpha = float(10 ** rng.uniform(-0.5, 0.7))
             assumed = MaternSpec.from_theta(truth.theta, alpha, 0.5)
-            q = PredictionQuery(s_star=rng.uniform(0, 1, d.d))
-            br = mse_breakdown(d, 0.5, assumed, truth, q)
-            assert br.mse_under_truth >= br.mse_oracle - 1e-10
-            assert 0 < br.mse_assumed <= assumed.sigma2
-            assert 0 < br.mse_oracle <= truth.sigma2
+            br = mse_breakdown(d, 0.5, assumed, truth, rng.uniform(0, 1, (3, d.d)))
+            assert br.mse_assumed.shape == (3,)
+            assert np.all(br.mse_under_truth >= br.mse_oracle - 1e-10)
+            assert np.all((0 < br.mse_assumed) & (br.mse_assumed <= assumed.sigma2))
+            assert np.all((0 < br.mse_oracle) & (br.mse_oracle <= truth.sigma2))
+
+    def test_checks_every_entry(self):
+        # positivity and oracle optimality hold at each of the K points, not
+        # just on average
+        ok = np.array([1.0, 1.0])
+        for bad in ({"mse_assumed": np.array([1.0, 0.0])},
+                    {"mse_under_truth": np.array([1.0, 0.5])}):
+            with pytest.raises(ValueError):
+                MseBreakdown(**{"mse_assumed": ok, "mse_under_truth": ok,
+                                "mse_oracle": ok, **bad})
 
     def test_validates_matching_nu(self, rng):
         d = random_design(4, 1, rng)
         with pytest.raises(ValueError):
             mse_breakdown(d, 0.5, MaternSpec(1, 1, 1.5), MaternSpec(1, 1, 0.5),
-                          PredictionQuery(s_star=np.array([0.5])))
+                          np.array([[0.5]]))
 
 
 class TestEfficiencyRatios:
     def test_hand_values(self):
-        br = MseBreakdown(mse_assumed=2.0, mse_under_truth=1.0, mse_oracle=1.0)
-        r = efficiency_ratios(br)
-        assert (r.r1, r.r2) == (1.0, 1.0)
-        assert r.varsigma_hat == 1.0
+        r1, r2 = efficiency_ratios(2.0, 1.0, 1.0)
+        assert (r1, r2) == (1.0, 1.0)
+        assert max(r1, r2) == 1.0
+        r1, r2 = efficiency_ratios(np.array([2.0, 0.5]), np.array([1.0, 1.0]),
+                                   np.array([4.0, 0.25]))
+        assert r1.tolist() == [1.0, 0.5] and r2.tolist() == [0.5, 1.0]
 
     def test_matched_theta_ratio_decreases_with_n(self):
         # theta-matched misspecified model on an OU grid: the deviation
@@ -136,9 +176,8 @@ class TestEfficiencyRatios:
         r1 = {}
         for n in (50, 400):
             d = equispaced(n)
-            q = PredictionQuery(s_star=np.array([1.0 / (2 * n) + 1e-4]))
-            br = mse_breakdown(d, 0.5, assumed, truth, q)
-            r1[n] = efficiency_ratios(br).r1
+            br = mse_breakdown(d, 0.5, assumed, truth, np.array([[1.0 / (2 * n) + 1e-4]]))
+            r1[n] = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)[0]
         assert r1[400] < r1[50]
 
 
@@ -161,13 +200,12 @@ class TestEfficiencyEnvelope:
     def test_single_point_equals_direct_max(self, rng):
         truth = MaternSpec(1.0, 0.5, 0.5)
         d = random_design(9, 1, rng)
-        q = PredictionQuery(s_star=np.array([0.315]))
+        pts = np.array([[0.315]])
         assumed = MaternSpec.from_theta(truth.theta, 2.0, 0.5)
-        br = mse_breakdown(d, 0.5, assumed, truth, q)
-        direct = max(abs(br.mse_assumed / br.mse_under_truth - 1),
-                     abs(br.mse_assumed / br.mse_oracle - 1))
-        assert efficiency_envelope(d, 0.5, 2.0, truth, q.s_star[None, :]) == pytest.approx(
-            direct, rel=1e-12)
+        br = mse_breakdown(d, 0.5, assumed, truth, pts)
+        direct = max(abs(br.mse_assumed[0] / br.mse_under_truth[0] - 1),
+                     abs(br.mse_assumed[0] / br.mse_oracle[0] - 1))
+        assert efficiency_envelope(d, 0.5, 2.0, truth, pts) == pytest.approx(direct, rel=1e-12)
 
     def test_empty_test_set(self, rng):
         with pytest.raises(ValueError):
@@ -187,7 +225,26 @@ class TestEfficiencyEnvelope:
         assert slope <= -0.8
 
 
+def sym_kl_frobenius(design, nu, alpha, alpha0):
+    """The symmetrized KL by two Cholesky factors and Frobenius norms:
+    -n + (c/2) tr(R^{-1} R0) + (1/(2c)) tr(R0^{-1} R), c = (alpha/alpha0)^{2 nu},
+    with tr(A^{-1} B) = ||chol(A)^{-1} chol(B)||_F^2; the oracle for the
+    generalized-spectrum form of :func:`sym_kl_finite`."""
+    la, l0 = (np.linalg.cholesky(build_correlation_matrix(design, a, nu)) for a in (alpha, alpha0))
+    g = solve_triangular(la, l0, lower=True)
+    h = solve_triangular(l0, la, lower=True)
+    c = (alpha / alpha0) ** (2.0 * nu)
+    return -design.n + 0.5 * c * np.sum(g * g) + 0.5 / c * np.sum(h * h)
+
+
 class TestSymKl:
+    @pytest.mark.parametrize("n", [60, 200, 800])
+    def test_equals_the_frobenius_form(self, n):
+        d = equispaced(n)
+        for alpha in (0.25, 2.0):
+            assert sym_kl_finite(d, 0.5, alpha, 0.5) == pytest.approx(
+                sym_kl_frobenius(d, 0.5, alpha, 0.5), rel=1e-12)
+
     def test_zero_at_alpha0(self):
         d = equispaced(60)
         assert sym_kl_finite(d, 0.5, 0.7, 0.7) == pytest.approx(0.0, abs=1e-8)
@@ -228,12 +285,9 @@ class TestSymKl:
             for n in (50, 100, 200):
                 d = equispaced(n)
                 gap = sym_kl_limit(alpha, 0.5) - sym_kl_finite(d, 0.5, alpha, 0.5)
-                test_pts = np.linspace(0.5 / n + 1e-5, 1.0 - 0.5 / n, 40)
-                worst = 0.0
-                for s in test_pts:
-                    br = mse_breakdown(d, 0.5, assumed, truth,
-                                       PredictionQuery(s_star=np.array([s])))
-                    worst = max(worst, abs(br.mse_under_truth / br.mse_assumed - 1.0))
+                test_pts = np.linspace(0.5 / n + 1e-5, 1.0 - 0.5 / n, 40)[:, None]
+                br = mse_breakdown(d, 0.5, assumed, truth, test_pts)
+                worst = np.max(np.abs(br.mse_under_truth / br.mse_assumed - 1.0))
                 assert worst <= 4.0 * gap + 1e-8
 
 
@@ -250,11 +304,10 @@ class TestOuMseProfiles:
         test_points = np.array([0.01, 0.5 * (pts[3] + pts[4]), pts[10] + 1e-4, 0.99])
         factors = OuMseFactors(pts, truth.alpha, test_points)
         (m, q), m0 = factors(np.array([alpha])), factors.m0
-        for k, s in enumerate(test_points):
-            br = mse_breakdown(d, 0.5, assumed, truth, PredictionQuery(s_star=np.array([s])))
-            assert sigma2 * m[0, k] == pytest.approx(br.mse_assumed, rel=1e-10)
-            assert truth.sigma2 * q[0, k] == pytest.approx(br.mse_under_truth, rel=1e-10)
-            assert truth.sigma2 * m0[k] == pytest.approx(br.mse_oracle, rel=1e-10)
+        br = mse_breakdown(d, 0.5, assumed, truth, test_points[:, None])
+        np.testing.assert_allclose(sigma2 * m[0], br.mse_assumed, rtol=1e-10)
+        np.testing.assert_allclose(truth.sigma2 * q[0], br.mse_under_truth, rtol=1e-10)
+        np.testing.assert_allclose(truth.sigma2 * m0, br.mse_oracle, rtol=1e-10)
         # the OU factors against the dense ones, on LHS test points; the
         # dense 1 - r' R^{-1} r carries an absolute round-off near 1e-13,
         # which is most of a factor of 1e-5 next to a design point

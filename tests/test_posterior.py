@@ -146,9 +146,19 @@ class TestRwmChain:
             return np.full(p.shape[0], -np.inf)
         cfg = McmcConfig(n_samples=10, n_burnin=0, step_sizes=(0.5,), seed=0)
         with pytest.raises(InitializationError):
-            rwm_chains(target, [cfg], [np.array([1.0])])
+            rwm_chains(target, [cfg], [np.array([1.0, 1.0])])
         with pytest.raises(InitializationError):
-            rwm_chains(lambda p: np.zeros(p.shape[0]), [cfg], [np.array([-1.0])])
+            rwm_chains(lambda p: np.zeros(p.shape[0]), [cfg], [np.array([-1.0, 1.0])])
+
+    def test_start_of_one_variable_raises_before_any_evaluation(self):
+        calls = []
+        def target(p):
+            calls.append(p.shape)
+            return np.zeros(p.shape[0])
+        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.5,), seed=0)
+        with pytest.raises(ValueError, match="got 1 variables"):
+            rwm_chains(target, [cfg], [np.array([1.0])])
+        assert calls == []
 
     def test_sample_covariance_on_gaussian_log_target(self):
         # target whose log-coordinates are exactly N(mu, Sigma)
