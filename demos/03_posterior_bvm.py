@@ -15,13 +15,15 @@ import numpy as np
 from fixedgp import (
     ExperimentConfig,
     McmcConfig,
+    alpha_chains,
     gen_perturbed_grid,
     joint_target,
     likelihood_engine,
-    limit_setup,
+    profile_target,
     rwm_chains,
     sample_gp_path,
-    sample_limits,
+    theta_limit_draws,
+    tilted_target,
     w2_distance,
 )
 
@@ -39,10 +41,13 @@ for n in (50, 200, 400):
     chain, = rwm_chains(joint_target([engine], prior), [mcmc], [np.array([11.0, 11.0])],
                         "joint-posterior")
 
-    # both limits of this dataset, their alpha chains run in lockstep
-    limit, tilted = sample_limits(
-        [limit_setup(kind, engine, prior, cfg.theta_0, cfg.alpha_0, mcmc)
-         for kind in ("joint-profile", "ou-tilted")], prior)
+    # both limits of this dataset share one i.i.d. normal theta part; their
+    # alpha chains run on (R, 1) targets, here R = 1, from the same stream
+    theta_ss, alpha_ss = np.random.SeedSequence(n + 1).spawn(2)
+    thetas = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, 5000, theta_ss)
+    alpha_mcmc = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(1.5,), seed=alpha_ss)
+    limit, = alpha_chains(profile_target([engine], prior), [alpha_mcmc], [[11.0]], [thetas])
+    tilted, = alpha_chains(tilted_target([engine], prior), [alpha_mcmc], [[11.0]], [thetas])
 
     print(f"n={n:>3}  E(theta)={chain.theta.mean():.4f}  E(alpha)={chain.alpha.mean():.3f}"
           f"  sd(alpha)={chain.alpha.std():.3f}  acc={chain.acceptance_rate:.2f}")

@@ -38,24 +38,22 @@ from .gp import (
     build_correlation_matrix,
     cholesky,
     likelihood_engine,
-    ou_stats,
 )
 from .kernels import MaternSpec
 from .kriging import efficiency_ratios, sym_kl_finite, sym_kl_limit
 from .posterior import (
     GammaPrior,
     InitializationError,
-    LimitSetup,
     McmcConfig,
     PriorSpec,
+    alpha_chains,
     chain_start,
     conditional_bvm_logdensity,
     joint_target,
-    limit_setup,
+    profile_target,
     rwm_chains,
-    sample_limits,
-    tilted_logdensity,
-    tilted_params,
+    theta_limit_draws,
+    tilted_target,
 )
 
 __all__ = [
@@ -124,8 +122,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("sigma2_0", "alpha_0", "nu", "theta_shape", "theta_rate",
                      "alpha_shape", "alpha_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("n_values", "m_values"):
             sizes = getattr(self, name)
             if len(sizes) == 0 or min(sizes) < 1:
@@ -264,13 +262,17 @@ def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
 # ---------------------------------------------------------------------------
 # replication engine
 
-def _chain_init(engine, prior: PriorSpec, target) -> np.ndarray:
-    """Deterministic start at the prior means, falling back to the profiled
-    microergodic value at alpha = 1 if the joint ``target`` rejects them."""
-    init = np.array([prior.theta_prior.mean, prior.alpha_prior.mean])
-    if np.all(np.isfinite(target(init[None]))):
+def _chain_init(target, mean, fallback) -> np.ndarray:
+    """The start of a chain on ``target``: the prior ``mean``, or ``fallback()``
+    if the target rejects it.  The start is evaluated once, and a rejected
+    fallback raises :class:`InitializationError`."""
+    try:
+        chain_start(target, mean)
+        return np.asarray(mean, dtype=float)
+    except InitializationError:
+        init = np.asarray(fallback(), dtype=float)
+        chain_start(target, init)
         return init
-    return np.array([engine.profile(1.0).theta_tilde, 1.0])
 
 
 def _default_steps(n: int) -> tuple:
@@ -285,40 +287,45 @@ _RETRIED = (NotPositiveDefiniteError, DegenerateDataError, InitializationError)
 @dataclass
 class _Setup:
     """One replication at one attempt, with everything that depends on its
-    data alone built and checked: what is left is to run its chains."""
+    data alone built and checked: what is left is to run its chains.  Each
+    chain is a (McmcConfig, start) pair; ``tilted`` is None off the OU model."""
 
     rep: int
     attempt: int
     design: Design
     engine: object
-    init: np.ndarray
-    joint_cfg: McmcConfig
-    limit: LimitSetup
-    tilted: LimitSetup | None
+    theta_limit: np.ndarray     # the theta draws both limits share
+    joint: tuple
+    profile: tuple
+    tilted: tuple | None
 
 
 def _setup(cfg, n_or_m, rep, attempt) -> _Setup:
     d, n, master = cfg.d, n_or_m ** cfg.d, cfg.master_seed
     design = gen_perturbed_grid(d, n_or_m, _seed_seq(master, d, n, rep, attempt, 1))
     data = sample_gp_path(design, cfg.truth, _seed_seq(master, d, n, rep, attempt, 2))
-
     engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
     prior = cfg.prior
-    target = joint_target([engine], prior)
-    init = _chain_init(engine, prior, target)
-    chain_start(target, init)
-    joint_cfg = McmcConfig(
-        n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
-        step_sizes=_default_steps(n), seed=_seed_int(master, d, n, rep, attempt, 3),
-    )
+    alpha_mean = prior.alpha_prior.mean
 
-    def limit(kind, purpose):
-        limit_cfg = McmcConfig(n_samples=cfg.n_samples, n_burnin=cfg.n_burnin, step_sizes=(2.0,),
-                               seed=_seed_int(master, d, n, rep, attempt, purpose))
-        return limit_setup(kind, engine, prior, cfg.theta_0, cfg.alpha_0, limit_cfg)
+    def spawned(purpose):
+        return np.random.SeedSequence(_seed_int(master, d, n, rep, attempt, purpose)).spawn(2)
 
-    return _Setup(rep, attempt, design, engine, init, joint_cfg,
-                  limit("joint-profile", 4), limit("ou-tilted", 5) if engine.is_ou else None)
+    def chain(target, mean, fallback, steps, seed):
+        config = McmcConfig(n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
+                            step_sizes=steps, seed=seed)
+        return config, _chain_init(target([engine], prior), mean, fallback)
+
+    joint = chain(joint_target, [prior.theta_prior.mean, alpha_mean],
+                  lambda: [engine.profile(1.0).theta_tilde, 1.0], _default_steps(n),
+                  _seed_int(master, d, n, rep, attempt, 3))
+    # the theta limit and the profile alpha chain split purpose 4's stream
+    theta_ss, profile_ss = spawned(4)
+    theta_limit = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, cfg.n_samples, theta_ss)
+    profile = chain(profile_target, [alpha_mean], lambda: [1.0], (2.0,), profile_ss)
+    tilted = (chain(tilted_target, [alpha_mean], lambda: [1.0], (2.0,), spawned(5)[1])
+              if engine.is_ou else None)
+    return _Setup(rep, attempt, design, engine, theta_limit, joint, profile, tilted)
 
 
 def _retried(cfg, n, rep, attempt, err):
@@ -338,8 +345,8 @@ def _retried(cfg, n, rep, attempt, err):
 
 def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
     """Replications ``reps`` of one size at one attempt: each is set up on
-    its own, then their joint chains run in lockstep, and then their limit
-    chains.
+    its own, then their joint chains run in lockstep, and then their profile
+    and (OU model only) tilted alpha chains.
 
     A replication's numbers depend on its own (rep, attempt) streams only, so
     they do not depend on the block.  Those that fail, in their set-up or
@@ -353,13 +360,19 @@ def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
         except _RETRIED as err:
             failed.append(_retried(cfg, n, rep, attempt, err))
     if setups:
-        prior = cfg.prior
-        chains = rwm_chains(joint_target([s.engine for s in setups], prior),
-                            [s.joint_cfg for s in setups], [s.init for s in setups],
-                            target_label="joint-posterior")
-        limits = sample_limits([s.limit for s in setups]
-                               + [s.tilted for s in setups if s.tilted is not None], prior)
-        profile, tilted = limits[:len(setups)], limits[len(setups):] or [None] * len(setups)
+        prior, engines, r = cfg.prior, [s.engine for s in setups], len(setups)
+        chains = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)),
+                            "joint-posterior")
+        # the profile and, on the OU model, the tilted alpha chains run as one
+        # lockstep run over their stacked rows, which costs less than a run each
+        targets, starts = [profile_target(engines, prior)], [s.profile for s in setups]
+        if setups[0].tilted is not None:
+            targets.append(tilted_target(engines, prior))
+            starts += [s.tilted for s in setups]
+        limits = alpha_chains(
+            lambda a: np.concatenate([t(a[i * r:(i + 1) * r]) for i, t in enumerate(targets)]),
+            *zip(*starts), [s.theta_limit for s in setups] * len(targets), "alpha-limit")
+        profile, tilted = limits[:r], limits[r:] or [None] * r
         for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
             try:
                 results.append(_replication_result(cfg, setup, chain, limit, tilt,
@@ -606,23 +619,23 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     prior = cfg.prior
     n = data.n
     theta_tilde_alpha0 = engine.profile(cfg.alpha_0).theta_tilde
-    alpha_block = LikelihoodBlock([engine] * alpha_grid.shape[0])
-    qf, _ = alpha_block.terms(alpha_grid)
+    qf, _ = LikelihoodBlock([engine] * alpha_grid.shape[0]).terms(alpha_grid)
     ridge = np.where(np.isfinite(qf), qf / n * alpha_grid ** (2.0 * cfg.nu), np.nan)
-    # one block row per theta, so each alpha column is one call
-    theta_block = LikelihoodBlock([engine] * theta_grid.shape[0])
+    # one target row per theta, so each alpha column is one call
+    joint = joint_target([engine] * theta_grid.shape[0], prior)
     log_true = np.column_stack([
-        theta_block.log_posterior(np.column_stack([theta_grid, np.full_like(theta_grid, a)]), prior)
-        for a in alpha_grid
+        joint(np.column_stack([theta_grid, np.full_like(theta_grid, a)])) for a in alpha_grid
     ])
+    # one target row per alpha
+    alphas, alpha_engines = alpha_grid[:, None], [engine] * alpha_grid.shape[0]
     norm = conditional_bvm_logdensity(theta_grid, theta_tilde_alpha0, cfg.theta_0, n)[:, None]
-    tilted = (tilted_logdensity(tilted_params(ou_stats(data), n), prior, alpha_grid)
+    tilted = (tilted_target(alpha_engines, prior)(alphas)
               if engine.is_ou else np.full(alpha_grid.shape, np.nan))
     surfaces = {
         "theta_grid": theta_grid,
         "alpha_grid": alpha_grid,
         "log_posterior": log_true,
-        "log_profile_limit": norm + alpha_block.log_profile_posterior(alpha_grid, prior),
+        "log_profile_limit": norm + profile_target(alpha_engines, prior)(alphas),
         "log_tilted_limit": norm + tilted,
         "ridge": ridge,
     }

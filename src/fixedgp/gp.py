@@ -309,7 +309,8 @@ class OuEngine(_Engine):
 
     def mse_factors(self, alpha0: float, points: np.ndarray):
         """:class:`fixedgp.kriging.OuMseFactors` at the (K, 1) ``points``."""
-        from .kriging import OuMseFactors
+        from .kriging import OuMseFactors, _test_point_array
+        points = _test_point_array(self.data.design, points)
         return OuMseFactors(self.data.design.coords_1d, alpha0, points[:, 0])
 
 

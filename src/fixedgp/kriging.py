@@ -61,12 +61,18 @@ class MseBreakdown:
             )
 
 
-def _cross_distances(design: Design, points: np.ndarray) -> np.ndarray:
-    """The (n, K) distances from the design points to the (K, d) ``points``,
-    none of which may coincide with a design point."""
+def _test_point_array(design: Design, points) -> np.ndarray:
+    """``points`` as a float array, which must be (K, d) for the design's d."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != design.d:
         raise ValueError(f"test points must be a (K, {design.d}) array, got shape {points.shape}")
+    return points
+
+
+def _cross_distances(design: Design, points: np.ndarray) -> np.ndarray:
+    """The (n, K) distances from the design points to the (K, d) ``points``,
+    none of which may coincide with a design point."""
+    points = _test_point_array(design, points)
     diffs = design.points[None, :, :] - points[:, None, :]
     dist = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
     if np.any(dist == 0.0):

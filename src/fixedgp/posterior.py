@@ -1,7 +1,13 @@
-"""Priors, the joint (theta, alpha) log-posterior, random-walk Metropolis on
-log coordinates, and samplers for the three limiting posteriors.
+"""Priors, random-walk Metropolis on log coordinates, and its targets.
 
-The limiting targets are theory objects: they are centered with the
+Every chain follows one pattern: a target maps (R, k) rows to R log
+densities, and R chains started from checked points run on it in lockstep.
+The targets are the joint (theta, alpha) posterior (:func:`joint_target`)
+and the alpha parts of the two limiting posteriors (:func:`profile_target`
+and, for the OU model, :func:`tilted_target`).  The theta part the limits
+share is an i.i.d. normal, drawn directly by :func:`theta_limit_draws`.
+
+The limiting posteriors are theory objects: they are centered with the
 simulation truth (theta0, alpha0), which the experiment harness supplies.
 """
 
@@ -22,12 +28,14 @@ __all__ = [
     "TiltedParams",
     "InitializationError",
     "joint_target",
+    "profile_target",
+    "tilted_target",
     "rwm_chains",
+    "alpha_chains",
+    "theta_limit_draws",
     "conditional_bvm_logdensity",
     "tilted_params",
     "tilted_logdensity",
-    "limit_setup",
-    "sample_limits",
 ]
 
 
@@ -87,7 +95,7 @@ class McmcConfig:
     n_samples: int = 5000
     n_burnin: int = 1000
     step_sizes: tuple = (0.5, 0.5)
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0    # anything np.random.default_rng takes
 
     def __post_init__(self):
         if self.n_samples <= 0 or self.n_burnin < 0:
@@ -149,13 +157,17 @@ def chain_start(log_target, init):
     return u, fu
 
 
-def _rwm_core(log_target, configs, init, rngs):
+def _rwm_core(log_target, configs, init, k):
     """Metropolis on log coordinates with the change-of-variables Jacobian,
-    for R independent chains advanced in lockstep.
+    for R independent chains of ``k`` variables advanced in lockstep.
 
     ``log_target`` maps an (R, k) array of positive points to R values; chain
     r starts at ``init[r]``, takes its step sizes from ``configs[r]`` and its
-    randomness from ``rngs[r]``, and the configs share the chain length.
+    randomness from ``default_rng(configs[r].seed)``, and the configs share
+    the chain length; starts of another width than ``k``, and step sizes
+    that are neither one value nor ``k``, raise ``ValueError`` before the
+    target is evaluated.
+
     During burn-in, a global scale is driven by Robbins-Monro towards 30%
     acceptance while the per-coordinate steps are recalibrated to the
     running marginal standard deviations of the chain; both are frozen at
@@ -169,16 +181,19 @@ def _rwm_core(log_target, configs, init, rngs):
     """
     if len({(c.n_samples, c.n_burnin) for c in configs}) != 1:
         raise ValueError("chains run in lockstep must share n_samples and n_burnin")
+    width = np.atleast_2d(np.asarray(init, dtype=float)).shape[1]
+    if width != k:
+        raise ValueError(f"expected starts of {k} variables, got {width} variables")
+    # one step size for every variable, or one per variable
+    steps = np.array([np.broadcast_to(np.asarray(c.step_sizes, float), (k,)) for c in configs])
     n_samples, n_burnin = configs[0].n_samples, configs[0].n_burnin
     u, fu = chain_start(log_target, init)
-    n_chains, k = u.shape
-    steps = np.array([
-        np.broadcast_to(np.atleast_1d(np.asarray(c.step_sizes, float))[:k], (k,)) for c in configs
-    ])
+    n_chains = u.shape[0]
     total = n_burnin + n_samples
     noise = np.empty((total, n_chains, k))
     log_uniform = np.empty((total, n_chains))
-    for r, rng in enumerate(rngs):
+    for r, c in enumerate(configs):
+        rng = np.random.default_rng(c.seed)
         for t in range(total):
             rng.standard_normal(out=noise[t, r])
             log_uniform[t, r] = rng.random()
@@ -227,15 +242,25 @@ def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list
     bit for bit the chain drawn alone (R = 1) from the same config and start,
     whatever R and the other rows.
     """
-    k = np.atleast_2d(np.asarray(inits, dtype=float)).shape[1]
-    if k != 2:
-        raise ValueError(f"rwm_chains samples (theta, alpha), got {k} variables")
-    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
-    samples, acc = _rwm_core(log_target, configs, inits, rngs)
+    samples, acc = _rwm_core(log_target, configs, inits, 2)
     return [
         ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a),
                      target_label=target_label)
         for s, a in zip(samples, acc)
+    ]
+
+
+def alpha_chains(log_target, configs, inits, thetas, target_label: str = "custom") -> list:
+    """Random-walk Metropolis over R positive alphas at once, as
+    :func:`rwm_chains` over (R, 1) rows: the alpha chains of R limiting
+    posteriors.  Chain r is paired with the theta draws ``thetas[r]`` (see
+    :func:`theta_limit_draws`), which are independent of it in the limit.
+    """
+    samples, acc = _rwm_core(log_target, configs, inits, 1)
+    return [
+        ChainSamples(theta=th, alpha=s[:, 0], acceptance_rate=float(a),
+                     target_label=target_label)
+        for th, s, a in zip(thetas, samples, acc)
     ]
 
 
@@ -245,6 +270,30 @@ def joint_target(engines, prior: PriorSpec):
     value) in a row of invalid parameters or a failed factorization."""
     block = LikelihoodBlock(engines)
     return lambda p: block.log_posterior(p, prior)
+
+
+def profile_target(engines, prior: PriorSpec):
+    """The alpha log density of the engines' R profile limits (profile
+    log-likelihood plus log alpha prior) as one function of an (R, 1) array
+    of alphas, -inf where :func:`joint_target` is and in a degenerate
+    profile."""
+    block = LikelihoodBlock(engines)
+    return lambda a: block.log_profile_posterior(a[:, 0], prior)
+
+
+def tilted_target(engines, prior: PriorSpec):
+    """The alpha log density of the engines' R tilted normal limits
+    (:func:`tilted_logdensity`) as one function of an (R, 1) array of alphas.
+    Only the OU model has this limit: other engines raise ``ValueError``, and
+    a dataset whose tilted scale is not positive raises
+    ``DegenerateDataError``."""
+    engines = list(engines)
+    if not all(e.is_ou for e in engines):
+        raise ValueError("the tilted limit requires the OU model (d = 1, nu = 1/2)")
+    params = [tilted_params(ou_stats(e.data), e.n) for e in engines]
+    stacked = TiltedParams(u_star=np.array([tp.u_star for tp in params]),
+                           v_star=np.array([tp.v_star for tp in params]))
+    return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:
@@ -280,107 +329,18 @@ def tilted_logdensity(params: TiltedParams, prior: PriorSpec, alpha) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-_LIMIT_LABELS = {"joint-profile": "joint-profile-limit", "ou-tilted": "ou-tilted-limit"}
-
-
-@dataclass(frozen=True)
-class LimitSetup:
-    """A limiting posterior of one dataset with everything fixed and checked
-    before its alpha chain runs (see :func:`limit_setup`)."""
-
-    kind: str
-    engine: object
-    theta: np.ndarray
-    tilted: TiltedParams | None
-    alpha_init: np.ndarray
-    alpha_config: McmcConfig
-    alpha_seed: np.random.SeedSequence
-
-
-def _limit_target(kind, engines, tilted, prior: PriorSpec):
-    """The alpha log density of R limits of one kind as one function of an
-    (R, 1) array, row r equal to the one-dataset density bit for bit."""
-    if kind == "ou-tilted":
-        stacked = TiltedParams(u_star=np.array([tp.u_star for tp in tilted]),
-                               v_star=np.array([tp.v_star for tp in tilted]))
-        return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
-    block = LikelihoodBlock(engines)
-    return lambda a: block.log_profile_posterior(a[:, 0], prior)
-
-
-def limit_setup(kind: str, engine, prior: PriorSpec, theta0: float, alpha0: float,
-                config: McmcConfig) -> LimitSetup:
-    """A limiting posterior of the dataset of ``engine`` with its data-only
-    parts drawn and checked; :func:`sample_limits` draws its alpha chain.
-    ``"joint-profile"``: theta ~ N(theta_tilde at alpha0, 2 theta0^2/n)
-    i.i.d., alpha from the profile posterior; ``"ou-tilted"`` (OU model
-    only): the same theta, alpha from the tilted normal limit.  Theta and
-    alpha use independent streams from ``config.seed``.  Raises what the
-    data can make it raise (``NotPositiveDefiniteError``,
-    ``DegenerateDataError``, ``InitializationError``) before any alpha draw."""
-    if kind not in _LIMIT_LABELS:
-        raise ValueError(f"unknown limit sampler kind {kind!r}")
-    n = engine.n
-    theta_ss, alpha_ss = np.random.SeedSequence(config.seed).spawn(2)
-    center = engine.profile(alpha0).theta_tilde
-    theta = _positive_normal_draws(np.random.default_rng(theta_ss), center,
-                                   np.sqrt(2.0 * theta0**2 / n), config.n_samples)
-    tilted = None
-    if kind == "ou-tilted":
-        if not engine.is_ou:
-            raise ValueError("ou-tilted requires a 1-d dataset with nu = 1/2")
-        tilted = tilted_params(ou_stats(engine.data), n)
-    target = _limit_target(kind, [engine], [tilted], prior)
-    init = np.array([prior.alpha_prior.mean])
-    if not np.isfinite(target(init[None])[0]):
-        init = np.array([1.0])
-    chain_start(target, init)
-    alpha_config = McmcConfig(
-        n_samples=config.n_samples,
-        n_burnin=config.n_burnin,
-        step_sizes=(np.atleast_1d(config.step_sizes)[-1],),
-        seed=config.seed,
-    )
-    return LimitSetup(kind, engine, theta, tilted, init, alpha_config, alpha_ss)
-
-
-def sample_limits(setups, prior: PriorSpec) -> list:
-    """Run the alpha chains of limit setups in lockstep, whatever their kinds.
-    Chain r is bit for bit what setup r draws alone."""
-    parts = []
-    for kind in _LIMIT_LABELS:
-        rows = [i for i, s in enumerate(setups) if s.kind == kind]
-        if rows:
-            picked = [setups[i] for i in rows]
-            parts.append((np.array(rows), _limit_target(
-                kind, [s.engine for s in picked], [s.tilted for s in picked], prior)))
-
-    if len(parts) == 1:     # all of one kind: no row scatter needed
-        target = parts[0][1]
-    else:
-        def target(a):
-            out = np.empty(a.shape[0])
-            for rows, part in parts:
-                out[rows] = part(a[rows])
-            return out
-
-    rngs = [np.random.default_rng(s.alpha_seed) for s in setups]
-    samples, acc = _rwm_core(target, [s.alpha_config for s in setups],
-                             [s.alpha_init for s in setups], rngs)
-    return [
-        ChainSamples(theta=s.theta, alpha=x[:, 0], acceptance_rate=float(a),
-                     target_label=_LIMIT_LABELS[s.kind])
-        for s, x, a in zip(setups, samples, acc)
-    ]
-
-
-def _positive_normal_draws(rng, center, sd, size):
-    """Normal draws with non-positive values rejection-resampled.
+def theta_limit_draws(engine, theta0: float, alpha0: float, size: int, seed) -> np.ndarray:
+    """``size`` i.i.d. draws of the theta part of both limiting posteriors of
+    the dataset of ``engine``: N(theta_tilde(alpha0), 2 theta0^2 / n).
 
     The limiting object is an unrestricted normal, but theta lives on the
-    positive half-line; at the sample sizes used the truncation probability
-    is below 1e-3 even for n = 25, so the distributional effect is nil.
+    positive half-line, so non-positive draws are rejection-resampled; at the
+    sample sizes used the truncation probability is below 1e-3 even for
+    n = 25, so the distributional effect is nil.
     """
+    rng = np.random.default_rng(seed)
+    center = engine.profile(alpha0).theta_tilde
+    sd = np.sqrt(2.0 * theta0**2 / engine.n)
     draws = rng.normal(center, sd, size)
     bad = draws <= 0
     while np.any(bad):

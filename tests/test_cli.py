@@ -323,3 +323,15 @@ class TestMalformedInput:
         p.write_text(f"{line}\n")
         assert main(["table3", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "contour"])
+    @pytest.mark.parametrize("field", ["alpha_0", "sigma2_0"])
+    def test_infinite_config_value_exit_2(self, command, field, tmp_path, capsys):
+        # alpha_0 = inf would simulate white noise; the message names the field
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{field} = inf\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--n", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not out.exists()

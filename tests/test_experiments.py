@@ -26,7 +26,8 @@ from fixedgp.experiments import (
 from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, NotPositiveDefiniteError,
                         OuEngine, build_correlation_matrix, cholesky, likelihood_engine)
 from fixedgp.kernels import MaternSpec, matern_correlation
-from fixedgp.posterior import joint_target, rwm_chains
+from fixedgp.posterior import (InitializationError, joint_target, profile_target, rwm_chains,
+                               tilted_target)
 from conftest import joint_posterior_logdensity, per_draw_mean_max_ratios, sample_ou_path_markov
 
 
@@ -352,8 +353,8 @@ class TestTableRuns:
 def _joint_chain(cfg, n_or_m):
     """Replication 0's engine, joint chain and Table 3 test points."""
     setup = experiments._setup(cfg, n_or_m, 0, 0)
-    chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [setup.joint_cfg],
-                        [setup.init])
+    config, init = setup.joint
+    chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [config], [init])
     points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
     return setup.engine, chain, points
 
@@ -517,17 +518,54 @@ class TestContourGrid:
 
 
 class TestChainInit:
-    def test_fallback_uses_the_resolved_backend(self):
+    """The one start rule of the joint and the alpha chains: the prior mean,
+    else a fallback."""
+
+    @staticmethod
+    def _rejecting(make_target):
+        """``make_target`` with -inf in every row of alpha above 2, so at the
+        prior mean 11 but not at the fallback alpha 1."""
+        def make(engines, prior):
+            target = make_target(engines, prior)
+            return lambda p: np.where(p[:, -1] > 2.0, -np.inf, target(p))
+        return make
+
+    def test_prior_mean_is_evaluated_once(self):
+        calls = []
+
+        def target(p):
+            calls.append(p.copy())
+            return np.zeros(p.shape[0])
+        init = _chain_init(target, [2.0, 3.0], lambda: pytest.fail("fallback evaluated"))
+        assert np.array_equal(init, [2.0, 3.0])
+        assert len(calls) == 1
+
+    def test_rejected_fallback_raises(self):
+        with pytest.raises(InitializationError):
+            _chain_init(lambda p: np.full(p.shape[0], -np.inf), [11.0], lambda: [1.0])
+
+    def test_fallback_uses_the_resolved_backend(self, monkeypatch):
         # nu = 3/2 with the default likelihood = "ou": the replication runs
         # the dense model, so the fallback start must be its profile value
-        cfg = ExperimentConfig(nu=1.5)
-        design = gen_perturbed_grid(1, 40, seed=2)
-        data = sample_gp_path(design, cfg.truth, 3)
-        engine = likelihood_engine(data, cfg.nu, cfg.likelihood)
-        init = _chain_init(engine, cfg.prior, lambda p: -np.inf)
+        cfg = ExperimentConfig(nu=1.5, **TINY)
+        mean = cfg.prior.alpha_prior.mean
+        monkeypatch.setattr(experiments, "joint_target", self._rejecting(joint_target))
+        setup = experiments._setup(cfg, 40, 0, 0)
+        data = setup.engine.data
+        _, init = setup.joint
         assert init[0] == DenseEngine(data, 1.5).profile(1.0).theta_tilde
         assert init[0] != OuEngine(data).profile(1.0).theta_tilde
         assert init[1] == 1.0
+        assert setup.profile[1] == [mean] and setup.tilted is None
+
+    def test_alpha_fallback_is_one(self, monkeypatch):
+        cfg = ExperimentConfig(**TINY)
+        mean = cfg.prior.alpha_prior.mean
+        for name, make in (("profile_target", profile_target), ("tilted_target", tilted_target)):
+            monkeypatch.setattr(experiments, name, self._rejecting(make))
+        setup = experiments._setup(cfg, 40, 0, 0)
+        assert setup.profile[1] == [1.0] and setup.tilted[1] == [1.0]
+        assert np.array_equal(setup.joint[1], [cfg.prior.theta_prior.mean, mean])
 
 
 class TestSweeps:

@@ -4,7 +4,7 @@ import pytest
 from fixedgp.experiments import gen_lhs_testpoints
 from scipy.linalg import solve_triangular
 
-from fixedgp.gp import Design, GpDataset, build_correlation_matrix
+from fixedgp.gp import Design, GpDataset, OuEngine, build_correlation_matrix
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.kriging import (
     CoincidentTestPointError,
@@ -87,6 +87,15 @@ class TestTestPointShape:
         for call in calls:
             with pytest.raises(ValueError, match=r"\(K, %d\) array" % d):
                 call()
+
+    @pytest.mark.parametrize("points", [
+        np.linspace(0.11, 0.91, 10).reshape(5, 2),   # 2-d points on a 1-d design
+        np.linspace(0.11, 0.91, 5),                  # K points as a flat vector
+    ])
+    def test_ou_factors_check_the_shape(self, points, rng):
+        data = GpDataset(design=equispaced(20), x=rng.standard_normal(20))
+        with pytest.raises(ValueError, match=r"\(K, 1\) array"):
+            OuEngine(data).mse_factors(0.5, points)
 
 
 class TestMseBreakdown:

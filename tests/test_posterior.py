@@ -12,13 +12,15 @@ from fixedgp.posterior import (
     McmcConfig,
     PriorSpec,
     TiltedParams,
+    alpha_chains,
     conditional_bvm_logdensity,
     joint_target,
-    limit_setup,
+    profile_target,
     rwm_chains,
-    sample_limits,
+    theta_limit_draws,
     tilted_logdensity,
     tilted_params,
+    tilted_target,
 )
 from fixedgp.gp import log_likelihood
 from conftest import joint_posterior_logdensity, profile_posterior_logdensity
@@ -159,6 +161,36 @@ class TestRwmChain:
         with pytest.raises(ValueError, match="got 1 variables"):
             rwm_chains(target, [cfg], [np.array([1.0])])
         assert calls == []
+
+    def test_alpha_start_of_two_variables_raises_before_any_evaluation(self):
+        calls = []
+        def target(a):
+            calls.append(a.shape)
+            return np.zeros(a.shape[0])
+        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.5,), seed=0)
+        with pytest.raises(ValueError, match="got 2 variables"):
+            alpha_chains(target, [cfg], [np.array([1.0, 1.0])], [np.ones(50)])
+        assert calls == []
+
+    def test_step_sizes_of_another_width_raise_before_any_evaluation(self):
+        # a joint config's (theta, alpha) steps are not an alpha chain's step
+        calls = []
+        def target(a):
+            calls.append(a.shape)
+            return np.zeros(a.shape[0])
+        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.2, 2.0), seed=0)
+        with pytest.raises(ValueError):
+            alpha_chains(target, [cfg], [np.array([1.0])], [np.ones(50)])
+        assert calls == []
+
+    def test_seed_sequence_seed_equals_its_int(self, rng):
+        # default_rng(s) and default_rng(SeedSequence(s)) are one stream
+        target = joint_target([OuEngine(ou_data(20, rng))], PriorSpec())
+        chains = [rwm_chains(target, [McmcConfig(n_samples=200, n_burnin=50, seed=seed)],
+                             [[11.0, 11.0]])[0]
+                  for seed in (12, np.random.SeedSequence(12))]
+        assert np.array_equal(chains[0].theta, chains[1].theta)
+        assert np.array_equal(chains[0].alpha, chains[1].alpha)
 
     def test_sample_covariance_on_gaussian_log_target(self):
         # target whose log-coordinates are exactly N(mu, Sigma)
@@ -346,21 +378,24 @@ class TestJointLimitSampler:
         rng = np.random.default_rng(7)
         self.data = ou_data(100, rng)
         self.prior = PriorSpec()
-        self.cfg = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(0.2, 2.0), seed=3)
+        # theta and both alpha chains take the two streams spawned from seed 3
+        self.theta_seed, alpha_seed = np.random.SeedSequence(3).spawn(2)
+        self.cfg = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(2.0,), seed=alpha_seed)
 
-    def _limits(self, kinds, engine):
-        return sample_limits([limit_setup(kind, engine, self.prior, 0.5, 0.5, self.cfg)
-                              for kind in kinds], self.prior)
+    def _limits(self, targets, engine):
+        thetas = theta_limit_draws(engine, 0.5, 0.5, self.cfg.n_samples, self.theta_seed)
+        return [alpha_chains(target([engine], self.prior), [self.cfg], [[11.0]], [thetas])[0]
+                for target in targets]
 
     def test_theta_marginal_moments(self):
-        ch, = self._limits(["joint-profile"], OuEngine(self.data))
+        ch, = self._limits([profile_target], OuEngine(self.data))
         center = DenseEngine(self.data, 0.5).profile(0.5).theta_tilde
         var = 2 * 0.25 / 100
         assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(var / 5000)
         assert np.var(ch.theta) == pytest.approx(var, rel=0.10)
 
     def test_theta_alpha_independent(self):
-        ch, = self._limits(["joint-profile"], OuEngine(self.data))
+        ch, = self._limits([profile_target], OuEngine(self.data))
         corr = np.corrcoef(ch.theta, ch.alpha)[0, 1]
         assert abs(corr) < 0.05
 
@@ -373,13 +408,18 @@ class TestJointLimitSampler:
             r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            prof, tilt = self._limits(["joint-profile", "ou-tilted"], OuEngine(data))
+            prof, tilt = self._limits([profile_target, tilted_target], OuEngine(data))
             w2[n] = w2_distance(prof.alpha, tilt.alpha)
         assert w2[400] < w2[100]
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            self._limits(["bogus"], OuEngine(self.data))
+    def test_tilted_target_rejects_a_non_ou_engine(self):
+        ou = OuEngine(self.data)
+        for engines in ([DenseEngine(self.data, 1.5)], [ou, DenseEngine(self.data, 1.5)]):
+            with pytest.raises(ValueError, match="OU model"):
+                tilted_target(engines, self.prior)
+        # the OU model on the dense backend has the tilted limit too
+        dense = tilted_target([DenseEngine(self.data, 0.5)], self.prior)(np.array([[0.7]]))
+        assert dense[0] == tilted_target([ou], self.prior)(np.array([[0.7]]))[0]
 
 
 class _CountingDenseEngine(DenseEngine):
@@ -469,7 +509,7 @@ class TestLockstep:
         assert a.acceptance_rate == b.acceptance_rate
         assert a.target_label == b.target_label
 
-    def _check(self, engines, kinds):
+    def _check(self, engines, alpha_targets):
         inits = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
         inits = inits[:len(engines)]
         configs = self._configs(len(engines), 40)
@@ -477,19 +517,22 @@ class TestLockstep:
         for e, cfg, init, chain in zip(engines, configs, inits, block):
             self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init],
                                                 "joint")[0])
-        for kind in kinds:
-            configs = self._configs(len(engines), 70)
-            setups = [limit_setup(kind, e, self.prior, 0.5, 0.5, cfg)
-                      for e, cfg in zip(engines, configs)]
-            block = sample_limits(setups, self.prior)
-            for e, cfg, chain in zip(engines, configs, block):
-                alone = limit_setup(kind, e, self.prior, 0.5, 0.5, cfg)
-                self._assert_same(chain, sample_limits([alone], self.prior)[0])
+        thetas = [theta_limit_draws(e, 0.5, 0.5, 250, seed) for seed, e in enumerate(engines)]
+        inits = [[11.0], [1.0], [2.0]][:len(engines)]
+        for target in alpha_targets:
+            # as the harness seeds them: the second stream spawned from each seed
+            configs = [McmcConfig(n_samples=250, n_burnin=300, step_sizes=(2.0,),
+                                  seed=np.random.SeedSequence(70 + i).spawn(2)[1])
+                       for i in range(len(engines))]
+            block = alpha_chains(target(engines, self.prior), configs, inits, thetas, "limit")
+            for e, cfg, init, theta, chain in zip(engines, configs, inits, thetas, block):
+                self._assert_same(chain, alpha_chains(target([e], self.prior), [cfg], [init],
+                                                      [theta], "limit")[0])
 
     def test_ou_block_equals_single_chains(self):
         rng = np.random.default_rng(21)
         engines = [OuEngine(ou_data(60, rng)) for _ in range(3)]
-        self._check(engines, ("joint-profile", "ou-tilted"))
+        self._check(engines, (profile_target, tilted_target))
 
     def test_dense_block_equals_single_chains_through_cholesky_failures(self):
         # the d=1, n=100 perturbed grid of seed 0 at nu = 5/2: its correlation
@@ -501,7 +544,7 @@ class TestLockstep:
         paths = [np.ones(100), rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100)]
         engines = [_CountingDenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths]
         _CountingDenseEngine.failures = 0
-        self._check(engines, ("joint-profile",))
+        self._check(engines, (profile_target,))
         assert _CountingDenseEngine.failures > 0
 
     def test_chain_length_must_agree(self):

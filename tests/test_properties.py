@@ -73,7 +73,7 @@ def test_mse_under_truth_is_at_least_the_oracle(design, at, alpha, alpha0):
 
 
 # the config fields whose smallest valid value is 0; every other int field
-# starts at 1, and every float field is positive
+# starts at 1, and every float field is positive and finite
 ZERO_ALLOWED = {"n_burnin", "n_test_points", "n_workers", "master_seed"}
 FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 CHOICES = {"d": (1, 2), "likelihood": ("ou", "dense")}
@@ -101,7 +101,7 @@ def invalid_value(name):
     if kind is int:
         return st.integers(-10**9, -1 if name in ZERO_ALLOWED else 0)
     if kind is float:
-        return st.floats(max_value=0.0) | st.just(math.nan)
+        return st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
     return st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(
         lambda v: min(v) < 1).map(tuple)
 
