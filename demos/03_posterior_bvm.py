@@ -38,8 +38,7 @@ for n in (50, 200, 400):
     mcmc = McmcConfig(n_samples=5000, n_burnin=1000,
                       step_sizes=(1.7 * np.sqrt(2 / n), 1.5), seed=n + 1)
     # the joint target maps (R, 2) rows of (theta, alpha) to R values; here R = 1
-    chain, = rwm_chains(joint_target([engine], prior), [mcmc], [np.array([11.0, 11.0])],
-                        "joint-posterior")
+    chain, = rwm_chains(joint_target([engine], prior), [mcmc], [np.array([11.0, 11.0])])
 
     # both limits of this dataset share one i.i.d. normal theta part; their
     # alpha chains run on (R, 1) targets, here R = 1, from the same stream

@@ -27,9 +27,9 @@ print(f"summary of the shifted sample: mean={mean:.4f}, sd={sd:.4f}")
 design = Design(points=np.sort(rng.uniform(0, 1, 40))[:, None])
 theta0, alpha0, nu = 0.5, 0.5, 0.5
 for alpha in (0.25, 0.5, 1.0, 2.0):
-    spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+    lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
     power = (alpha0 / alpha) ** (2 * nu + 1)
     lo, hi = min(power, 1.0), max(power, 1.0)
-    print(f"alpha={alpha:>4}: lambda in [{spec.lambdas.min():.4f}, "
-          f"{spec.lambdas.max():.4f}]  bounds [{lo:.4f}, {hi:.4f}]")
+    print(f"alpha={alpha:>4}: lambda in [{lambdas.min():.4f}, "
+          f"{lambdas.max():.4f}]  bounds [{lo:.4f}, {hi:.4f}]")
 print("at alpha = alpha0 the spectrum is identically 1 (same measure).")

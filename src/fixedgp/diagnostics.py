@@ -5,32 +5,16 @@ basic posterior summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .gp import Design, build_correlation_matrix, cholesky
 
 __all__ = [
-    "LambdaSpectrum",
     "w2_distance",
     "generalized_lambdas",
     "summarize",
 ]
-
-
-@dataclass(frozen=True)
-class LambdaSpectrum:
-    """Eigenvalues diagonalizing a matched-theta pair, sorted ascending."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if np.any(lam <= 0):
-            raise ValueError("generalized eigenvalues must be strictly positive")
-        object.__setattr__(self, "lambdas", np.sort(lam))
 
 
 def w2_distance(a, b) -> float:
@@ -59,13 +43,14 @@ def generalized_lambdas(
     alpha: float,
     alpha0: float,
     theta0: float,
-) -> LambdaSpectrum:
-    """Spectrum of the whitened matched-theta covariance pair.
+) -> np.ndarray:
+    """Spectrum of the whitened matched-theta covariance pair, ascending.
 
     With sigma0^2 R0 = L0 L0' the returned values are the eigenvalues of
     L0^{-1} (sigma2 R_alpha) L0^{-'} where both variances are pinned to the
     shared microergodic value theta0.  At alpha = alpha0 the spectrum is
-    identically one.
+    identically one.  A spectrum that is not strictly positive raises
+    ``ValueError``.
     """
     if not theta0 > 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
@@ -76,7 +61,10 @@ def generalized_lambdas(
     half = solve_triangular(l0, r_alpha, lower=True)
     m = solve_triangular(l0, half.T, lower=True)
     m = 0.5 * (m + m.T)
-    return LambdaSpectrum(lambdas=np.linalg.eigvalsh(m))
+    lambdas = np.linalg.eigvalsh(m)
+    if np.any(lambdas <= 0):
+        raise ValueError("generalized eigenvalues must be strictly positive")
+    return lambdas
 
 
 def summarize(values) -> tuple[float, float]:

@@ -361,8 +361,7 @@ def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
             failed.append(_retried(cfg, n, rep, attempt, err))
     if setups:
         prior, engines, r = cfg.prior, [s.engine for s in setups], len(setups)
-        chains = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)),
-                            "joint-posterior")
+        chains = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)))
         # the profile and, on the OU model, the tilted alpha chains run as one
         # lockstep run over their stacked rows, which costs less than a run each
         targets, starts = [profile_target(engines, prior)], [s.profile for s in setups]
@@ -371,7 +370,7 @@ def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
             starts += [s.tilted for s in setups]
         limits = alpha_chains(
             lambda a: np.concatenate([t(a[i * r:(i + 1) * r]) for i, t in enumerate(targets)]),
-            *zip(*starts), [s.theta_limit for s in setups] * len(targets), "alpha-limit")
+            *zip(*starts), [s.theta_limit for s in setups] * len(targets))
         profile, tilted = limits[:r], limits[r:] or [None] * r
         for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
             try:
@@ -682,14 +681,14 @@ def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1,
         if d == 1:
             pts.sort(axis=0)
         design = Design(points=pts, T=1.0)
-        spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+        lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
         ratio = (alpha0 / alpha) ** (2.0 * nu + d)
         lo, hi = min(ratio, 1.0), max(ratio, 1.0)
-        ok = (spec.lambdas.min() >= lo - 1e-8) and (spec.lambdas.max() <= hi + 1e-8)
+        ok = (lambdas.min() >= lo - 1e-8) and (lambdas.max() <= hi + 1e-8)
         rows.append({
             "instance": i, "n": n, "d": d, "alpha": alpha, "alpha0": alpha0,
-            "lambda_min": float(spec.lambdas.min()),
-            "lambda_max": float(spec.lambdas.max()),
+            "lambda_min": float(lambdas.min()),
+            "lambda_max": float(lambdas.max()),
             "bound_lo": lo, "bound_hi": hi, "ok": bool(ok),
         })
     if out_path is not None:

@@ -32,7 +32,6 @@ __all__ = [
     "Design",
     "GpDataset",
     "ProfileStats",
-    "OuStats",
     "NotPositiveDefiniteError",
     "DegenerateDataError",
     "DenseEngine",
@@ -43,7 +42,6 @@ __all__ = [
     "build_correlation_matrix",
     "cholesky",
     "log_likelihood",
-    "ou_stats",
     "ou_loglik_fast",
     "load_dataset",
     "save_dataset",
@@ -147,23 +145,6 @@ class ProfileStats:
     sigma2_tilde: float
     theta_tilde: float
     profile_loglik: float
-
-
-@dataclass(frozen=True)
-class OuStats:
-    """Quadratic statistics of a 1-d observation vector.
-
-    a1 sums interior squares, a2 the lag-1 cross products, a3 all squares;
-    a1 + a3 - 2 a2 is a sum of squared increments and hence nonnegative.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-
-    def __post_init__(self):
-        if self.a1 + self.a3 - 2.0 * self.a2 < -1e-12 * max(self.a3, 1.0):
-            raise ValueError("invalid OU statistics: a1 + a3 - 2 a2 < 0")
 
 
 def build_correlation_matrix(design: Design, alpha: float, nu: float) -> np.ndarray:
@@ -413,18 +394,6 @@ def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> 
 def log_likelihood(data: GpDataset, spec: MaternSpec) -> float:
     """Exact Gaussian log-likelihood (2 pi constant dropped), dense path."""
     return DenseEngine(data, spec.nu).loglik(spec.sigma2, spec.alpha)
-
-
-def ou_stats(data: GpDataset) -> OuStats:
-    """Interior, cross, and total quadratic statistics of a 1-d dataset."""
-    if data.design.d != 1:
-        raise ValueError(f"ou_stats requires d = 1, design has d = {data.design.d}")
-    x = data.x
-    return OuStats(
-        a1=float(x[1:-1] @ x[1:-1]),
-        a2=float(x[:-1] @ x[1:]),
-        a3=float(x @ x),
-    )
 
 
 def ou_loglik_fast(data: GpDataset, sigma2: float, alpha: float) -> float:

@@ -188,7 +188,7 @@ def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> flo
         raise ValueError("sym_kl_finite is derived for nu = 1/2")
     if alpha == alpha0:
         return 0.0
-    lam = generalized_lambdas(design, nu, alpha, alpha0, 1.0).lambdas
+    lam = generalized_lambdas(design, nu, alpha, alpha0, 1.0)
     return float(0.5 * np.sum((lam - 1.0) ** 2 / lam))
 
 

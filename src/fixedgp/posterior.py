@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import DegenerateDataError, LikelihoodBlock, OuStats, ou_stats
+from .gp import DegenerateDataError, LikelihoodBlock
 
 __all__ = [
     "GammaPrior",
     "PriorSpec",
     "McmcConfig",
     "ChainSamples",
-    "TiltedParams",
     "InitializationError",
     "joint_target",
     "profile_target",
@@ -34,8 +33,6 @@ __all__ = [
     "alpha_chains",
     "theta_limit_draws",
     "conditional_bvm_logdensity",
-    "tilted_params",
-    "tilted_logdensity",
 ]
 
 
@@ -62,18 +59,15 @@ class GammaPrior:
         return self.shape / self.rate
 
     def logpdf(self, x) -> float:
+        """Log density at ``x``; -inf where ``x`` is not positive and finite."""
         x = np.asarray(x, dtype=float)
-        positive = x > 0
-        if positive.all():
-            out = self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x
-        else:
-            out = np.where(
-                positive,
-                self._log_norm
-                + (self.shape - 1.0) * np.log(np.where(positive, x, 1.0))
-                - self.rate * x,
-                -np.inf,
-            )
+        ok = (x > 0) & (x < np.inf)
+        all_ok = ok.all()
+        if not all_ok:
+            x = np.where(ok, x, 1.0)
+        out = self._log_norm + (self.shape - 1.0) * np.log(x) - self.rate * x
+        if not all_ok:
+            out = np.where(ok, out, -np.inf)
         return float(out) if out.ndim == 0 else out
 
 
@@ -111,7 +105,6 @@ class ChainSamples:
     alpha: np.ndarray
     theta: np.ndarray
     acceptance_rate: float
-    target_label: str
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -124,19 +117,6 @@ class ChainSamples:
             raise ValueError("theta draws must be strictly positive")
         if not 0.0 <= self.acceptance_rate <= 1.0:
             raise ValueError(f"acceptance rate {self.acceptance_rate} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TiltedParams:
-    """Center and scale of the polynomially tilted normal limit for alpha
-    (scalars, or arrays that hold one limit per row)."""
-
-    u_star: float
-    v_star: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.v_star) > 0):
-            raise DegenerateDataError(f"v_star must be positive, got {self.v_star}")
 
 
 def chain_start(log_target, init):
@@ -233,7 +213,7 @@ def _rwm_core(log_target, configs, init, k):
     return np.exp(out, out=out), np.count_nonzero(accepted, axis=0) / n_samples
 
 
-def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list:
+def rwm_chains(log_target, configs, inits) -> list:
     """Random-walk Metropolis over R positive pairs (theta, alpha) at once.
 
     ``log_target`` maps an (R, 2) array of points on the original
@@ -244,13 +224,12 @@ def rwm_chains(log_target, configs, inits, target_label: str = "custom") -> list
     """
     samples, acc = _rwm_core(log_target, configs, inits, 2)
     return [
-        ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a),
-                     target_label=target_label)
+        ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a))
         for s, a in zip(samples, acc)
     ]
 
 
-def alpha_chains(log_target, configs, inits, thetas, target_label: str = "custom") -> list:
+def alpha_chains(log_target, configs, inits, thetas) -> list:
     """Random-walk Metropolis over R positive alphas at once, as
     :func:`rwm_chains` over (R, 1) rows: the alpha chains of R limiting
     posteriors.  Chain r is paired with the theta draws ``thetas[r]`` (see
@@ -258,8 +237,7 @@ def alpha_chains(log_target, configs, inits, thetas, target_label: str = "custom
     """
     samples, acc = _rwm_core(log_target, configs, inits, 1)
     return [
-        ChainSamples(theta=th, alpha=s[:, 0], acceptance_rate=float(a),
-                     target_label=target_label)
+        ChainSamples(theta=th, alpha=s[:, 0], acceptance_rate=float(a))
         for th, s, a in zip(thetas, samples, acc)
     ]
 
@@ -282,18 +260,42 @@ def profile_target(engines, prior: PriorSpec):
 
 
 def tilted_target(engines, prior: PriorSpec):
-    """The alpha log density of the engines' R tilted normal limits
-    (:func:`tilted_logdensity`) as one function of an (R, 1) array of alphas.
-    Only the OU model has this limit: other engines raise ``ValueError``, and
-    a dataset whose tilted scale is not positive raises
-    ``DegenerateDataError``."""
+    """The alpha log density of the engines' R polynomially tilted normal
+    limits as one function of an (R, 1) array of alphas:
+
+        (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha),
+
+    with u* = n (A1 - A2) / A1 and v* = n (A1 - 2 A2 + A3) / A1, where A1
+    sums the interior squares of a dataset, A2 its lag-1 products and A3 all
+    its squares; -inf in a row whose alpha is not positive and finite.  Only
+    the OU model has this limit: other engines raise ``ValueError``, and a
+    dataset whose A1 or v* is not positive raises ``DegenerateDataError``.
+    """
     engines = list(engines)
     if not all(e.is_ou for e in engines):
         raise ValueError("the tilted limit requires the OU model (d = 1, nu = 1/2)")
-    params = [tilted_params(ou_stats(e.data), e.n) for e in engines]
-    stacked = TiltedParams(u_star=np.array([tp.u_star for tp in params]),
-                           v_star=np.array([tp.v_star for tp in params]))
-    return lambda a: tilted_logdensity(stacked, prior, a[:, 0])
+    a1, a2, a3 = np.array([(x[1:-1] @ x[1:-1], x[:-1] @ x[1:], x @ x)
+                           for x in (e.data.x for e in engines)]).T
+    if not np.all(a1 > 0):
+        raise DegenerateDataError(f"A1 must be positive, got {a1}")
+    n = np.array([e.n for e in engines])
+    u_star = n * (a1 - a2) / a1
+    v_star = n * (a1 - 2.0 * a2 + a3) / a1
+    if not np.all(v_star > 0):
+        raise DegenerateDataError(f"v_star must be positive, got {v_star}")
+    two_v_star = 2.0 * v_star
+
+    def log_density(a):
+        alpha = a[:, 0]
+        ok = (alpha > 0) & (alpha < np.inf)
+        all_ok = ok.all()
+        if not all_ok:
+            alpha = np.where(ok, alpha, 1.0)
+        out = (0.5 * np.log(alpha) - (alpha - u_star) ** 2 / two_v_star
+               + prior.alpha_prior.logpdf(alpha))
+        return out if all_ok else np.where(ok, out, -np.inf)
+
+    return log_density
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:
@@ -303,29 +305,6 @@ def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n
     var = 2.0 * theta0**2 / n
     theta = np.asarray(theta, dtype=float)
     out = -0.5 * np.log(2.0 * np.pi * var) - (theta - theta_tilde_alpha) ** 2 / (2.0 * var)
-    return float(out) if out.ndim == 0 else out
-
-
-def tilted_params(stats: OuStats, n: int) -> TiltedParams:
-    """Center u* = n(A1 - A2)/A1 and scale v* = n(A1 - 2 A2 + A3)/A1."""
-    if stats.a1 <= 0:
-        raise DegenerateDataError(f"A1 must be positive, got {stats.a1}")
-    u = n * (stats.a1 - stats.a2) / stats.a1
-    v = n * (stats.a1 - 2.0 * stats.a2 + stats.a3) / stats.a1
-    return TiltedParams(u_star=float(u), v_star=float(v))
-
-
-def tilted_logdensity(params: TiltedParams, prior: PriorSpec, alpha) -> float:
-    """Polynomially tilted normal limit for alpha (unnormalized log density):
-    (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha)."""
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("tilted_logdensity requires alpha > 0")
-    out = (
-        0.5 * np.log(a)
-        - (a - params.u_star) ** 2 / (2.0 * params.v_star)
-        + prior.alpha_prior.logpdf(alpha)
-    )
     return float(out) if out.ndim == 0 else out
 
 

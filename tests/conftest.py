@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,37 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+OuStats = namedtuple("OuStats", "a1 a2 a3")
+
+
+def ou_stats(data) -> OuStats:
+    """The interior sum of squares A1, the lag-1 sum of products A2 and the
+    total sum of squares A3 of a 1-d dataset: the statistics the OU closed
+    forms below are written in."""
+    x = data.x
+    return OuStats(a1=float(x[1:-1] @ x[1:-1]), a2=float(x[:-1] @ x[1:]), a3=float(x @ x))
+
+
+def tilted_center_scale(data) -> tuple:
+    """Center u* = n (A1 - A2) / A1 and scale v* = n (A1 - 2 A2 + A3) / A1
+    of the tilted normal limit of a 1-d dataset."""
+    s = ou_stats(data)
+    return data.n * (s.a1 - s.a2) / s.a1, data.n * (s.a1 - 2.0 * s.a2 + s.a3) / s.a1
+
+
+def tilted_logdensity(u_star, v_star, prior, alpha):
+    """Unnormalized log density of the tilted normal limit for alpha,
+    (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha), at positive
+    ``alpha``: the oracle :func:`fixedgp.posterior.tilted_target` is checked
+    against."""
+    a = np.asarray(alpha, dtype=float)
+    return 0.5 * np.log(a) - (a - u_star) ** 2 / (2.0 * v_star) + prior.alpha_prior.logpdf(a)
+
+
 def ou_profile_loglik(stats, n: int, alpha: float) -> float:
     """Closed-form OU profile log-likelihood for the equispaced grid s_i = i/n,
-    from the statistics of :func:`fixedgp.gp.ou_stats`: the oracle the
-    engines' profiles are checked against.
+    from the statistics of :func:`ou_stats`: the oracle the engines' profiles
+    are checked against.
 
     Equals the dense profile log-likelihood minus the alpha-independent
     constant (n/2) log n.

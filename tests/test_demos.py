@@ -1,10 +1,12 @@
-"""Each demo script runs to completion against the package in ``src``, the
-package exports exactly the names the demos import from it, and no other
-module of the package imports a name it never reads."""
+"""Each demo script and each Python example of the README runs to completion
+against the package in ``src``, the package exports exactly the names the
+demos import from it, and no other module of the package imports a name it
+never reads."""
 
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +22,17 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.MULTILINE | re.DOTALL)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (block, proc.stderr)
 
 
 def _imported_names(path, wanted):

@@ -47,8 +47,8 @@ class TestW2Distance:
 class TestGeneralizedLambdas:
     def test_identity_at_alpha0(self, rng):
         d = Design(points=rng.uniform(0, 1, (20, 1)))
-        spec = generalized_lambdas(d, 0.5, 0.7, 0.7, 0.5)
-        assert np.max(np.abs(spec.lambdas - 1.0)) < 1e-10
+        lambdas = generalized_lambdas(d, 0.5, 0.7, 0.7, 0.5)
+        assert np.max(np.abs(lambdas - 1.0)) < 1e-10
 
     def test_power_ratio_bounds(self, rng):
         # matched-theta pair spectrum between the endpoint power ratios
@@ -59,11 +59,11 @@ class TestGeneralizedLambdas:
             nu = float(rng.choice([0.5, 1.5]))
             alpha = float(10 ** rng.uniform(-0.5, 0.5))
             alpha0 = float(10 ** rng.uniform(-0.5, 0.5))
-            spec = generalized_lambdas(design, nu, alpha, alpha0, 0.5)
+            lambdas = generalized_lambdas(design, nu, alpha, alpha0, 0.5)
             ratio = (alpha0 / alpha) ** (2 * nu + d_dim)
             lo, hi = min(ratio, 1.0), max(ratio, 1.0)
-            assert spec.lambdas.min() >= lo - 1e-8
-            assert spec.lambdas.max() <= hi + 1e-8
+            assert lambdas.min() >= lo - 1e-8
+            assert lambdas.max() <= hi + 1e-8
 
     def test_three_by_three_characteristic_polynomial_oracle(self, rng):
         # independent route: fit det(A - lambda B) exactly from 4 evaluations
@@ -78,8 +78,8 @@ class TestGeneralizedLambdas:
         dets = np.array([np.linalg.det(a - l * b) for l in lam_eval])
         coeffs = np.polyfit(lam_eval, dets, 3)
         roots = np.sort(np.roots(coeffs).real)
-        spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
-        assert np.allclose(spec.lambdas, roots, rtol=1e-8)
+        lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+        assert np.allclose(lambdas, roots, rtol=1e-8)
 
     def test_whitened_reconstruction_identity(self, rng):
         # n (theta_tilde(alpha) - theta_tilde(alpha0)) / theta0 equals
@@ -95,7 +95,7 @@ class TestGeneralizedLambdas:
         engine = DenseEngine(data, nu)
         l0 = np.linalg.cholesky(sigma2_0 * r0)
         for alpha in (0.3, 1.1, 2.4):
-            spec = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+            lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
             # whitened coordinates V' L0^{-1} x, V the eigenvectors of the
             # whitened pair in the ascending order of the spectrum
             sigma2 = theta0 / alpha ** (2 * nu)
@@ -105,14 +105,14 @@ class TestGeneralizedLambdas:
             y = vec.T @ np.linalg.solve(l0, x)
             lhs = n * (engine.profile(alpha).theta_tilde
                        - engine.profile(alpha0).theta_tilde) / theta0
-            rhs = np.sum((1.0 / spec.lambdas - 1.0) * y**2)
+            rhs = np.sum((1.0 / lambdas - 1.0) * y**2)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_spectrum_sorted_positive(self, rng):
         d = Design(points=rng.uniform(0, 1, (15, 2)))
-        spec = generalized_lambdas(d, 1.5, 2.0, 0.5, 0.5)
-        assert np.all(spec.lambdas > 0)
-        assert np.all(np.diff(spec.lambdas) >= 0)
+        lambdas = generalized_lambdas(d, 1.5, 2.0, 0.5, 0.5)
+        assert np.all(lambdas > 0)
+        assert np.all(np.diff(lambdas) >= 0)
 
 
 class TestSummarize:

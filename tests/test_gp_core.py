@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from fixedgp.gp import (
+    DegenerateDataError,
     DenseEngine,
     Design,
     GpDataset,
@@ -14,12 +15,13 @@ from fixedgp.gp import (
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
-    ou_stats,
     save_dataset,
 )
 from fixedgp.kernels import MaternSpec, matern_correlation
+from fixedgp.posterior import PriorSpec, tilted_target
 
-from conftest import joint_posterior_logdensity, ou_profile_loglik, profile_posterior_logdensity
+from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
+                      profile_posterior_logdensity, tilted_logdensity)
 
 
 def equispaced_design(n):
@@ -250,26 +252,48 @@ class TestProfileStats:
 
 
 class TestOuStats:
+    """The statistics of the oracle, and the tilted target written in them."""
+
+    alphas = np.array([0.05, 0.5, 1.0, 3.0, 12.0])
+
+    def _tilted(self, data):
+        return tilted_target([OuEngine(data)], PriorSpec())(self.alphas[:, None])
+
     def test_examples(self):
         d3 = Design(points=np.array([[0.1], [0.2], [0.3]]))
-        s = ou_stats(GpDataset(design=d3, x=np.array([0.0, 1.0, 0.0])))
+        data = GpDataset(design=d3, x=np.array([0.0, 1.0, 0.0]))
+        s = ou_stats(data)
         assert (s.a1, s.a2, s.a3) == (1.0, 0.0, 1.0)
+        # u* = 3 (1 - 0) / 1 and v* = 3 (1 - 0 + 1) / 1
+        assert self._tilted(data) == pytest.approx(
+            tilted_logdensity(3.0, 6.0, PriorSpec(), self.alphas), rel=1e-14)
         d4 = Design(points=np.array([[0.1], [0.2], [0.3], [0.4]]))
-        s = ou_stats(GpDataset(design=d4, x=np.ones(4)))
+        data = GpDataset(design=d4, x=np.ones(4))
+        s = ou_stats(data)
         assert (s.a1, s.a2, s.a3) == (2.0, 3.0, 4.0)
+        # v* = 4 (2 - 6 + 4) / 2 = 0
+        with pytest.raises(DegenerateDataError):
+            self._tilted(data)
 
     def test_matches_naive_summation(self, rng):
         x = rng.standard_normal(50)
         d = Design(points=np.sort(rng.uniform(0, 1, 50))[:, None])
-        s = ou_stats(GpDataset(design=d, x=x))
-        assert s.a1 == pytest.approx(sum(x[i] ** 2 for i in range(1, 49)), rel=1e-14)
-        assert s.a2 == pytest.approx(sum(x[i] * x[i + 1] for i in range(49)), rel=1e-14)
-        assert s.a3 == pytest.approx(sum(v**2 for v in x), rel=1e-14)
+        data = GpDataset(design=d, x=x)
+        s = ou_stats(data)
+        a1 = sum(x[i] ** 2 for i in range(1, 49))
+        a2 = sum(x[i] * x[i + 1] for i in range(49))
+        a3 = sum(v**2 for v in x)
+        assert s.a1 == pytest.approx(a1, rel=1e-14)
+        assert s.a2 == pytest.approx(a2, rel=1e-14)
+        assert s.a3 == pytest.approx(a3, rel=1e-14)
+        u_star, v_star = 50 * (a1 - a2) / a1, 50 * (a1 - 2 * a2 + a3) / a1
+        assert self._tilted(data) == pytest.approx(
+            tilted_logdensity(u_star, v_star, PriorSpec(), self.alphas), rel=1e-12)
 
     def test_requires_1d(self, rng):
         d = Design(points=rng.uniform(0, 1, (5, 2)))
         with pytest.raises(ValueError):
-            ou_stats(GpDataset(design=d, x=np.zeros(5)))
+            tilted_target([DenseEngine(GpDataset(design=d, x=np.zeros(5)), 0.5)], PriorSpec())
 
 
 class TestOuProfileLoglik:

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from fixedgp.gp import (DenseEngine, Design, GpDataset, LikelihoodBlock, NotPositiveDefiniteError,
-                        OuEngine, ou_stats)
+from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, GpDataset, LikelihoodBlock,
+                        NotPositiveDefiniteError, OuEngine)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     ChainSamples,
@@ -11,19 +13,17 @@ from fixedgp.posterior import (
     InitializationError,
     McmcConfig,
     PriorSpec,
-    TiltedParams,
     alpha_chains,
     conditional_bvm_logdensity,
     joint_target,
     profile_target,
     rwm_chains,
     theta_limit_draws,
-    tilted_logdensity,
-    tilted_params,
     tilted_target,
 )
 from fixedgp.gp import log_likelihood
-from conftest import joint_posterior_logdensity, profile_posterior_logdensity
+from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
+                      profile_posterior_logdensity, tilted_center_scale, tilted_logdensity)
 
 
 def ou_data(n, rng, alpha0=0.5):
@@ -45,14 +45,27 @@ class TestGammaPrior:
     def test_scalar_path_matches_array_path_bitwise(self, rng):
         g = GammaPrior(1.1, 0.1)
         xs = np.concatenate([rng.gamma(1.1, 10.0, 500), [1e-300, 0.0, -2.0, np.inf, np.nan]])
-        with np.errstate(invalid="ignore"):     # inf - inf at x = inf
-            from_array = g.logpdf(xs)
-            for x, want in zip(xs, from_array):
-                for scalar in (x, float(x)):
-                    got = g.logpdf(scalar)
-                    assert isinstance(got, float)
-                    assert got == want or (np.isnan(got) and np.isnan(want))
-                assert g.logpdf(np.asarray(x)) == got or np.isnan(got)
+        from_array = g.logpdf(xs)
+        for x, want in zip(xs, from_array):
+            for scalar in (x, float(x)):
+                got = g.logpdf(scalar)
+                assert isinstance(got, float)
+                assert got == want
+            assert g.logpdf(np.asarray(x)) == got
+
+    def test_minus_inf_off_the_positive_finite_reals(self, rng):
+        # the density vanishes at +inf as at 0; finite positive values keep
+        # the bits of the closed form
+        xs = rng.gamma(1.1, 10.0, 200)
+        for g in (GammaPrior(1.1, 0.1), GammaPrior(1.0, 2.0), GammaPrior(0.5, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert g.logpdf(np.inf) == -np.inf
+                got = g.logpdf(np.array([np.inf, 2.0, -np.inf, np.nan, 0.0]))
+            assert np.array_equal(got[[0, 2, 3, 4]], np.full(4, -np.inf))
+            assert got[1] == g.logpdf(2.0)
+            closed = g._log_norm + (g.shape - 1.0) * np.log(xs) - g.rate * xs
+            assert np.array_equal(g.logpdf(xs), closed)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -288,7 +301,6 @@ class TestProfilePosterior:
         assert np.all(np.diff(dens[:40]) > 0)
 
     def test_matches_ou_closed_form_up_to_constant(self, rng):
-        from conftest import ou_profile_loglik
         n = 25
         pts = np.arange(1, n + 1) / n
         r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
@@ -304,38 +316,56 @@ class TestProfilePosterior:
         assert np.ptp(diffs) < 1e-8
 
 
+def tilted_values(data, alphas, prior=PriorSpec()):
+    """The tilted target of one OU dataset at the 1-d ``alphas``."""
+    return tilted_target([OuEngine(data)], prior)(np.asarray(alphas, dtype=float)[:, None])
+
+
 class TestTilted:
+    """The tilted target against the oracle's u* and v* (conftest)."""
+
+    # u* = 3 and v* = 6
+    bump = GpDataset(design=Design(points=np.array([[0.1], [0.2], [0.3]])),
+                     x=np.array([0.0, 1.0, 0.0]))
+    alphas = np.array([0.05, 0.5, 1.0, 3.0, 12.0])
+
     def test_params_trivial_example(self):
-        d = Design(points=np.array([[0.1], [0.2], [0.3]]))
-        stats = ou_stats(GpDataset(design=d, x=np.array([0.0, 1.0, 0.0])))
-        tp = tilted_params(stats, 3)
-        assert tp.u_star == pytest.approx(3.0)
-        assert tp.v_star == pytest.approx(6.0)
+        u_star, v_star = tilted_center_scale(self.bump)
+        assert u_star == pytest.approx(3.0)
+        assert v_star == pytest.approx(6.0)
+        assert tilted_values(self.bump, self.alphas) == pytest.approx(
+            tilted_logdensity(3.0, 6.0, PriorSpec(), self.alphas), rel=1e-14)
 
     def test_params_match_naive_formula(self, rng):
         x = rng.standard_normal(30)
         d = Design(points=np.sort(rng.uniform(0, 1, 30))[:, None])
-        stats = ou_stats(GpDataset(design=d, x=x))
-        tp = tilted_params(stats, 30)
-        assert tp.u_star == pytest.approx(30 * (stats.a1 - stats.a2) / stats.a1, rel=1e-14)
-        assert tp.v_star == pytest.approx(
-            30 * (stats.a1 - 2 * stats.a2 + stats.a3) / stats.a1, rel=1e-14)
+        data = GpDataset(design=d, x=x)
+        stats = ou_stats(data)
+        u_star = 30 * (stats.a1 - stats.a2) / stats.a1
+        v_star = 30 * (stats.a1 - 2 * stats.a2 + stats.a3) / stats.a1
+        assert tilted_values(data, self.alphas) == pytest.approx(
+            tilted_logdensity(u_star, v_star, PriorSpec(), self.alphas), rel=1e-14)
 
     def test_v_star_order_one_across_seeds(self):
         # scale parameter is order one for OU paths at theta0 = 0.5; the
         # ratio has a heavy right tail (the denominator is an integrated
         # squared path), so a hard [0.1, 10] bracket fails for a few seeds
-        # and the check is on the bulk
+        # and the check is on the bulk.  v* is read back from the target:
+        # without the sqrt(alpha) and prior factors its second difference
+        # over alpha = 1, 2, 3 is -1 / v*.
         n = 400
         pts = (2 * np.arange(1, n + 1) - 1) / (2 * n)
         r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
         chol = np.linalg.cholesky(r)
         design = Design(points=pts[:, None])
+        prior, a = PriorSpec(), np.array([1.0, 2.0, 3.0])
         vs = []
         for seed in range(100):
             z = np.random.default_rng(seed).standard_normal(n)
-            stats = ou_stats(GpDataset(design=design, x=chol @ z))
-            vs.append(tilted_params(stats, n).v_star)
+            data = GpDataset(design=design, x=chol @ z)
+            g = tilted_values(data, a) - 0.5 * np.log(a) - prior.alpha_prior.logpdf(a)
+            vs.append(-1.0 / (g[2] - 2.0 * g[1] + g[0]))
+            assert vs[-1] == pytest.approx(tilted_center_scale(data)[1], rel=1e-8)
         vs = np.asarray(vs)
         assert np.all((vs > 0.05) & (vs < 50.0))
         assert np.mean((vs >= 0.1) & (vs <= 10.0)) >= 0.9
@@ -344,33 +374,33 @@ class TestTilted:
     def test_logdensity_argmax(self, rng):
         # with an effectively flat prior the mode solves
         # alpha^2 - u* alpha - v*/2 = 0
-        tp = TiltedParams(u_star=2.0, v_star=5.0)
+        u_star, v_star = tilted_center_scale(self.bump)
         flat = PriorSpec(alpha_prior=GammaPrior(1.0, 1e-12))
         grid = np.linspace(1e-4, 12.0, 400001)
-        vals = tilted_logdensity(tp, flat, grid)
-        root = (tp.u_star + np.sqrt(tp.u_star**2 + 2 * tp.v_star)) / 2.0
+        vals = tilted_values(self.bump, grid, flat)
+        root = (u_star + np.sqrt(u_star**2 + 2 * v_star)) / 2.0
         assert grid[np.argmax(vals)] == pytest.approx(root, abs=1e-3)
 
     def test_logdensity_ratio_hand_computed(self):
-        tp = TiltedParams(u_star=1.0, v_star=2.0)
         prior = PriorSpec()
         a = 0.8
-        got = tilted_logdensity(tp, prior, 2 * a) - tilted_logdensity(tp, prior, a)
+        low, high = tilted_values(self.bump, [a, 2 * a])
         expected = (0.5 * np.log(2.0)
-                    - ((2 * a - 1.0) ** 2 - (a - 1.0) ** 2) / 4.0
+                    - ((2 * a - 3.0) ** 2 - (a - 3.0) ** 2) / 12.0
                     + prior.alpha_prior.logpdf(2 * a) - prior.alpha_prior.logpdf(a))
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert high - low == pytest.approx(expected, rel=1e-12)
 
     def test_density_vanishes_at_zero(self):
-        tp = TiltedParams(u_star=1.0, v_star=2.0)
-        prior = PriorSpec()
-        assert tilted_logdensity(tp, prior, 1e-300) < -300
-        with pytest.raises(ValueError):
-            tilted_logdensity(tp, prior, 0.0)
+        tiny, zero = tilted_values(self.bump, [1e-300, 0.0])
+        assert tiny < -300
+        assert zero == -np.inf
 
     def test_degenerate_data_rejected(self):
-        with pytest.raises(Exception):
-            TiltedParams(u_star=0.0, v_star=-1.0)
+        # a constant path: A1 = 0 at zero, v* = 0 otherwise
+        d = Design(points=np.linspace(0.1, 0.9, 5)[:, None])
+        for level in (0.0, 3.0):
+            with pytest.raises(DegenerateDataError):
+                tilted_target([OuEngine(GpDataset(design=d, x=np.full(5, level)))], PriorSpec())
 
 
 class TestJointLimitSampler:
@@ -494,6 +524,39 @@ class TestLikelihoodBlock:
                 LikelihoodBlock(engines)
 
 
+class TestInvalidRows:
+    """Every target gives exactly -inf in a row with a parameter in
+    {0, -1, inf, nan}, raises nothing and warns nothing, and gives every
+    other row its value alone."""
+
+    prior = PriorSpec()
+
+    @pytest.mark.parametrize("target", [joint_target, profile_target, tilted_target],
+                             ids=lambda t: t.__name__)
+    def test_invalid_rows_are_minus_inf(self, target):
+        first, last = [0.6, 1.3], [0.4, 2.5]
+        k = 2 if target is joint_target else 1
+        first, last = first[-k:], last[-k:]
+        rows = [first]
+        for col in range(k):
+            for bad in (0.0, -1.0, np.inf, np.nan):
+                row = list(first)
+                row[col] = bad
+                rows.append(row)
+        rows = np.array(rows + [last])
+        valid = np.all((rows > 0) & (rows < np.inf), axis=1)
+        rng = np.random.default_rng(17)
+        engines = [OuEngine(ou_data(40, rng)) for _ in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = target(engines, self.prior)(rows)
+            alone = np.array([target([e], self.prior)(row[None])[0]
+                              for e, row in zip(engines, rows)])
+        assert np.array_equal(got[~valid], np.full((~valid).sum(), -np.inf))
+        assert np.all(np.isfinite(got[valid]))
+        assert np.array_equal(got, alone)
+
+
 class TestLockstep:
     """R chains run in lockstep are bit for bit the chains run one by one."""
 
@@ -507,16 +570,14 @@ class TestLockstep:
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.alpha, b.alpha)
         assert a.acceptance_rate == b.acceptance_rate
-        assert a.target_label == b.target_label
 
     def _check(self, engines, alpha_targets):
         inits = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
         inits = inits[:len(engines)]
         configs = self._configs(len(engines), 40)
-        block = rwm_chains(joint_target(engines, self.prior), configs, inits, "joint")
+        block = rwm_chains(joint_target(engines, self.prior), configs, inits)
         for e, cfg, init, chain in zip(engines, configs, inits, block):
-            self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init],
-                                                "joint")[0])
+            self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init])[0])
         thetas = [theta_limit_draws(e, 0.5, 0.5, 250, seed) for seed, e in enumerate(engines)]
         inits = [[11.0], [1.0], [2.0]][:len(engines)]
         for target in alpha_targets:
@@ -524,10 +585,10 @@ class TestLockstep:
             configs = [McmcConfig(n_samples=250, n_burnin=300, step_sizes=(2.0,),
                                   seed=np.random.SeedSequence(70 + i).spawn(2)[1])
                        for i in range(len(engines))]
-            block = alpha_chains(target(engines, self.prior), configs, inits, thetas, "limit")
+            block = alpha_chains(target(engines, self.prior), configs, inits, thetas)
             for e, cfg, init, theta, chain in zip(engines, configs, inits, thetas, block):
                 self._assert_same(chain, alpha_chains(target([e], self.prior), [cfg], [init],
-                                                      [theta], "limit")[0])
+                                                      [theta])[0])
 
     def test_ou_block_equals_single_chains(self):
         rng = np.random.default_rng(21)
@@ -560,7 +621,7 @@ class TestChainSamplesIo:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainSamples(theta=np.array([1.0, -2.0]), alpha=np.array([0.5, 0.7]),
-                         acceptance_rate=0.4, target_label="x")
+                         acceptance_rate=0.4)
         with pytest.raises(ValueError):
             ChainSamples(theta=np.array([1.0]), alpha=np.array([0.5, 0.7]),
-                         acceptance_rate=0.4, target_label="x")
+                         acceptance_rate=0.4)
