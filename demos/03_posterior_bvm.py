@@ -14,8 +14,6 @@ import numpy as np
 
 from fixedgp import (
     ExperimentConfig,
-    McmcConfig,
-    alpha_chains,
     gen_perturbed_grid,
     joint_target,
     likelihood_engine,
@@ -35,23 +33,25 @@ for n in (50, 200, 400):
     data = sample_gp_path(design, cfg.truth, seed=n)
     engine = likelihood_engine(data, cfg.nu, "ou")   # O(n) OU backend
 
-    mcmc = McmcConfig(n_samples=5000, n_burnin=1000,
-                      step_sizes=(1.7 * np.sqrt(2 / n), 1.5), seed=n + 1)
-    # the joint target maps (R, 2) rows of (theta, alpha) to R values; here R = 1
-    chain, = rwm_chains(joint_target([engine], prior), [mcmc], [np.array([11.0, 11.0])])
+    # the joint target maps (R, 2) rows of (theta, alpha) to R values; here
+    # R = 1: one start, one seed, and the step sizes of (theta, alpha)
+    (draws,), (acc,) = rwm_chains(joint_target([engine], prior), [[11.0, 11.0]], [n + 1],
+                                  (1.7 * np.sqrt(2 / n), 1.5), 5000, 1000)
+    theta, alpha = draws[:, 0], draws[:, 1]
 
     # both limits of this dataset share one i.i.d. normal theta part; their
     # alpha chains run on (R, 1) targets, here R = 1, from the same stream
     theta_ss, alpha_ss = np.random.SeedSequence(n + 1).spawn(2)
     thetas = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, 5000, theta_ss)
-    alpha_mcmc = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(1.5,), seed=alpha_ss)
-    limit, = alpha_chains(profile_target([engine], prior), [alpha_mcmc], [[11.0]], [thetas])
-    tilted, = alpha_chains(tilted_target([engine], prior), [alpha_mcmc], [[11.0]], [thetas])
+    (profile,), _ = rwm_chains(profile_target([engine], prior), [[11.0]], [alpha_ss],
+                               (1.5,), 5000, 1000)
+    (tilted,), _ = rwm_chains(tilted_target([engine], prior), [[11.0]], [alpha_ss],
+                              (1.5,), 5000, 1000)
 
-    print(f"n={n:>3}  E(theta)={chain.theta.mean():.4f}  E(alpha)={chain.alpha.mean():.3f}"
-          f"  sd(alpha)={chain.alpha.std():.3f}  acc={chain.acceptance_rate:.2f}")
-    print(f"       W2(theta vs normal limit) = {w2_distance(chain.theta, limit.theta):.4f}")
-    print(f"       W2(alpha vs profile)      = {w2_distance(chain.alpha, limit.alpha):.4f}")
-    print(f"       W2(alpha vs tilted)       = {w2_distance(chain.alpha, tilted.alpha):.4f}")
+    print(f"n={n:>3}  E(theta)={theta.mean():.4f}  E(alpha)={alpha.mean():.3f}"
+          f"  sd(alpha)={alpha.std():.3f}  acc={acc:.2f}")
+    print(f"       W2(theta vs normal limit) = {w2_distance(theta, thetas):.4f}")
+    print(f"       W2(alpha vs profile)      = {w2_distance(alpha, profile[:, 0]):.4f}")
+    print(f"       W2(alpha vs tilted)       = {w2_distance(alpha, tilted[:, 0]):.4f}")
 
 print("\ntheta tightens at the sqrt(n) rate; alpha never concentrates.")

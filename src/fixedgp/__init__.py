@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # imported from its module.
 from .kernels import MaternSpec, bessel_k, matern_correlation, spectral_density
 from .gp import Design, likelihood_engine, log_likelihood, ou_loglik_fast
-from .posterior import (McmcConfig, alpha_chains, joint_target, profile_target, rwm_chains,
-                        theta_limit_draws, tilted_target)
+from .posterior import (joint_target, profile_target, rwm_chains, theta_limit_draws,
+                        tilted_target)
 from .kriging import blup, efficiency_ratios, mse_breakdown, sym_kl_finite, sym_kl_limit
 from .diagnostics import generalized_lambdas, summarize, w2_distance
 from .experiments import ExperimentConfig, gen_perturbed_grid, sample_gp_path

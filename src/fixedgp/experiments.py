@@ -44,9 +44,7 @@ from .kriging import efficiency_ratios, sym_kl_finite, sym_kl_limit
 from .posterior import (
     GammaPrior,
     InitializationError,
-    McmcConfig,
     PriorSpec,
-    alpha_chains,
     chain_start,
     conditional_bvm_logdensity,
     joint_target,
@@ -128,6 +126,9 @@ class ExperimentConfig:
             sizes = getattr(self, name)
             if len(sizes) == 0 or min(sizes) < 1:
                 raise ValueError(f"{name} must be a non-empty list of positive sizes, got {sizes}")
+        if self.nu == 0.5 and min(self.n_values) < 3:
+            raise ValueError(f"n_values must be at least 3 when nu = 1/2: the tilted limit "
+                             f"needs an interior point of the path, got {self.n_values}")
 
     @property
     def truth(self) -> MaternSpec:
@@ -264,7 +265,8 @@ def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
 
 def _chain_init(target, mean, fallback) -> np.ndarray:
     """The start of a chain on ``target``: the prior ``mean``, or ``fallback()``
-    if the target rejects it.  The start is evaluated once, and a rejected
+    if the target rejects it.  Each candidate is evaluated once here (the
+    lockstep run evaluates the start again on its block), and a rejected
     fallback raises :class:`InitializationError`."""
     try:
         chain_start(target, mean)
@@ -288,7 +290,7 @@ _RETRIED = (NotPositiveDefiniteError, DegenerateDataError, InitializationError)
 class _Setup:
     """One replication at one attempt, with everything that depends on its
     data alone built and checked: what is left is to run its chains.  Each
-    chain is a (McmcConfig, start) pair; ``tilted`` is None off the OU model."""
+    chain is a (start, seed) pair; ``tilted`` is None off the OU model."""
 
     rep: int
     attempt: int
@@ -311,19 +313,17 @@ def _setup(cfg, n_or_m, rep, attempt) -> _Setup:
     def spawned(purpose):
         return np.random.SeedSequence(_seed_int(master, d, n, rep, attempt, purpose)).spawn(2)
 
-    def chain(target, mean, fallback, steps, seed):
-        config = McmcConfig(n_samples=cfg.n_samples, n_burnin=cfg.n_burnin,
-                            step_sizes=steps, seed=seed)
-        return config, _chain_init(target([engine], prior), mean, fallback)
+    def chain(target, mean, fallback, seed):
+        return _chain_init(target([engine], prior), mean, fallback), seed
 
     joint = chain(joint_target, [prior.theta_prior.mean, alpha_mean],
-                  lambda: [engine.profile(1.0).theta_tilde, 1.0], _default_steps(n),
+                  lambda: [engine.profile(1.0).theta_tilde, 1.0],
                   _seed_int(master, d, n, rep, attempt, 3))
     # the theta limit and the profile alpha chain split purpose 4's stream
     theta_ss, profile_ss = spawned(4)
     theta_limit = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, cfg.n_samples, theta_ss)
-    profile = chain(profile_target, [alpha_mean], lambda: [1.0], (2.0,), profile_ss)
-    tilted = (chain(tilted_target, [alpha_mean], lambda: [1.0], (2.0,), spawned(5)[1])
+    profile = chain(profile_target, [alpha_mean], lambda: [1.0], profile_ss)
+    tilted = (chain(tilted_target, [alpha_mean], lambda: [1.0], spawned(5)[1])
               if engine.is_ou else None)
     return _Setup(rep, attempt, design, engine, theta_limit, joint, profile, tilted)
 
@@ -361,21 +361,23 @@ def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
             failed.append(_retried(cfg, n, rep, attempt, err))
     if setups:
         prior, engines, r = cfg.prior, [s.engine for s in setups], len(setups)
-        chains = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)))
+        joint, accept = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)),
+                                   _default_steps(n), cfg.n_samples, cfg.n_burnin)
         # the profile and, on the OU model, the tilted alpha chains run as one
         # lockstep run over their stacked rows, which costs less than a run each
-        targets, starts = [profile_target(engines, prior)], [s.profile for s in setups]
+        targets, chains = [profile_target(engines, prior)], [s.profile for s in setups]
         if setups[0].tilted is not None:
             targets.append(tilted_target(engines, prior))
-            starts += [s.tilted for s in setups]
-        limits = alpha_chains(
+            chains += [s.tilted for s in setups]
+        limits, _ = rwm_chains(
             lambda a: np.concatenate([t(a[i * r:(i + 1) * r]) for i, t in enumerate(targets)]),
-            *zip(*starts), [s.theta_limit for s in setups] * len(targets))
-        profile, tilted = limits[:r], limits[r:] or [None] * r
-        for setup, chain, limit, tilt in zip(setups, chains, profile, tilted):
+            *zip(*chains), (2.0,), cfg.n_samples, cfg.n_burnin)
+        for i, setup in enumerate(setups):
+            tilted = limits[r + i, :, 0] if len(targets) > 1 else None
             try:
-                results.append(_replication_result(cfg, setup, chain, limit, tilt,
-                                                   compute_ratios))
+                results.append(_replication_result(
+                    cfg, setup, joint[i, :, 0], joint[i, :, 1], float(accept[i]),
+                    limits[i, :, 0], tilted, compute_ratios))
             except _RETRIED as err:
                 failed.append(_retried(cfg, n, setup.rep, attempt, err))
     if failed:
@@ -383,12 +385,15 @@ def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
     return results
 
 
-def _replication_result(cfg, setup, chain, limit, tilted, compute_ratios):
-    """The table row of one replication from its chains."""
+def _replication_result(cfg, setup, theta, alpha, acceptance, limit_alpha, tilted_alpha,
+                        compute_ratios):
+    """The table row of one replication from its joint draws ``theta``,
+    ``alpha``, the alpha draws of its limits (``tilted_alpha`` is None off
+    the OU model) and ``setup.theta_limit``."""
     n = setup.engine.n
-    if tilted is not None:
-        tilted_mean_alpha = float(np.mean(tilted.alpha))
-        w2_alpha_tilted = w2_distance(chain.alpha, tilted.alpha)
+    if tilted_alpha is not None:
+        tilted_mean_alpha = float(np.mean(tilted_alpha))
+        w2_alpha_tilted = w2_distance(alpha, tilted_alpha)
     else:
         tilted_mean_alpha = np.nan
         w2_alpha_tilted = np.nan
@@ -398,29 +403,29 @@ def _replication_result(cfg, setup, chain, limit, tilted, compute_ratios):
             cfg.d, cfg.test_point_count,
             _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6), setup.design
         )
-        r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, chain, points)
+        r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, theta, alpha, points)
     else:
         r1 = r2 = np.nan
 
     return ReplicationResult(
         rep_index=setup.rep,
         n=n,
-        posterior_mean_theta=float(np.mean(chain.theta)),
-        posterior_mean_alpha=float(np.mean(chain.alpha)),
-        limit_mean_theta=float(np.mean(limit.theta)),
-        limit_mean_alpha=float(np.mean(limit.alpha)),
+        posterior_mean_theta=float(np.mean(theta)),
+        posterior_mean_alpha=float(np.mean(alpha)),
+        limit_mean_theta=float(np.mean(setup.theta_limit)),
+        limit_mean_alpha=float(np.mean(limit_alpha)),
         tilted_mean_alpha=tilted_mean_alpha,
-        w2_theta=w2_distance(chain.theta, limit.theta),
-        w2_alpha_profile=w2_distance(chain.alpha, limit.alpha),
+        w2_theta=w2_distance(theta, setup.theta_limit),
+        w2_alpha_profile=w2_distance(alpha, limit_alpha),
         w2_alpha_tilted=w2_alpha_tilted,
         mean_max_r1=r1,
         mean_max_r2=r2,
-        acceptance_joint=chain.acceptance_rate,
+        acceptance_joint=acceptance,
         retries=setup.attempt,
     )
 
 
-def _posterior_mean_max_ratios(cfg, engine, chain, points):
+def _posterior_mean_max_ratios(cfg, engine, theta, alpha, points):
     """Average over posterior draws of the max MSE ratios over the (K, d) ``points``.
 
     A rejected RWM proposal repeats the previous draw, so the ratios are
@@ -431,8 +436,8 @@ def _posterior_mean_max_ratios(cfg, engine, chain, points):
     truth = cfg.truth
     factors = engine.mse_factors(truth.alpha, points)
     mse_oracle = truth.sigma2 * factors.m0
-    thetas = chain.theta[:: cfg.mse_draw_thin]
-    alphas = chain.alpha[:: cfg.mse_draw_thin]
+    thetas = theta[:: cfg.mse_draw_thin]
+    alphas = alpha[:: cfg.mse_draw_thin]
     new = np.ones(thetas.shape[0], dtype=bool)
     new[1:] = (thetas[1:] != thetas[:-1]) | (alphas[1:] != alphas[:-1])
     thetas, alphas = thetas[new], alphas[new]

@@ -324,6 +324,8 @@ class LikelihoodBlock:
 
     def __init__(self, engines):
         engines = list(engines)
+        if not engines:
+            raise ValueError("a likelihood block needs at least one engine")
         self.n, self.nu = engines[0].n, engines[0].nu
         if any(e.n != self.n or e.nu != self.nu for e in engines):
             raise ValueError("a likelihood block holds datasets of one size and one nu")

@@ -23,14 +23,11 @@ from .gp import DegenerateDataError, LikelihoodBlock
 __all__ = [
     "GammaPrior",
     "PriorSpec",
-    "McmcConfig",
-    "ChainSamples",
     "InitializationError",
     "joint_target",
     "profile_target",
     "tilted_target",
     "rwm_chains",
-    "alpha_chains",
     "theta_limit_draws",
     "conditional_bvm_logdensity",
 ]
@@ -84,41 +81,6 @@ class PriorSpec:
     alpha_prior: GammaPrior = GammaPrior(1.1, 0.1)
 
 
-@dataclass(frozen=True)
-class McmcConfig:
-    n_samples: int = 5000
-    n_burnin: int = 1000
-    step_sizes: tuple = (0.5, 0.5)
-    seed: int | np.random.SeedSequence = 0    # anything np.random.default_rng takes
-
-    def __post_init__(self):
-        if self.n_samples <= 0 or self.n_burnin < 0:
-            raise ValueError("n_samples must be positive and n_burnin nonnegative")
-        if any(s <= 0 for s in np.atleast_1d(self.step_sizes)):
-            raise ValueError("step sizes must be positive")
-
-
-@dataclass
-class ChainSamples:
-    """Posterior draws of (theta, alpha) with acceptance bookkeeping."""
-
-    alpha: np.ndarray
-    theta: np.ndarray
-    acceptance_rate: float
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if np.any(self.alpha <= 0):
-            raise ValueError("alpha draws must be strictly positive")
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != self.alpha.shape:
-            raise ValueError("theta and alpha streams must have equal length")
-        if np.any(self.theta <= 0):
-            raise ValueError("theta draws must be strictly positive")
-        if not 0.0 <= self.acceptance_rate <= 1.0:
-            raise ValueError(f"acceptance rate {self.acceptance_rate} outside [0, 1]")
-
-
 def chain_start(log_target, init):
     """Start points of RWM chains on log coordinates, and their target values
     with the Jacobian included, as :func:`rwm_chains` starts from them.
@@ -137,16 +99,15 @@ def chain_start(log_target, init):
     return u, fu
 
 
-def _rwm_core(log_target, configs, init, k):
-    """Metropolis on log coordinates with the change-of-variables Jacobian,
-    for R independent chains of ``k`` variables advanced in lockstep.
+def rwm_chains(log_target, inits, seeds, steps, n_samples, n_burnin):
+    """Random-walk Metropolis on log coordinates with the change-of-variables
+    Jacobian, for R independent chains of k = ``len(steps)`` positive
+    variables advanced in lockstep.
 
-    ``log_target`` maps an (R, k) array of positive points to R values; chain
-    r starts at ``init[r]``, takes its step sizes from ``configs[r]`` and its
-    randomness from ``default_rng(configs[r].seed)``, and the configs share
-    the chain length; starts of another width than ``k``, and step sizes
-    that are neither one value nor ``k``, raise ``ValueError`` before the
-    target is evaluated.
+    ``log_target`` maps an (R, k) array of points on the original scale to R
+    values; chain r starts at ``inits[r]`` with step sizes ``steps`` and
+    draws from ``default_rng(seeds[r])``.  Invalid arguments raise
+    ``ValueError`` before the target is evaluated.
 
     During burn-in, a global scale is driven by Robbins-Monro towards 30%
     acceptance while the per-coordinate steps are recalibrated to the
@@ -155,25 +116,31 @@ def _rwm_core(log_target, configs, init, k):
 
     Each chain's noise is drawn before the loop in the order one chain
     alone draws it, ``standard_normal(k)`` then a uniform per step, and
-    every update is row-wise, so chain r does not depend on the other rows.
-    Returns (samples on the original scale, shape (R, n_samples, k), and
+    every update is row-wise, so chain r is bit for bit the chain run alone
+    (R = 1) from the same start and seed, whatever the other rows.
+    Returns (draws on the original scale, shape (R, n_samples, k), and
     post-burn-in acceptance, shape (R,)).
     """
-    if len({(c.n_samples, c.n_burnin) for c in configs}) != 1:
-        raise ValueError("chains run in lockstep must share n_samples and n_burnin")
-    width = np.atleast_2d(np.asarray(init, dtype=float)).shape[1]
+    if n_samples < 1 or n_burnin < 0:
+        raise ValueError("n_samples must be positive and n_burnin nonnegative")
+    k = len(steps)
+    if not all(s > 0 for s in steps):
+        raise ValueError(f"step sizes must be positive, got {steps}")
+    if len(inits) == 0:
+        raise ValueError("a lockstep run needs at least one start")
+    if len(seeds) != len(inits):
+        raise ValueError(f"expected one seed per start, got {len(seeds)} for {len(inits)}")
+    width = np.atleast_2d(np.asarray(inits, dtype=float)).shape[1]
     if width != k:
         raise ValueError(f"expected starts of {k} variables, got {width} variables")
-    # one step size for every variable, or one per variable
-    steps = np.array([np.broadcast_to(np.asarray(c.step_sizes, float), (k,)) for c in configs])
-    n_samples, n_burnin = configs[0].n_samples, configs[0].n_burnin
-    u, fu = chain_start(log_target, init)
+    u, fu = chain_start(log_target, inits)
     n_chains = u.shape[0]
+    steps = np.tile(np.asarray(steps, dtype=float), (n_chains, 1))
     total = n_burnin + n_samples
     noise = np.empty((total, n_chains, k))
     log_uniform = np.empty((total, n_chains))
-    for r, c in enumerate(configs):
-        rng = np.random.default_rng(c.seed)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         for t in range(total):
             rng.standard_normal(out=noise[t, r])
             log_uniform[t, r] = rng.random()
@@ -213,35 +180,6 @@ def _rwm_core(log_target, configs, init, k):
     return np.exp(out, out=out), np.count_nonzero(accepted, axis=0) / n_samples
 
 
-def rwm_chains(log_target, configs, inits) -> list:
-    """Random-walk Metropolis over R positive pairs (theta, alpha) at once.
-
-    ``log_target`` maps an (R, 2) array of points on the original
-    (positive) scale to their R log densities; chain r starts at
-    ``inits[r]`` and is deterministic given ``configs[r].seed``.  Chain r is
-    bit for bit the chain drawn alone (R = 1) from the same config and start,
-    whatever R and the other rows.
-    """
-    samples, acc = _rwm_core(log_target, configs, inits, 2)
-    return [
-        ChainSamples(theta=s[:, 0], alpha=s[:, 1], acceptance_rate=float(a))
-        for s, a in zip(samples, acc)
-    ]
-
-
-def alpha_chains(log_target, configs, inits, thetas) -> list:
-    """Random-walk Metropolis over R positive alphas at once, as
-    :func:`rwm_chains` over (R, 1) rows: the alpha chains of R limiting
-    posteriors.  Chain r is paired with the theta draws ``thetas[r]`` (see
-    :func:`theta_limit_draws`), which are independent of it in the limit.
-    """
-    samples, acc = _rwm_core(log_target, configs, inits, 1)
-    return [
-        ChainSamples(theta=th, alpha=s[:, 0], acceptance_rate=float(a))
-        for th, s, a in zip(thetas, samples, acc)
-    ]
-
-
 def joint_target(engines, prior: PriorSpec):
     """The unnormalized joint log posterior of the engines' R datasets as one
     function of an (R, 2) array of (theta, alpha) rows: -inf (a rejectable
@@ -272,6 +210,8 @@ def tilted_target(engines, prior: PriorSpec):
     dataset whose A1 or v* is not positive raises ``DegenerateDataError``.
     """
     engines = list(engines)
+    if not engines:
+        raise ValueError("a likelihood block needs at least one engine")
     if not all(e.is_ou for e in engines):
         raise ValueError("the tilted limit requires the OU model (d = 1, nu = 1/2)")
     a1, a2, a3 = np.array([(x[1:-1] @ x[1:-1], x[:-1] @ x[1:], x @ x)

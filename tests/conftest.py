@@ -116,16 +116,17 @@ def efficiency_envelope(design, nu, alpha, truth, pts) -> float:
     return float(np.maximum(r1, r2).max())
 
 
-def per_draw_mean_max_ratios(cfg, engine, chain, points):
-    """Posterior means of the two max-over-test-points MSE ratios with one
-    MSE-factor evaluation per retained draw: the oracle
+def per_draw_mean_max_ratios(cfg, engine, theta, alpha, points):
+    """Posterior means over the draws ``theta``, ``alpha`` of the two
+    max-over-test-points MSE ratios with one MSE-factor evaluation per
+    retained draw: the oracle
     :func:`fixedgp.experiments._posterior_mean_max_ratios` must equal bit
     for bit."""
     truth = cfg.truth
     factors = engine.mse_factors(truth.alpha, points)
     mse_oracle = truth.sigma2 * factors.m0
-    thetas = chain.theta[:: cfg.mse_draw_thin]
-    alphas = chain.alpha[:: cfg.mse_draw_thin]
+    thetas = theta[:: cfg.mse_draw_thin]
+    alphas = alpha[:: cfg.mse_draw_thin]
     max_r1 = np.empty(thetas.shape[0])
     max_r2 = np.empty(thetas.shape[0])
     for i, (th, al) in enumerate(zip(thetas, alphas)):

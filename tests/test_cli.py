@@ -125,11 +125,29 @@ class TestTables:
         p = tmp_path / "bad.cfg"
         out = str(tmp_path / "o")
         for command, line in (("table1", "nu = -1"), ("table1", "n_values = 0,5"),
+                              ("table1", "n_values = 2,5"), ("table3", "n_values = 5,1"),
                               ("simulate", "d = 3"), ("contour", "d = 3")):
             p.write_text(f"{line}\n")
             code = main([command, "--config", str(p), "--out", out])
             assert code == 2, (command, line)
             assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("backend", ["--fast-ou", "--dense"])
+    def test_ou_size_below_three_exit_2(self, tmp_path, tiny_config, capsys, backend):
+        # at nu = 1/2 a path of n <= 2 points has no interior point, so its
+        # tilted limit does not exist (A1 = 0): a config error
+        for n in ("1", "2"):
+            code = main(["table1", "--config", tiny_config, "--n-values", n,
+                         "--out", str(tmp_path / "o"), backend])
+            assert code == 2, n
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "interior point" in err, err
+        assert not (tmp_path / "o").exists()
+        code = main(["table1", "--config", tiny_config, "--n-values", "3",
+                     "--out", str(tmp_path / "o3"), backend])
+        assert code == 0
+        # another smoothness has no tilted limit, and n = 2 stays valid there
+        assert ExperimentConfig(nu=1.5, n_values=(2,)).n_values == (2,)
 
     def test_failure_budget_exit_3(self, monkeypatch, tmp_path):
         from fixedgp import cli

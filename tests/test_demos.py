@@ -1,7 +1,8 @@
 """Each demo script and each Python example of the README runs to completion
-against the package in ``src``, the package exports exactly the names the
-demos import from it, and no other module of the package imports a name it
-never reads."""
+against the package in ``src`` with every warning an error (so the targets'
+"-inf, no warning" contract holds end to end), the package exports exactly
+the names the demos import from it, and no other module of the package
+imports a name it never reads."""
 
 import ast
 import glob
@@ -19,7 +20,7 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 @pytest.mark.parametrize("script", DEMOS, ids=os.path.basename)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -30,7 +31,7 @@ def test_readme_python_blocks_run(tmp_path):
     assert blocks
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     for block in blocks:
-        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", block], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (block, proc.stderr)
 

@@ -351,12 +351,15 @@ class TestTableRuns:
 
 
 def _joint_chain(cfg, n_or_m):
-    """Replication 0's engine, joint chain and Table 3 test points."""
+    """Replication 0's engine, joint theta and alpha draws, joint acceptance
+    and Table 3 test points."""
     setup = experiments._setup(cfg, n_or_m, 0, 0)
-    config, init = setup.joint
-    chain, = rwm_chains(joint_target([setup.engine], cfg.prior), [config], [init])
+    init, seed = setup.joint
+    (draws,), (acc,) = rwm_chains(joint_target([setup.engine], cfg.prior), [init], [seed],
+                                  experiments._default_steps(setup.engine.n),
+                                  cfg.n_samples, cfg.n_burnin)
     points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
-    return setup.engine, chain, points
+    return setup.engine, draws[:, 0], draws[:, 1], acc, points
 
 
 def _runs_chain(rng, n_runs, thin=1):
@@ -384,10 +387,10 @@ class TestMseSweep:
     ])
     def test_real_chains_match_the_per_draw_oracle(self, label, d, n_or_m, kw):
         cfg = ExperimentConfig(d=d, n_samples=700, n_burnin=100, n_test_points=200, **kw)
-        engine, chain, points = _joint_chain(cfg, n_or_m)
-        assert 0.0 < chain.acceptance_rate < 1.0, label
-        assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, points)
-                == per_draw_mean_max_ratios(cfg, engine, chain, points)), label
+        engine, theta, alpha, acc, points = _joint_chain(cfg, n_or_m)
+        assert 0.0 < acc < 1.0, label
+        assert (experiments._posterior_mean_max_ratios(cfg, engine, theta, alpha, points)
+                == per_draw_mean_max_ratios(cfg, engine, theta, alpha, points)), label
 
     def _synthetic_chains(self, rng):
         def one(theta, alpha):
@@ -408,8 +411,10 @@ class TestMseSweep:
         points = gen_lhs_testpoints(1, 150, 7, data.design)
         for label, thin, chain in self._synthetic_chains(rng):
             cfg = ExperimentConfig(mse_draw_thin=thin)
-            assert (experiments._posterior_mean_max_ratios(cfg, engine, chain, points)
-                    == per_draw_mean_max_ratios(cfg, engine, chain, points)), label
+            assert (experiments._posterior_mean_max_ratios(cfg, engine, chain.theta,
+                                                           chain.alpha, points)
+                    == per_draw_mean_max_ratios(cfg, engine, chain.theta, chain.alpha,
+                                                points)), label
 
     def test_factors_see_each_run_once_in_draw_order(self, rng):
         data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
@@ -428,7 +433,8 @@ class TestMseSweep:
         spied = SimpleNamespace(mse_factors=lambda a0, pts: Spy(engine.mse_factors(a0, pts)))
         n_runs = 3 * self.CHUNK + 2
         chain = _runs_chain(rng, n_runs)
-        experiments._posterior_mean_max_ratios(ExperimentConfig(), spied, chain, points)
+        experiments._posterior_mean_max_ratios(ExperimentConfig(), spied, chain.theta,
+                                               chain.alpha, points)
         new = np.r_[True, (chain.theta[1:] != chain.theta[:-1])
                     | (chain.alpha[1:] != chain.alpha[:-1])]
         assert new.sum() == n_runs
@@ -552,11 +558,11 @@ class TestChainInit:
         monkeypatch.setattr(experiments, "joint_target", self._rejecting(joint_target))
         setup = experiments._setup(cfg, 40, 0, 0)
         data = setup.engine.data
-        _, init = setup.joint
+        init, _ = setup.joint
         assert init[0] == DenseEngine(data, 1.5).profile(1.0).theta_tilde
         assert init[0] != OuEngine(data).profile(1.0).theta_tilde
         assert init[1] == 1.0
-        assert setup.profile[1] == [mean] and setup.tilted is None
+        assert setup.profile[0] == [mean] and setup.tilted is None
 
     def test_alpha_fallback_is_one(self, monkeypatch):
         cfg = ExperimentConfig(**TINY)
@@ -564,8 +570,8 @@ class TestChainInit:
         for name, make in (("profile_target", profile_target), ("tilted_target", tilted_target)):
             monkeypatch.setattr(experiments, name, self._rejecting(make))
         setup = experiments._setup(cfg, 40, 0, 0)
-        assert setup.profile[1] == [1.0] and setup.tilted[1] == [1.0]
-        assert np.array_equal(setup.joint[1], [cfg.prior.theta_prior.mean, mean])
+        assert setup.profile[0] == [1.0] and setup.tilted[0] == [1.0]
+        assert np.array_equal(setup.joint[0], [cfg.prior.theta_prior.mean, mean])
 
 
 class TestSweeps:

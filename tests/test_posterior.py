@@ -8,12 +8,9 @@ from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, GpDataset, Lik
                         NotPositiveDefiniteError, OuEngine)
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
-    ChainSamples,
     GammaPrior,
     InitializationError,
-    McmcConfig,
     PriorSpec,
-    alpha_chains,
     conditional_bvm_logdensity,
     joint_target,
     profile_target,
@@ -128,10 +125,9 @@ class TestRwmChain:
         prior = PriorSpec()
         def target(p):
             return prior.theta_prior.logpdf(p[:, 0]) + prior.alpha_prior.logpdf(p[:, 1])
-        cfg = McmcConfig(n_samples=30000, n_burnin=2000, step_sizes=(1.2, 1.2), seed=11)
-        ch, = rwm_chains(target, [cfg], [np.array([5.0, 5.0])])
+        (ch,), _ = rwm_chains(target, [np.array([5.0, 5.0])], [11], (1.2, 1.2), 30000, 2000)
         # mean 11, var 110; MC standard error from the effective sample size
-        for draws in (ch.theta, ch.alpha):
+        for draws in ch.T:
             ess = _ess(draws)
             mcse = np.sqrt(110.0 / ess)
             assert abs(np.mean(draws) - 11.0) < 3.0 * mcse
@@ -140,39 +136,35 @@ class TestRwmChain:
         data = ou_data(20, rng)
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
-        cfg = McmcConfig(n_samples=500, n_burnin=100, step_sizes=(0.4, 1.0), seed=99)
-        a, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
-        b, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.alpha, b.alpha)
-        assert a.acceptance_rate == b.acceptance_rate
+        a, acc_a = rwm_chains(target, [np.array([11.0, 11.0])], [99], (0.4, 1.0), 500, 100)
+        b, acc_b = rwm_chains(target, [np.array([11.0, 11.0])], [99], (0.4, 1.0), 500, 100)
+        assert np.array_equal(a, b)
+        assert acc_a[0] == acc_b[0]
 
     def test_acceptance_in_tuning_window(self, rng):
         data = ou_data(50, rng)
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
-        cfg = McmcConfig(n_samples=4000, n_burnin=1000,
-                         step_sizes=(1.7 * np.sqrt(2 / 50), 1.5), seed=5)
-        ch, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
-        assert 0.1 < ch.acceptance_rate < 0.6
+        _, (acc,) = rwm_chains(target, [np.array([11.0, 11.0])], [5],
+                               (1.7 * np.sqrt(2 / 50), 1.5), 4000, 1000)
+        assert 0.1 < acc < 0.6
 
     def test_initialization_error(self):
         def target(p):
             return np.full(p.shape[0], -np.inf)
-        cfg = McmcConfig(n_samples=10, n_burnin=0, step_sizes=(0.5,), seed=0)
+        run = dict(seeds=[0], steps=(0.5, 0.5), n_samples=10, n_burnin=0)
         with pytest.raises(InitializationError):
-            rwm_chains(target, [cfg], [np.array([1.0, 1.0])])
+            rwm_chains(target, [np.array([1.0, 1.0])], **run)
         with pytest.raises(InitializationError):
-            rwm_chains(lambda p: np.zeros(p.shape[0]), [cfg], [np.array([-1.0, 1.0])])
+            rwm_chains(lambda p: np.zeros(p.shape[0]), [np.array([-1.0, 1.0])], **run)
 
     def test_start_of_one_variable_raises_before_any_evaluation(self):
         calls = []
         def target(p):
             calls.append(p.shape)
             return np.zeros(p.shape[0])
-        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.5,), seed=0)
         with pytest.raises(ValueError, match="got 1 variables"):
-            rwm_chains(target, [cfg], [np.array([1.0])])
+            rwm_chains(target, [np.array([1.0])], [0], (0.5, 0.5), 50, 10)
         assert calls == []
 
     def test_alpha_start_of_two_variables_raises_before_any_evaluation(self):
@@ -180,30 +172,46 @@ class TestRwmChain:
         def target(a):
             calls.append(a.shape)
             return np.zeros(a.shape[0])
-        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.5,), seed=0)
         with pytest.raises(ValueError, match="got 2 variables"):
-            alpha_chains(target, [cfg], [np.array([1.0, 1.0])], [np.ones(50)])
+            rwm_chains(target, [np.array([1.0, 1.0])], [0], (0.5,), 50, 10)
         assert calls == []
 
     def test_step_sizes_of_another_width_raise_before_any_evaluation(self):
-        # a joint config's (theta, alpha) steps are not an alpha chain's step
+        # a joint chain's (theta, alpha) steps are not an alpha chain's step
         calls = []
         def target(a):
             calls.append(a.shape)
             return np.zeros(a.shape[0])
-        cfg = McmcConfig(n_samples=50, n_burnin=10, step_sizes=(0.2, 2.0), seed=0)
         with pytest.raises(ValueError):
-            alpha_chains(target, [cfg], [np.array([1.0])], [np.ones(50)])
+            rwm_chains(target, [np.array([1.0])], [0], (0.2, 2.0), 50, 10)
+        assert calls == []
+
+    @pytest.mark.parametrize("starts, seeds, steps, n_samples, n_burnin, message", [
+        ([[1.0, 1.0]], [0], (0.5, 0.0), 50, 10, "step sizes must be positive"),
+        ([[1.0, 1.0]], [0], (-0.5, 0.5), 50, 10, "step sizes must be positive"),
+        ([[1.0]], [0], (np.nan,), 50, 10, "step sizes must be positive"),
+        ([[1.0]], [0], (0.5,), 0, 10, "n_samples must be positive"),
+        ([[1.0]], [0], (0.5,), 50, -1, "n_burnin nonnegative"),
+        ([], [], (0.5,), 50, 10, "at least one start"),
+        ([[1.0], [2.0]], [0], (0.5,), 50, 10, "one seed per start"),
+    ], ids=["zero step", "negative step", "nan step", "no samples", "negative burn-in",
+            "no starts", "one seed for two starts"])
+    def test_invalid_run_raises_before_any_evaluation(self, starts, seeds, steps, n_samples,
+                                                      n_burnin, message):
+        calls = []
+        def target(p):
+            calls.append(p.shape)
+            return np.zeros(p.shape[0])
+        with pytest.raises(ValueError, match=message):
+            rwm_chains(target, starts, seeds, steps, n_samples, n_burnin)
         assert calls == []
 
     def test_seed_sequence_seed_equals_its_int(self, rng):
         # default_rng(s) and default_rng(SeedSequence(s)) are one stream
         target = joint_target([OuEngine(ou_data(20, rng))], PriorSpec())
-        chains = [rwm_chains(target, [McmcConfig(n_samples=200, n_burnin=50, seed=seed)],
-                             [[11.0, 11.0]])[0]
+        chains = [rwm_chains(target, [[11.0, 11.0]], [seed], (0.5, 0.5), 200, 50)[0][0]
                   for seed in (12, np.random.SeedSequence(12))]
-        assert np.array_equal(chains[0].theta, chains[1].theta)
-        assert np.array_equal(chains[0].alpha, chains[1].alpha)
+        assert np.array_equal(chains[0], chains[1])
 
     def test_sample_covariance_on_gaussian_log_target(self):
         # target whose log-coordinates are exactly N(mu, Sigma)
@@ -214,9 +222,8 @@ class TestRwmChain:
             u = np.log(p)
             z = u - mu
             return -0.5 * np.einsum("ri,ij,rj->r", z, prec, z) - np.sum(u, axis=1)
-        cfg = McmcConfig(n_samples=50000, n_burnin=3000, step_sizes=(1.0, 1.2), seed=17)
-        ch, = rwm_chains(target, [cfg], [np.exp(mu)])
-        u = np.log(np.column_stack([ch.theta, ch.alpha]))
+        (ch,), _ = rwm_chains(target, [np.exp(mu)], [17], (1.0, 1.2), 50000, 3000)
+        u = np.log(ch)
         got = np.cov(u.T)
         assert np.linalg.norm(got - cov) / np.linalg.norm(cov) < 0.15
 
@@ -224,9 +231,8 @@ class TestRwmChain:
         data = ou_data(10, rng)
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
-        cfg = McmcConfig(n_samples=2000, n_burnin=200, step_sizes=(2.0, 2.0), seed=1)
-        ch, = rwm_chains(target, [cfg], [np.array([11.0, 11.0])])
-        assert np.all(ch.theta > 0) and np.all(ch.alpha > 0)
+        (ch,), _ = rwm_chains(target, [np.array([11.0, 11.0])], [1], (2.0, 2.0), 2000, 200)
+        assert np.all(ch > 0)
 
 
 def _ess(x):
@@ -409,24 +415,26 @@ class TestJointLimitSampler:
         self.data = ou_data(100, rng)
         self.prior = PriorSpec()
         # theta and both alpha chains take the two streams spawned from seed 3
-        self.theta_seed, alpha_seed = np.random.SeedSequence(3).spawn(2)
-        self.cfg = McmcConfig(n_samples=5000, n_burnin=1000, step_sizes=(2.0,), seed=alpha_seed)
+        self.theta_seed, self.alpha_seed = np.random.SeedSequence(3).spawn(2)
 
     def _limits(self, targets, engine):
-        thetas = theta_limit_draws(engine, 0.5, 0.5, self.cfg.n_samples, self.theta_seed)
-        return [alpha_chains(target([engine], self.prior), [self.cfg], [[11.0]], [thetas])[0]
-                for target in targets]
+        """The theta draws of the limits of ``engine``'s dataset, and the
+        alpha draws of each target's limit."""
+        thetas = theta_limit_draws(engine, 0.5, 0.5, 5000, self.theta_seed)
+        return thetas, [rwm_chains(target([engine], self.prior), [[11.0]], [self.alpha_seed],
+                                   (2.0,), 5000, 1000)[0][0, :, 0]
+                        for target in targets]
 
     def test_theta_marginal_moments(self):
-        ch, = self._limits([profile_target], OuEngine(self.data))
+        thetas, _ = self._limits([profile_target], OuEngine(self.data))
         center = DenseEngine(self.data, 0.5).profile(0.5).theta_tilde
         var = 2 * 0.25 / 100
-        assert abs(np.mean(ch.theta) - center) < 3 * np.sqrt(var / 5000)
-        assert np.var(ch.theta) == pytest.approx(var, rel=0.10)
+        assert abs(np.mean(thetas) - center) < 3 * np.sqrt(var / 5000)
+        assert np.var(thetas) == pytest.approx(var, rel=0.10)
 
     def test_theta_alpha_independent(self):
-        ch, = self._limits([profile_target], OuEngine(self.data))
-        corr = np.corrcoef(ch.theta, ch.alpha)[0, 1]
+        thetas, (alphas,) = self._limits([profile_target], OuEngine(self.data))
+        corr = np.corrcoef(thetas, alphas)[0, 1]
         assert abs(corr) < 0.05
 
     def test_tilted_vs_profile_w2_shrinks_with_n(self):
@@ -438,8 +446,8 @@ class TestJointLimitSampler:
             r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            prof, tilt = self._limits([profile_target, tilted_target], OuEngine(data))
-            w2[n] = w2_distance(prof.alpha, tilt.alpha)
+            _, (prof, tilt) = self._limits([profile_target, tilted_target], OuEngine(data))
+            w2[n] = w2_distance(prof, tilt)
         assert w2[400] < w2[100]
 
     def test_tilted_target_rejects_a_non_ou_engine(self):
@@ -463,6 +471,20 @@ class _CountingDenseEngine(DenseEngine):
         except NotPositiveDefiniteError:
             type(self).failures += 1
             raise
+
+
+class TestEmptyBlock:
+    """A block of no engines raises ValueError, not an index error."""
+
+    @pytest.mark.parametrize("make", [
+        LikelihoodBlock,
+        lambda engines: joint_target(engines, PriorSpec()),
+        lambda engines: profile_target(engines, PriorSpec()),
+        lambda engines: tilted_target(engines, PriorSpec()),
+    ], ids=["LikelihoodBlock", "joint_target", "profile_target", "tilted_target"])
+    def test_needs_an_engine(self, make):
+        with pytest.raises(ValueError, match="needs at least one engine"):
+            make([])
 
 
 class TestLikelihoodBlock:
@@ -562,33 +584,23 @@ class TestLockstep:
 
     prior = PriorSpec()
 
-    def _configs(self, count, seed0):
-        return [McmcConfig(n_samples=250, n_burnin=300, step_sizes=(0.3, 1.5), seed=seed0 + i)
-                for i in range(count)]
-
-    def _assert_same(self, a, b):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.alpha, b.alpha)
-        assert a.acceptance_rate == b.acceptance_rate
+    def _assert_rows_run_alone(self, target, engines, inits, seeds, steps):
+        draws, acc = rwm_chains(target(engines, self.prior), inits, seeds, steps, 250, 300)
+        for r, (e, init, seed) in enumerate(zip(engines, inits, seeds)):
+            alone, alone_acc = rwm_chains(target([e], self.prior), [init], [seed], steps, 250, 300)
+            assert np.array_equal(draws[r], alone[0])
+            assert acc[r] == alone_acc[0]
 
     def _check(self, engines, alpha_targets):
         inits = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
         inits = inits[:len(engines)]
-        configs = self._configs(len(engines), 40)
-        block = rwm_chains(joint_target(engines, self.prior), configs, inits)
-        for e, cfg, init, chain in zip(engines, configs, inits, block):
-            self._assert_same(chain, rwm_chains(joint_target([e], self.prior), [cfg], [init])[0])
-        thetas = [theta_limit_draws(e, 0.5, 0.5, 250, seed) for seed, e in enumerate(engines)]
+        seeds = [40 + i for i in range(len(engines))]
+        self._assert_rows_run_alone(joint_target, engines, inits, seeds, (0.3, 1.5))
         inits = [[11.0], [1.0], [2.0]][:len(engines)]
+        # as the harness seeds them: the second stream spawned from each seed
+        seeds = [np.random.SeedSequence(70 + i).spawn(2)[1] for i in range(len(engines))]
         for target in alpha_targets:
-            # as the harness seeds them: the second stream spawned from each seed
-            configs = [McmcConfig(n_samples=250, n_burnin=300, step_sizes=(2.0,),
-                                  seed=np.random.SeedSequence(70 + i).spawn(2)[1])
-                       for i in range(len(engines))]
-            block = alpha_chains(target(engines, self.prior), configs, inits, thetas)
-            for e, cfg, init, theta, chain in zip(engines, configs, inits, thetas, block):
-                self._assert_same(chain, alpha_chains(target([e], self.prior), [cfg], [init],
-                                                      [theta])[0])
+            self._assert_rows_run_alone(target, engines, inits, seeds, (2.0,))
 
     def test_ou_block_equals_single_chains(self):
         rng = np.random.default_rng(21)
@@ -607,21 +619,3 @@ class TestLockstep:
         _CountingDenseEngine.failures = 0
         self._check(engines, (profile_target,))
         assert _CountingDenseEngine.failures > 0
-
-    def test_chain_length_must_agree(self):
-        rng = np.random.default_rng(3)
-        engines = [OuEngine(ou_data(20, rng)) for _ in range(2)]
-        configs = [McmcConfig(n_samples=50, n_burnin=10, seed=1),
-                   McmcConfig(n_samples=60, n_burnin=10, seed=2)]
-        with pytest.raises(ValueError):
-            rwm_chains(joint_target(engines, self.prior), configs, [[11.0, 11.0]] * 2)
-
-
-class TestChainSamplesIo:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChainSamples(theta=np.array([1.0, -2.0]), alpha=np.array([0.5, 0.7]),
-                         acceptance_rate=0.4)
-        with pytest.raises(ValueError):
-            ChainSamples(theta=np.array([1.0]), alpha=np.array([0.5, 0.7]),
-                         acceptance_rate=0.4)
