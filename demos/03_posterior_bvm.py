@@ -34,9 +34,9 @@ for n in (50, 200, 400):
     engine = likelihood_engine(data, cfg.nu, "ou")   # O(n) OU backend
 
     # the joint target maps (R, 2) rows of (theta, alpha) to R values; here
-    # R = 1: one start, one seed, and the step sizes of (theta, alpha)
+    # R = 1: one start, one seed, and one tuple of steps, for (theta, alpha)
     (draws,), (acc,) = rwm_chains(joint_target([engine], prior), [[11.0, 11.0]], [n + 1],
-                                  (1.7 * np.sqrt(2 / n), 1.5), 5000, 1000)
+                                  [(1.7 * np.sqrt(2 / n), 1.5)], 5000, 1000)
     theta, alpha = draws[:, 0], draws[:, 1]
 
     # both limits of this dataset share one i.i.d. normal theta part; their
@@ -44,9 +44,9 @@ for n in (50, 200, 400):
     theta_ss, alpha_ss = np.random.SeedSequence(n + 1).spawn(2)
     thetas = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, 5000, theta_ss)
     (profile,), _ = rwm_chains(profile_target([engine], prior), [[11.0]], [alpha_ss],
-                               (1.5,), 5000, 1000)
+                               [(1.5,)], 5000, 1000)
     (tilted,), _ = rwm_chains(tilted_target([engine], prior), [[11.0]], [alpha_ss],
-                              (1.5,), 5000, 1000)
+                              [(1.5,)], 5000, 1000)
 
     print(f"n={n:>3}  E(theta)={theta.mean():.4f}  E(alpha)={alpha.mean():.3f}"
           f"  sd(alpha)={alpha.std():.3f}  acc={acc:.2f}")

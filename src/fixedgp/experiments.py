@@ -5,7 +5,7 @@ emission of the summary tables and contour grids.
 Replication r of size n uses RNG streams derived from
 (master_seed, d, n, r, attempt, purpose), so results are byte-identical
 across runs and independent of scheduling order, of the worker count and of
-how a size's replications are grouped into lockstep blocks.
+how the replications are grouped into lockstep tasks.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .gp import (
     DegenerateDataError,
     build_correlation_matrix,
     cholesky,
+    is_ou_model,
     likelihood_engine,
 )
 from .kernels import MaternSpec
@@ -48,6 +49,7 @@ from .posterior import (
     chain_start,
     conditional_bvm_logdensity,
     joint_target,
+    lockstep_target,
     profile_target,
     rwm_chains,
     theta_limit_draws,
@@ -75,6 +77,10 @@ MAX_RETRIES = 5
 # distinct posterior draws per MSE-factor call in the Table 3 sweep: larger
 # chunks buy little speed and hold (chunk, test points) arrays in memory
 MSE_CHUNK = 16
+# draws per task at most, summed over its pairs: a task's lockstep run holds
+# 32 bytes per OU pair and draw, so the reference 5,000 draws give tasks of
+# 100 pairs, one size of a default table, in about 16 MB
+TASK_DRAWS = 500_000
 
 
 class FailureBudgetExceededError(Exception):
@@ -126,7 +132,7 @@ class ExperimentConfig:
             sizes = getattr(self, name)
             if len(sizes) == 0 or min(sizes) < 1:
                 raise ValueError(f"{name} must be a non-empty list of positive sizes, got {sizes}")
-        if self.nu == 0.5 and min(self.n_values) < 3:
+        if is_ou_model(1, self.nu) and min(self.n_values) < 3:
             raise ValueError(f"n_values must be at least 3 when nu = 1/2: the tilted limit "
                              f"needs an interior point of the path, got {self.n_values}")
 
@@ -328,13 +334,14 @@ def _setup(cfg, n_or_m, rep, attempt) -> _Setup:
     return _Setup(rep, attempt, design, engine, theta_limit, joint, profile, tilted)
 
 
-def _retried(cfg, n, rep, attempt, err):
-    """Log a replication's retried failure and return it for the next
-    attempt, or raise if that was its last."""
+def _retried(cfg, pair, attempt, err):
+    """Log the retried failure of the (size, replication) ``pair`` and return
+    the pair for the next attempt, or raise if that was its last."""
+    n, rep = pair[0] ** cfg.d, pair[1]
     if attempt + 1 < MAX_RETRIES:
         logger.warning("replication %d at n=%d failed (%s); retrying with "
                        "attempt %d seed", rep, n, err, attempt + 1)
-        return rep
+        return pair
     logger.warning("replication %d at n=%d failed (%s) on its last attempt %d; "
                    "giving up", rep, n, err, attempt)
     raise FailureBudgetExceededError(
@@ -343,45 +350,42 @@ def _retried(cfg, n, rep, attempt, err):
     )
 
 
-def _run_block(cfg, n_or_m, reps, compute_ratios, attempt=0):
-    """Replications ``reps`` of one size at one attempt: each is set up on
-    its own, then their joint chains run in lockstep, and then their profile
-    and (OU model only) tilted alpha chains.
+def _run_block(cfg, pairs, compute_ratios, attempt=0):
+    """The (size, replication) ``pairs`` of a task at one attempt: each is set
+    up on its own, then the joint, profile and (OU model only) tilted chains
+    of all of them run as one lockstep run on one target.
 
     A replication's numbers depend on its own (rep, attempt) streams only, so
-    they do not depend on the block.  Those that fail, in their set-up or
+    they do not depend on the task.  Those that fail, in their set-up or
     after their chains, run again together at the next attempt.
     """
-    n = n_or_m ** cfg.d
-    setups, failed, results = [], [], []
-    for rep in reps:
+    ready, setups, failed, results = [], [], [], []
+    for pair in pairs:
         try:
-            setups.append(_setup(cfg, n_or_m, rep, attempt))
+            setups.append(_setup(cfg, *pair, attempt))
+            ready.append(pair)
         except _RETRIED as err:
-            failed.append(_retried(cfg, n, rep, attempt, err))
+            failed.append(_retried(cfg, pair, attempt, err))
     if setups:
-        prior, engines, r = cfg.prior, [s.engine for s in setups], len(setups)
-        joint, accept = rwm_chains(joint_target(engines, prior), *zip(*(s.joint for s in setups)),
-                                   _default_steps(n), cfg.n_samples, cfg.n_burnin)
-        # the profile and, on the OU model, the tilted alpha chains run as one
-        # lockstep run over their stacked rows, which costs less than a run each
-        targets, chains = [profile_target(engines, prior)], [s.profile for s in setups]
-        if setups[0].tilted is not None:
-            targets.append(tilted_target(engines, prior))
-            chains += [s.tilted for s in setups]
-        limits, _ = rwm_chains(
-            lambda a: np.concatenate([t(a[i * r:(i + 1) * r]) for i, t in enumerate(targets)]),
-            *zip(*chains), (2.0,), cfg.n_samples, cfg.n_burnin)
-        for i, setup in enumerate(setups):
-            tilted = limits[r + i, :, 0] if len(targets) > 1 else None
+        engines, r = [s.engine for s in setups], len(setups)
+        tilted = setups[0].tilted is not None
+        chains = ([s.joint for s in setups] + [s.profile for s in setups]
+                  + [s.tilted for s in setups if tilted])
+        steps = [_default_steps(e.n) for e in engines] + [(2.0,)] * (len(chains) - r)
+        draws, accept = rwm_chains(
+            lockstep_target(cfg.prior, joint=engines, profile=engines,
+                            tilted=engines if tilted else ()),
+            *zip(*chains), steps, cfg.n_samples, cfg.n_burnin)
+        for i, (pair, setup) in enumerate(zip(ready, setups)):
             try:
                 results.append(_replication_result(
-                    cfg, setup, joint[i, :, 0], joint[i, :, 1], float(accept[i]),
-                    limits[i, :, 0], tilted, compute_ratios))
+                    cfg, setup, draws[i][:, 0], draws[i][:, 1], float(accept[i]),
+                    draws[r + i][:, 0], draws[2 * r + i][:, 0] if tilted else None,
+                    compute_ratios))
             except _RETRIED as err:
-                failed.append(_retried(cfg, n, setup.rep, attempt, err))
+                failed.append(_retried(cfg, pair, attempt, err))
     if failed:
-        results += _run_block(cfg, n_or_m, failed, compute_ratios, attempt + 1)
+        results += _run_block(cfg, failed, compute_ratios, attempt + 1)
     return results
 
 
@@ -460,20 +464,22 @@ def _posterior_mean_max_ratios(cfg, engine, theta, alpha, points):
 # table drivers
 
 def _run_replications(cfg: ExperimentConfig, compute_ratios: bool):
-    """One task per (size, contiguous block of replications): each block runs
-    in lockstep, one block per size when serial, each size split across the
-    workers when parallel.
+    """One task per contiguous run of (size, replication) pairs, sizes in
+    order: at most ``TASK_DRAWS // n_samples`` pairs per task and at least
+    one task per worker.  Each task runs in lockstep (:func:`_run_block`).
     """
     workers = cfg.workers()
-    blocks = [b for b in np.array_split(np.arange(cfg.n_replications), workers) if b.size]
-    tasks = [(cfg, n_or_m, [int(r) for r in block], compute_ratios)
-             for n_or_m in cfg.sizes for block in blocks]
+    pairs = [(n_or_m, rep) for n_or_m in cfg.sizes for rep in range(cfg.n_replications)]
+    per_task = max(1, TASK_DRAWS // cfg.n_samples)
+    n_tasks = min(len(pairs), max(workers, -(-len(pairs) // per_task)))
+    tasks = [[pairs[i] for i in task] for task in np.array_split(np.arange(len(pairs)), n_tasks)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks_done = list(pool.map(_run_block, *zip(*tasks), chunksize=1))
+            done = list(pool.map(_run_block, [cfg] * len(tasks), tasks,
+                                 [compute_ratios] * len(tasks), chunksize=1))
     else:
-        blocks_done = [_run_block(*t) for t in tasks]
-    results = [r for block in blocks_done for r in block]
+        done = [_run_block(cfg, task, compute_ratios) for task in tasks]
+    results = [r for task in done for r in task]
     results.sort(key=lambda r: (r.n, r.rep_index))
     return results
 

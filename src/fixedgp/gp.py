@@ -4,8 +4,8 @@ and the O(n) Ornstein-Uhlenbeck fast path (nu = 1/2, d = 1).
 The likelihood of a dataset is evaluated by one engine, built once per
 dataset: :class:`DenseEngine` (dense Cholesky) or :class:`OuEngine` (O(n)
 Markov factorization), chosen by :func:`likelihood_engine`; the backend is
-picked nowhere else.  The posteriors of R datasets of one size are evaluated
-together by a :class:`LikelihoodBlock` of their engines.
+picked nowhere else.  The likelihood terms of R datasets of one smoothness
+are evaluated together by a :class:`LikelihoodBlock` of their engines.
 :func:`log_likelihood` and :func:`ou_loglik_fast` evaluate one dataset at one
 point through a throwaway engine, for checks that compare the two backends.
 
@@ -219,7 +219,7 @@ class _Engine:
 
 def _loglik(n, sigma2, qf, log_det):
     """The log-likelihood from an engine's terms, for one dataset or row-wise;
-    every engine and block evaluates it here."""
+    every engine and posterior target evaluates it here."""
     return -0.5 * n * np.log(sigma2) - 0.5 * log_det - qf / (2.0 * sigma2)
 
 
@@ -312,70 +312,49 @@ def _ou_terms(gaps, x0_sq, head, tail, alpha):
 
 
 class LikelihoodBlock:
-    """The engines of R datasets of one size and one smoothness, evaluated
-    together.  Each method maps R rows to R values, -inf in a row whose
-    parameters are invalid, whose correlation fails to factorize, or whose
-    profile is degenerate (x' R^{-1} x <= 0).
+    """The engines of R datasets of one smoothness, evaluated together; the
+    sizes may differ, and ``n`` holds each row's.
 
     The backends differ only in :meth:`terms`: the arrays of OU engines are
-    stacked so that one :func:`_ou_terms` call evaluates every row, and
-    other engines are evaluated one row at a time.
+    stacked by size so that one :func:`_ou_terms` call evaluates every row
+    of a size, and other engines are evaluated one row at a time.
     """
 
     def __init__(self, engines):
         engines = list(engines)
         if not engines:
             raise ValueError("a likelihood block needs at least one engine")
-        self.n, self.nu = engines[0].n, engines[0].nu
-        if any(e.n != self.n or e.nu != self.nu for e in engines):
-            raise ValueError("a likelihood block holds datasets of one size and one nu")
+        self.nu = engines[0].nu
+        if any(e.nu != self.nu for e in engines):
+            raise ValueError("a likelihood block holds datasets of one nu")
         self.engines = engines
-        self._stacked = None
+        self.n = np.array([e.n for e in engines])
+        self._stacks = None
         if all(isinstance(e, OuEngine) for e in engines):
-            self._stacked = (np.stack([e.gaps for e in engines]),
-                             np.array([e._x0_sq for e in engines]),
-                             np.stack([e._head for e in engines]),
-                             np.stack([e._tail for e in engines]))
+            self._stacks = []
+            for size in np.unique(self.n):
+                rows = np.flatnonzero(self.n == size)
+                stack = [engines[r] for r in rows]
+                self._stacks.append((rows, (np.stack([e.gaps for e in stack]),
+                                            np.array([e._x0_sq for e in stack]),
+                                            np.stack([e._head for e in stack]),
+                                            np.stack([e._tail for e in stack]))))
 
     def terms(self, alpha):
         """Row-wise x' R^{-1} x and log|R| at the (R,) positive ``alpha``;
         (inf, 0) in a row whose correlation fails to factorize, which the
-        methods below turn into -inf."""
-        if self._stacked is not None:
-            return _ou_terms(*self._stacked, alpha[:, None])
+        posterior targets turn into -inf."""
         qf, log_det = np.empty(alpha.shape[0]), np.empty(alpha.shape[0])
+        if self._stacks is not None:
+            for rows, stacked in self._stacks:
+                qf[rows], log_det[rows] = _ou_terms(*stacked, alpha[rows, None])
+            return qf, log_det
         for r, (engine, a) in enumerate(zip(self.engines, alpha)):
             try:
                 qf[r], log_det[r] = engine._terms(a)
             except NotPositiveDefiniteError:
                 qf[r], log_det[r] = np.inf, 0.0
         return qf, log_det
-
-    def log_posterior(self, p, prior):
-        """Joint log posterior at the (R, 2) rows (theta, alpha)."""
-        theta, alpha = p[:, 0], p[:, 1]
-        ok = np.all((p > 0) & (p < np.inf), axis=1)
-        if not ok.all():
-            theta, alpha = np.where(ok, theta, 1.0), np.where(ok, alpha, 1.0)
-        sigma2 = theta / alpha ** (2.0 * self.nu)
-        ok &= (sigma2 > 0) & (sigma2 < np.inf)
-        if not ok.all():
-            sigma2 = np.where(ok, sigma2, 1.0)
-        out = (_loglik(self.n, sigma2, *self.terms(alpha))
-               + prior.theta_prior.logpdf(theta) + prior.alpha_prior.logpdf(alpha))
-        return np.where(ok, out, -np.inf)
-
-    def log_profile_posterior(self, alpha, prior):
-        """Profile log-likelihood plus log alpha prior at the (R,) ``alpha``."""
-        ok = (alpha > 0) & (alpha < np.inf)
-        if not ok.all():
-            alpha = np.where(ok, alpha, 1.0)
-        qf, log_det = self.terms(alpha)
-        ok &= qf > 0.0
-        if not ok.all():
-            qf = np.where(ok, qf, 1.0)
-        out = _profile_loglik(self.n, qf, log_det) + prior.alpha_prior.logpdf(alpha)
-        return np.where(ok, out, -np.inf)
 
 
 def is_ou_model(d: int, nu: float) -> bool:

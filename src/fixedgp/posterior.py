@@ -1,11 +1,13 @@
 """Priors, random-walk Metropolis on log coordinates, and its targets.
 
-Every chain follows one pattern: a target maps (R, k) rows to R log
+Every chain follows one pattern: a target maps (R, K) rows to R log
 densities, and R chains started from checked points run on it in lockstep.
-The targets are the joint (theta, alpha) posterior (:func:`joint_target`)
-and the alpha parts of the two limiting posteriors (:func:`profile_target`
-and, for the OU model, :func:`tilted_target`).  The theta part the limits
-share is an i.i.d. normal, drawn directly by :func:`theta_limit_draws`.
+One target, :func:`lockstep_target`, holds three kinds of rows: the joint
+(theta, alpha) posterior and the alpha parts of the two limiting posteriors,
+the profile limit and, for the OU model, the tilted limit;
+:func:`joint_target`, :func:`profile_target` and :func:`tilted_target` are
+its rows of one kind.  The theta part the limits share is an i.i.d. normal,
+drawn directly by :func:`theta_limit_draws`.
 
 The limiting posteriors are theory objects: they are centered with the
 simulation truth (theta0, alpha0), which the experiment harness supplies.
@@ -18,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import DegenerateDataError, LikelihoodBlock
+from .gp import DegenerateDataError, LikelihoodBlock, _loglik, _profile_loglik
 
 __all__ = [
     "GammaPrior",
     "PriorSpec",
     "InitializationError",
+    "lockstep_target",
     "joint_target",
     "profile_target",
     "tilted_target",
@@ -99,14 +102,21 @@ def chain_start(log_target, init):
     return u, fu
 
 
+# noise draws per chunk of steps: the pre-drawn noise of a lockstep run is
+# held for one chunk at a time, not for the whole run
+NOISE_CHUNK = 500
+
+
 def rwm_chains(log_target, inits, seeds, steps, n_samples, n_burnin):
     """Random-walk Metropolis on log coordinates with the change-of-variables
-    Jacobian, for R independent chains of k = ``len(steps)`` positive
-    variables advanced in lockstep.
+    Jacobian, for R independent chains of positive variables advanced in
+    lockstep.
 
-    ``log_target`` maps an (R, k) array of points on the original scale to R
-    values; chain r starts at ``inits[r]`` with step sizes ``steps`` and
-    draws from ``default_rng(seeds[r])``.  Invalid arguments raise
+    Chain r has k_r = ``len(steps[r])`` variables: it starts at
+    ``inits[r]`` with step sizes ``steps[r]`` and draws from
+    ``default_rng(seeds[r])``.  ``log_target`` maps an (R, K) array of
+    points on the original scale to R values, K = max k_r; the columns past
+    a chain's width hold 1.0 and never move.  Invalid arguments raise
     ``ValueError`` before the target is evaluated.
 
     During burn-in, a global scale is driven by Robbins-Monro towards 30%
@@ -114,49 +124,58 @@ def rwm_chains(log_target, inits, seeds, steps, n_samples, n_burnin):
     running marginal standard deviations of the chain; both are frozen at
     the end of burn-in, so the retained chain is a valid Metropolis chain.
 
-    Each chain's noise is drawn before the loop in the order one chain
-    alone draws it, ``standard_normal(k)`` then a uniform per step, and
-    every update is row-wise, so chain r is bit for bit the chain run alone
-    (R = 1) from the same start and seed, whatever the other rows.
-    Returns (draws on the original scale, shape (R, n_samples, k), and
-    post-burn-in acceptance, shape (R,)).
+    Each chain's noise is drawn ``NOISE_CHUNK`` steps at a time in the order
+    one chain alone draws it, ``standard_normal(k_r)`` then a uniform per
+    step, and every update is row-wise, so chain r is bit for bit the chain
+    run alone (R = 1) from the same start and seed, whatever the other rows.
+    Returns (a list of R draw arrays on the original scale, chain r's of
+    shape (n_samples, k_r), and post-burn-in acceptance, shape (R,)).
     """
     if n_samples < 1 or n_burnin < 0:
         raise ValueError("n_samples must be positive and n_burnin nonnegative")
-    k = len(steps)
-    if not all(s > 0 for s in steps):
-        raise ValueError(f"step sizes must be positive, got {steps}")
     if len(inits) == 0:
         raise ValueError("a lockstep run needs at least one start")
     if len(seeds) != len(inits):
         raise ValueError(f"expected one seed per start, got {len(seeds)} for {len(inits)}")
-    width = np.atleast_2d(np.asarray(inits, dtype=float)).shape[1]
-    if width != k:
-        raise ValueError(f"expected starts of {k} variables, got {width} variables")
-    u, fu = chain_start(log_target, inits)
-    n_chains = u.shape[0]
-    steps = np.tile(np.asarray(steps, dtype=float), (n_chains, 1))
+    if len(steps) != len(inits):
+        raise ValueError(f"expected one step tuple per start, got {len(steps)} for {len(inits)}")
+    widths = [len(s) for s in steps]
+    n_chains, width = len(inits), max(widths)
+    start, step = np.ones((n_chains, width)), np.zeros((n_chains, width))
+    for r, (init, s) in enumerate(zip(inits, steps)):
+        if not (len(s) > 0 and all(x > 0 for x in s)):
+            raise ValueError(f"step sizes must be positive, got {s}")
+        init = np.asarray(init, dtype=float)
+        if init.shape != (len(s),):
+            raise ValueError(f"expected starts of {len(s)} variables, got {init.size} variables")
+        start[r, :len(s)], step[r, :len(s)] = init, s
+    u, fu = chain_start(log_target, start)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     total = n_burnin + n_samples
-    noise = np.empty((total, n_chains, k))
-    log_uniform = np.empty((total, n_chains))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for t in range(total):
-            rng.standard_normal(out=noise[t, r])
-            log_uniform[t, r] = rng.random()
-    np.log(log_uniform, out=log_uniform)
+    noise = np.zeros((NOISE_CHUNK, n_chains, width))
+    log_uniform = np.empty((NOISE_CHUNK, n_chains))
 
-    out = np.empty((n_chains, n_samples, k))
+    live = step > 0     # the columns the chains move, stored chain by chain
+    out = np.empty((sum(widths), n_samples))
     accepted = np.empty((n_samples, n_chains), dtype=bool)
     log_scale = np.zeros(n_chains)
+    tuning = (2.38 / np.sqrt(widths))[:, None]
     # Welford accumulators over the second half of warm-up
-    w_count, w_mean, w_m2 = 0, np.zeros((n_chains, k)), np.zeros((n_chains, k))
+    w_count, w_mean, w_m2 = 0, np.zeros((n_chains, width)), np.zeros((n_chains, width))
     for t in range(total):
+        c = t % NOISE_CHUNK
+        if c == 0:
+            m = min(NOISE_CHUNK, total - t)
+            for r, (rng, k) in enumerate(zip(rngs, widths)):
+                for i in range(m):
+                    rng.standard_normal(out=noise[i, r, :k])
+                    log_uniform[i, r] = rng.random()
+            np.log(log_uniform[:m], out=log_uniform[:m])
         if t <= n_burnin:   # the scales are frozen after burn-in
-            jump = np.exp(log_scale)[:, None] * steps
-        prop = u + jump * noise[t]
+            jump = np.exp(log_scale)[:, None] * step
+        prop = u + jump * noise[c]
         fp = log_target(np.exp(prop)) + np.add.reduce(prop, axis=1)
-        accept = log_uniform[t] < fp - fu
+        accept = log_uniform[c] < fp - fu
         np.copyto(u, prop, where=accept[:, None])
         np.copyto(fu, fp, where=accept)
         if t < n_burnin:
@@ -171,71 +190,106 @@ def rwm_chains(log_target, inits, seeds, steps, n_samples, n_burnin):
                     sd = np.sqrt(w_m2 / (w_count - 1))
                     ok = sd > 0
                     # near-optimal diagonal scaling, folded into the
-                    # existing global factor
-                    tuned = 2.38 / np.sqrt(k) * sd / np.exp(log_scale)[:, None]
-                    steps[ok] = np.clip(tuned[ok], steps[ok] * 1e-3, steps[ok] * 1e3)
+                    # existing global factor; a padding column has sd 0
+                    tuned = tuning * sd / np.exp(log_scale)[:, None]
+                    step[ok] = np.clip(tuned[ok], step[ok] * 1e-3, step[ok] * 1e3)
         else:
             accepted[t - n_burnin] = accept
-            out[:, t - n_burnin] = u
-    return np.exp(out, out=out), np.count_nonzero(accepted, axis=0) / n_samples
+            out[:, t - n_burnin] = u[live]
+    np.exp(out, out=out)
+    ends = np.cumsum(widths)
+    return ([out[end - k:end].T for end, k in zip(ends, widths)],
+            np.count_nonzero(accepted, axis=0) / n_samples)
 
 
-def joint_target(engines, prior: PriorSpec):
-    """The unnormalized joint log posterior of the engines' R datasets as one
-    function of an (R, 2) array of (theta, alpha) rows: -inf (a rejectable
-    value) in a row of invalid parameters or a failed factorization."""
-    block = LikelihoodBlock(engines)
-    return lambda p: block.log_posterior(p, prior)
+def lockstep_target(prior: PriorSpec, joint=(), profile=(), tilted=()):
+    """The log densities of one lockstep run's rows as one function of an
+    (R, K) array: one row per engine of ``joint``, (theta, alpha) in its
+    first two columns, then one per engine of ``profile`` and of ``tilted``,
+    alpha in its first column.  A row gives -inf where its parameters are
+    not positive and finite, its correlation fails to factorize or its
+    profile is degenerate.
 
-
-def profile_target(engines, prior: PriorSpec):
-    """The alpha log density of the engines' R profile limits (profile
-    log-likelihood plus log alpha prior) as one function of an (R, 1) array
-    of alphas, -inf where :func:`joint_target` is and in a degenerate
-    profile."""
-    block = LikelihoodBlock(engines)
-    return lambda a: block.log_profile_posterior(a[:, 0], prior)
-
-
-def tilted_target(engines, prior: PriorSpec):
-    """The alpha log density of the engines' R polynomially tilted normal
-    limits as one function of an (R, 1) array of alphas:
+    * joint: the unnormalized joint log posterior of (theta, alpha);
+    * profile: the profile log-likelihood plus log alpha prior, the alpha
+      part of the profile limit;
+    * tilted: the alpha part of the polynomially tilted normal limit,
 
         (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha),
 
-    with u* = n (A1 - A2) / A1 and v* = n (A1 - 2 A2 + A3) / A1, where A1
-    sums the interior squares of a dataset, A2 its lag-1 products and A3 all
-    its squares; -inf in a row whose alpha is not positive and finite.  Only
-    the OU model has this limit: other engines raise ``ValueError``, and a
-    dataset whose A1 or v* is not positive raises ``DegenerateDataError``.
+      with u* = n (A1 - A2) / A1 and v* = n (A1 - 2 A2 + A3) / A1, where A1
+      sums the interior squares of a dataset, A2 its lag-1 products and A3
+      all its squares.  Only the OU model has this limit: other engines
+      raise ``ValueError``, and a dataset whose A1 or v* is not positive
+      raises ``DegenerateDataError``.
+
+    The joint and profile rows share one likelihood block, and each prior is
+    evaluated once per call.
     """
-    engines = list(engines)
-    if not engines:
+    joint, profile, tilted = list(joint), list(profile), list(tilted)
+    if not (joint or profile or tilted):
         raise ValueError("a likelihood block needs at least one engine")
-    if not all(e.is_ou for e in engines):
+    n_joint, n_block = len(joint), len(joint) + len(profile)
+    block = LikelihoodBlock(joint + profile) if n_block else None
+    if not all(e.is_ou for e in tilted):
         raise ValueError("the tilted limit requires the OU model (d = 1, nu = 1/2)")
     a1, a2, a3 = np.array([(x[1:-1] @ x[1:-1], x[:-1] @ x[1:], x @ x)
-                           for x in (e.data.x for e in engines)]).T
+                           for x in (e.data.x for e in tilted)]).reshape(-1, 3).T
     if not np.all(a1 > 0):
         raise DegenerateDataError(f"A1 must be positive, got {a1}")
-    n = np.array([e.n for e in engines])
+    n = np.array([e.n for e in tilted])
     u_star = n * (a1 - a2) / a1
     v_star = n * (a1 - 2.0 * a2 + a3) / a1
     if not np.all(v_star > 0):
         raise DegenerateDataError(f"v_star must be positive, got {v_star}")
     two_v_star = 2.0 * v_star
 
-    def log_density(a):
-        alpha = a[:, 0]
-        ok = (alpha > 0) & (alpha < np.inf)
-        all_ok = ok.all()
-        if not all_ok:
-            alpha = np.where(ok, alpha, 1.0)
-        out = (0.5 * np.log(alpha) - (alpha - u_star) ** 2 / two_v_star
-               + prior.alpha_prior.logpdf(alpha))
-        return out if all_ok else np.where(ok, out, -np.inf)
+    def log_density(p):
+        alpha = np.concatenate((p[:n_joint, 1], p[n_joint:, 0])) if n_joint else p[:, 0]
+        theta, ok = p[:n_joint, 0], (alpha > 0) & (alpha < np.inf)
+        ok[:n_joint] &= (theta > 0) & (theta < np.inf)
+        if not ok.all():
+            theta, alpha = np.where(ok[:n_joint], theta, 1.0), np.where(ok, alpha, 1.0)
+        log_prior = prior.alpha_prior.logpdf(alpha)
+        out = np.empty(alpha.shape[0])
+        if n_block:
+            qf, log_det = block.terms(alpha[:n_block])
+        if n_joint:
+            sigma2 = theta / alpha[:n_joint] ** (2.0 * block.nu)
+            ok[:n_joint] &= (sigma2 > 0) & (sigma2 < np.inf)
+            if not ok[:n_joint].all():
+                sigma2 = np.where(ok[:n_joint], sigma2, 1.0)
+            out[:n_joint] = (_loglik(block.n[:n_joint], sigma2, qf[:n_joint], log_det[:n_joint])
+                             + prior.theta_prior.logpdf(theta) + log_prior[:n_joint])
+        if profile:
+            ok[n_joint:n_block] &= qf[n_joint:] > 0.0
+            if not ok[n_joint:n_block].all():
+                qf[n_joint:] = np.where(ok[n_joint:n_block], qf[n_joint:], 1.0)
+            out[n_joint:n_block] = (_profile_loglik(block.n[n_joint:], qf[n_joint:],
+                                                    log_det[n_joint:])
+                                    + log_prior[n_joint:n_block])
+        if tilted:
+            a = alpha[n_block:]
+            out[n_block:] = 0.5 * np.log(a) - (a - u_star) ** 2 / two_v_star + log_prior[n_block:]
+        return out if ok.all() else np.where(ok, out, -np.inf)
 
     return log_density
+
+
+def joint_target(engines, prior: PriorSpec):
+    """The joint rows of :func:`lockstep_target` alone, at (R, 2) rows of
+    (theta, alpha)."""
+    return lockstep_target(prior, joint=engines)
+
+
+def profile_target(engines, prior: PriorSpec):
+    """The profile rows of :func:`lockstep_target` alone, at (R, 1) alphas."""
+    return lockstep_target(prior, profile=engines)
+
+
+def tilted_target(engines, prior: PriorSpec):
+    """The tilted rows of :func:`lockstep_target` alone, at (R, 1) alphas."""
+    return lockstep_target(prior, tilted=engines)
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:

@@ -3,10 +3,10 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from fixedgp.gp import DegenerateDataError, GpDataset, LikelihoodBlock
+from fixedgp.gp import DegenerateDataError, GpDataset
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import DenseMseFactors, efficiency_ratios
-from fixedgp.posterior import joint_target
+from fixedgp.posterior import joint_target, profile_target
 
 # Pass/fail lines recorded by the acceptance tests, echoed at the end of the
 # run so they are visible without -s.
@@ -81,10 +81,11 @@ def joint_posterior_logdensity(engine, prior, theta: float, alpha: float) -> flo
 
 def profile_posterior_logdensity(engine, prior, alpha: float) -> float:
     """Unnormalized log density of the profile posterior for alpha: the
-    profile log-likelihood plus the log prior of alpha, as a one-row block
-    call; the oracle that the rows of a larger block are checked against."""
-    point = np.array([alpha], dtype=float)
-    return float(LikelihoodBlock([engine]).log_profile_posterior(point, prior)[0])
+    profile log-likelihood plus the log prior of alpha, as a one-row
+    :func:`fixedgp.posterior.profile_target` call; the oracle that the rows
+    of a larger block are checked against."""
+    point = np.array([[alpha]], dtype=float)
+    return float(profile_target([engine], prior)(point)[0])
 
 
 def sample_ou_path_markov(design, truth, seed) -> GpDataset:

@@ -126,6 +126,8 @@ class TestTables:
         out = str(tmp_path / "o")
         for command, line in (("table1", "nu = -1"), ("table1", "n_values = 0,5"),
                               ("table1", "n_values = 2,5"), ("table3", "n_values = 5,1"),
+                              # the OU model by the harness's tolerance, not by ==
+                              ("table1", "nu = 0.5000000000000001\nn_values = 2"),
                               ("simulate", "d = 3"), ("contour", "d = 3")):
             p.write_text(f"{line}\n")
             code = main([command, "--config", str(p), "--out", out])

@@ -226,7 +226,7 @@ class TestTableRuns:
         cfg = ExperimentConfig(nu=1.5, **TINY)
         with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
             with pytest.raises(FailureBudgetExceededError) as exc:
-                experiments._run_block(cfg, 30, [2], False)
+                experiments._run_block(cfg, [(30, 2)], False)
         assert str(exc.value) == (
             "replication 2 at n=30, nu=1.5 failed 5 times; last error "
             "NotPositiveDefiniteError: matrix not positive definite at pivot 7")
@@ -252,8 +252,9 @@ class TestTableRuns:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        # serial: one block of 3 replications per size; 2 workers: blocks of
-        # 2 and 1; 3 workers: blocks of one replication
+        # 6 (size, replication) pairs: serial, one task of all six; 2
+        # workers, two tasks of 3; 3 workers, three tasks of 2, one of which
+        # mixes the sizes
         for label, model in (("ou", {}), ("dense", dict(likelihood="dense", nu=1.5))):
             outs = []
             for workers in (1, 2, 3):
@@ -266,17 +267,50 @@ class TestTableRuns:
                 for out in outs[1:]:
                     assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out, name)
 
-    def test_replications_share_a_block(self, monkeypatch):
-        # serial: one lockstep block per size, whatever the backend
-        seen = []
-        monkeypatch.setattr(experiments, "_run_block",
-                            lambda cfg, n_or_m, reps, ratios: seen.append(reps) or [])
-        for likelihood in ("ou", "dense"):
-            seen.clear()
-            cfg = ExperimentConfig(likelihood=likelihood, n_values=(25,),
-                                   **dict(TINY, n_replications=3, n_workers=1))
-            experiments._run_replications(cfg, False)
-            assert seen == [[0, 1, 2]], likelihood
+    def test_one_lockstep_run_per_task(self, monkeypatch):
+        # every chain of a task runs in one rwm_chains call: a joint, a
+        # profile and (OU model only) a tilted chain per pair; at most
+        # TASK_DRAWS // n_samples pairs per task, and at least one task per
+        # worker
+        rows = []
+        real = experiments.rwm_chains
+
+        def spy(target, inits, *args):
+            rows.append(len(inits))
+            return real(target, inits, *args)
+
+        class InlinePool:
+            """The process pool's map, run in this process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "rwm_chains", spy)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        budget = experiments.TASK_DRAWS
+        for model, reps, workers, per_task, want in (
+                ({}, 3, 1, None, [18]),
+                (dict(likelihood="dense", nu=1.5), 3, 1, None, [12]),
+                ({}, 20, 1, None, [120]),
+                ({}, 20, 1, 32, [60, 60]),
+                ({}, 3, 2, None, [9, 9])):
+            rows.clear()
+            cfg = ExperimentConfig(n_values=(25, 40), **model,
+                                   **dict(TINY, n_replications=reps, n_workers=workers))
+            monkeypatch.setattr(experiments, "TASK_DRAWS",
+                                budget if per_task is None else per_task * cfg.n_samples)
+            results = experiments._run_replications(cfg, False)
+            assert len(results) == 2 * reps
+            assert rows == want, (model, reps, workers)
 
     def test_retry_after_the_chains_reruns_the_replication_alone(self, tmp_path, monkeypatch):
         # a post-chain failure of replication 1 at attempt 0: the block run
@@ -299,14 +333,14 @@ class TestTableRuns:
         results, _ = run_table1(cfg)
         assert [r.retries for r in results] == [0, 1, 0]
         patch()
-        alone = experiments._run_block(cfg, 25, [1], False)
+        alone = experiments._run_block(cfg, [(25, 1)], False)
         assert [r.retries for r in alone] == [1]
         experiments._write_replications(tmp_path / "alone.csv", alone)
         block_rows = (tmp_path / "block" / "table1_replications.csv").read_text().splitlines()
         alone_rows = (tmp_path / "alone.csv").read_text().splitlines()
         assert block_rows[2] == alone_rows[1]
         monkeypatch.setattr(experiments, "_replication_result", real)
-        first_try = experiments._run_block(cfg, 25, [1], False)
+        first_try = experiments._run_block(cfg, [(25, 1)], False)
         assert first_try[0].retries == 0
         assert first_try[0].posterior_mean_theta != alone[0].posterior_mean_theta
 
@@ -330,9 +364,9 @@ class TestTableRuns:
 
         blocks = []
 
-        def block(cfg, n_or_m, reps, compute_ratios, attempt=0):
-            blocks.append((list(reps), attempt))
-            return real_block(cfg, n_or_m, reps, compute_ratios, attempt)
+        def block(cfg, pairs, compute_ratios, attempt=0):
+            blocks.append((list(pairs), attempt))
+            return real_block(cfg, pairs, compute_ratios, attempt)
 
         monkeypatch.setattr(experiments, "_setup", setup)
         monkeypatch.setattr(experiments, "_replication_result", result)
@@ -341,12 +375,12 @@ class TestTableRuns:
         with caplog.at_level(logging.WARNING, logger="fixedgp.experiments"):
             results = experiments._run_replications(cfg, False)
         assert [r.retries for r in results] == [1, 0, 1]
-        assert blocks == [([0, 1, 2], 0), ([0, 2], 1)]
+        assert blocks == [([(25, 0), (25, 1), (25, 2)], 0), ([(25, 0), (25, 2)], 1)]
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2 and all(m.endswith("retrying with attempt 1 seed")
                                           for m in messages), messages
         for row in (results[0], results[2]):
-            alone, = real_block(cfg, 25, [row.rep_index], False, attempt=1)
+            alone, = real_block(cfg, [(25, row.rep_index)], False, attempt=1)
             assert repr(row) == repr(alone)
 
 
@@ -356,7 +390,7 @@ def _joint_chain(cfg, n_or_m):
     setup = experiments._setup(cfg, n_or_m, 0, 0)
     init, seed = setup.joint
     (draws,), (acc,) = rwm_chains(joint_target([setup.engine], cfg.prior), [init], [seed],
-                                  experiments._default_steps(setup.engine.n),
+                                  [experiments._default_steps(setup.engine.n)],
                                   cfg.n_samples, cfg.n_burnin)
     points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
     return setup.engine, draws[:, 0], draws[:, 1], acc, points

@@ -6,6 +6,7 @@ from scipy import stats as sp_stats
 
 from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, GpDataset, LikelihoodBlock,
                         NotPositiveDefiniteError, OuEngine)
+from fixedgp import posterior
 from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     GammaPrior,
@@ -13,6 +14,7 @@ from fixedgp.posterior import (
     PriorSpec,
     conditional_bvm_logdensity,
     joint_target,
+    lockstep_target,
     profile_target,
     rwm_chains,
     theta_limit_draws,
@@ -125,7 +127,7 @@ class TestRwmChain:
         prior = PriorSpec()
         def target(p):
             return prior.theta_prior.logpdf(p[:, 0]) + prior.alpha_prior.logpdf(p[:, 1])
-        (ch,), _ = rwm_chains(target, [np.array([5.0, 5.0])], [11], (1.2, 1.2), 30000, 2000)
+        (ch,), _ = rwm_chains(target, [np.array([5.0, 5.0])], [11], [(1.2, 1.2)], 30000, 2000)
         # mean 11, var 110; MC standard error from the effective sample size
         for draws in ch.T:
             ess = _ess(draws)
@@ -136,8 +138,8 @@ class TestRwmChain:
         data = ou_data(20, rng)
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
-        a, acc_a = rwm_chains(target, [np.array([11.0, 11.0])], [99], (0.4, 1.0), 500, 100)
-        b, acc_b = rwm_chains(target, [np.array([11.0, 11.0])], [99], (0.4, 1.0), 500, 100)
+        a, acc_a = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
+        b, acc_b = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
         assert np.array_equal(a, b)
         assert acc_a[0] == acc_b[0]
 
@@ -146,13 +148,13 @@ class TestRwmChain:
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
         _, (acc,) = rwm_chains(target, [np.array([11.0, 11.0])], [5],
-                               (1.7 * np.sqrt(2 / 50), 1.5), 4000, 1000)
+                               [(1.7 * np.sqrt(2 / 50), 1.5)], 4000, 1000)
         assert 0.1 < acc < 0.6
 
     def test_initialization_error(self):
         def target(p):
             return np.full(p.shape[0], -np.inf)
-        run = dict(seeds=[0], steps=(0.5, 0.5), n_samples=10, n_burnin=0)
+        run = dict(seeds=[0], steps=[(0.5, 0.5)], n_samples=10, n_burnin=0)
         with pytest.raises(InitializationError):
             rwm_chains(target, [np.array([1.0, 1.0])], **run)
         with pytest.raises(InitializationError):
@@ -164,7 +166,7 @@ class TestRwmChain:
             calls.append(p.shape)
             return np.zeros(p.shape[0])
         with pytest.raises(ValueError, match="got 1 variables"):
-            rwm_chains(target, [np.array([1.0])], [0], (0.5, 0.5), 50, 10)
+            rwm_chains(target, [np.array([1.0])], [0], [(0.5, 0.5)], 50, 10)
         assert calls == []
 
     def test_alpha_start_of_two_variables_raises_before_any_evaluation(self):
@@ -173,7 +175,7 @@ class TestRwmChain:
             calls.append(a.shape)
             return np.zeros(a.shape[0])
         with pytest.raises(ValueError, match="got 2 variables"):
-            rwm_chains(target, [np.array([1.0, 1.0])], [0], (0.5,), 50, 10)
+            rwm_chains(target, [np.array([1.0, 1.0])], [0], [(0.5,)], 50, 10)
         assert calls == []
 
     def test_step_sizes_of_another_width_raise_before_any_evaluation(self):
@@ -183,19 +185,27 @@ class TestRwmChain:
             calls.append(a.shape)
             return np.zeros(a.shape[0])
         with pytest.raises(ValueError):
-            rwm_chains(target, [np.array([1.0])], [0], (0.2, 2.0), 50, 10)
+            rwm_chains(target, [np.array([1.0])], [0], [(0.2, 2.0)], 50, 10)
         assert calls == []
 
     @pytest.mark.parametrize("starts, seeds, steps, n_samples, n_burnin, message", [
-        ([[1.0, 1.0]], [0], (0.5, 0.0), 50, 10, "step sizes must be positive"),
-        ([[1.0, 1.0]], [0], (-0.5, 0.5), 50, 10, "step sizes must be positive"),
-        ([[1.0]], [0], (np.nan,), 50, 10, "step sizes must be positive"),
-        ([[1.0]], [0], (0.5,), 0, 10, "n_samples must be positive"),
-        ([[1.0]], [0], (0.5,), 50, -1, "n_burnin nonnegative"),
-        ([], [], (0.5,), 50, 10, "at least one start"),
-        ([[1.0], [2.0]], [0], (0.5,), 50, 10, "one seed per start"),
+        ([[1.0, 1.0]], [0], [(0.5, 0.0)], 50, 10, "step sizes must be positive"),
+        ([[1.0, 1.0]], [0], [(-0.5, 0.5)], 50, 10, "step sizes must be positive"),
+        ([[1.0]], [0], [(np.nan,)], 50, 10, "step sizes must be positive"),
+        ([[1.0]], [0], [(0.5,)], 0, 10, "n_samples must be positive"),
+        ([[1.0]], [0], [(0.5,)], 50, -1, "n_burnin nonnegative"),
+        ([], [], [], 50, 10, "at least one start"),
+        ([[1.0], [2.0]], [0], [(0.5,), (0.5,)], 50, 10, "one seed per start"),
+        ([[1.0], [2.0]], [0, 1], [(0.5,)], 50, 10, "one step tuple per start"),
+        ([[1.0], [2.0]], [0, 1], [(0.5,), ()], 50, 10, "step sizes must be positive"),
+        ([[1.0, 1.0], [2.0, 1.0]], [0, 1], [(0.5, 0.5), (0.5,)], 50, 10,
+         "expected starts of 1 variables, got 2"),
+        ([[1.0], [2.0]], [0, 1], [(0.5,), (0.5, 0.5)], 50, 10,
+         "expected starts of 2 variables, got 1"),
     ], ids=["zero step", "negative step", "nan step", "no samples", "negative burn-in",
-            "no starts", "one seed for two starts"])
+            "no starts", "one seed for two starts", "one step tuple for two starts",
+            "no steps", "second start wider than its steps",
+            "second start narrower than its steps"])
     def test_invalid_run_raises_before_any_evaluation(self, starts, seeds, steps, n_samples,
                                                       n_burnin, message):
         calls = []
@@ -209,7 +219,7 @@ class TestRwmChain:
     def test_seed_sequence_seed_equals_its_int(self, rng):
         # default_rng(s) and default_rng(SeedSequence(s)) are one stream
         target = joint_target([OuEngine(ou_data(20, rng))], PriorSpec())
-        chains = [rwm_chains(target, [[11.0, 11.0]], [seed], (0.5, 0.5), 200, 50)[0][0]
+        chains = [rwm_chains(target, [[11.0, 11.0]], [seed], [(0.5, 0.5)], 200, 50)[0][0]
                   for seed in (12, np.random.SeedSequence(12))]
         assert np.array_equal(chains[0], chains[1])
 
@@ -222,7 +232,7 @@ class TestRwmChain:
             u = np.log(p)
             z = u - mu
             return -0.5 * np.einsum("ri,ij,rj->r", z, prec, z) - np.sum(u, axis=1)
-        (ch,), _ = rwm_chains(target, [np.exp(mu)], [17], (1.0, 1.2), 50000, 3000)
+        (ch,), _ = rwm_chains(target, [np.exp(mu)], [17], [(1.0, 1.2)], 50000, 3000)
         u = np.log(ch)
         got = np.cov(u.T)
         assert np.linalg.norm(got - cov) / np.linalg.norm(cov) < 0.15
@@ -231,7 +241,7 @@ class TestRwmChain:
         data = ou_data(10, rng)
         prior = PriorSpec()
         target = joint_target([OuEngine(data)], prior)
-        (ch,), _ = rwm_chains(target, [np.array([11.0, 11.0])], [1], (2.0, 2.0), 2000, 200)
+        (ch,), _ = rwm_chains(target, [np.array([11.0, 11.0])], [1], [(2.0, 2.0)], 2000, 200)
         assert np.all(ch > 0)
 
 
@@ -422,7 +432,7 @@ class TestJointLimitSampler:
         alpha draws of each target's limit."""
         thetas = theta_limit_draws(engine, 0.5, 0.5, 5000, self.theta_seed)
         return thetas, [rwm_chains(target([engine], self.prior), [[11.0]], [self.alpha_seed],
-                                   (2.0,), 5000, 1000)[0][0, :, 0]
+                                   [(2.0,)], 5000, 1000)[0][0][:, 0]
                         for target in targets]
 
     def test_theta_marginal_moments(self):
@@ -488,8 +498,8 @@ class TestEmptyBlock:
 
 
 class TestLikelihoodBlock:
-    """Each row of a block equals the one-row call on its engine bit for bit,
-    -inf rows included, on both backends."""
+    """Each row of a block's targets equals the one-row call on its engine
+    bit for bit, -inf rows included, on both backends."""
 
     prior = PriorSpec()
     # valid points, theta <= 0, alpha = inf and alpha = 0.1, where the nu = 5/2
@@ -498,11 +508,12 @@ class TestLikelihoodBlock:
                        [1.0, np.inf], [np.inf, 1.0], [0.5, 0.1]])
 
     def _check(self, engines):
-        block = LikelihoodBlock(engines)
+        """The joint and profile targets of ``engines``, checked row by row."""
+        joint_of, profile_of = joint_target(engines, self.prior), profile_target(engines, self.prior)
         for p in self.points:
             rows = np.tile(p, (len(engines), 1))
-            joint = block.log_posterior(rows, self.prior)
-            profile = block.log_profile_posterior(rows[:, 1], self.prior)
+            joint = joint_of(rows)
+            profile = profile_of(rows[:, 1:])
             for r, e in enumerate(engines):
                 assert joint[r] == joint_posterior_logdensity(e, self.prior, p[0], p[1]), (p, r)
                 assert profile[r] == profile_posterior_logdensity(e, self.prior, p[1]), (p, r)
@@ -510,15 +521,15 @@ class TestLikelihoodBlock:
                 assert np.all(joint == -np.inf), p
             if p[1] == np.inf:
                 assert np.all(profile == -np.inf), p
-        return block
+        return joint_of, profile_of
 
     def test_ou_rows(self, rng):
         engines = [OuEngine(ou_data(60, rng)) for _ in range(2)]
         zero = OuEngine(GpDataset(design=engines[0].data.design, x=np.zeros(60)))
-        block = self._check(engines + [zero])
+        joint_of, profile_of = self._check(engines + [zero])
         # an all-zero path is degenerate in the profile only
-        assert block.log_profile_posterior(np.array([1.0, 1.0, 1.0]), self.prior)[2] == -np.inf
-        assert np.isfinite(block.log_posterior(np.array([[1.0, 1.0]] * 3), self.prior)[2])
+        assert profile_of(np.array([[1.0]] * 3))[2] == -np.inf
+        assert np.isfinite(joint_of(np.array([[1.0, 1.0]] * 3))[2])
 
     def test_dense_rows_through_failed_factorizations(self, rng):
         from fixedgp.experiments import gen_perturbed_grid
@@ -527,23 +538,32 @@ class TestLikelihoodBlock:
             DenseEngine(GpDataset(design=design, x=np.ones(100)), 2.5).loglik(1.0, 0.1)
         assert err.value.pivot == 5
         paths = [rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100), np.zeros(100)]
-        block = self._check([DenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths])
-        assert np.all(block.log_posterior(np.array([[0.5, 0.1]] * 3), self.prior) == -np.inf)
-        profile = block.log_profile_posterior(np.array([1.0] * 3), self.prior)
+        joint_of, profile_of = self._check([DenseEngine(GpDataset(design=design, x=x), 2.5)
+                                            for x in paths])
+        assert np.all(joint_of(np.array([[0.5, 0.1]] * 3)) == -np.inf)
+        profile = profile_of(np.array([[1.0]] * 3))
         assert profile[2] == -np.inf and np.all(np.isfinite(profile[:2]))
-        smooth = self._check([DenseEngine(ou_data(40, rng), 0.5)])
-        assert np.isfinite(smooth.log_posterior(np.array([[0.5, 0.1]]), self.prior)[0])
-        assert np.isfinite(smooth.log_profile_posterior(np.array([1.0]), self.prior)[0])
+        joint_of, profile_of = self._check([DenseEngine(ou_data(40, rng), 0.5)])
+        assert np.isfinite(joint_of(np.array([[0.5, 0.1]]))[0])
+        assert np.isfinite(profile_of(np.array([[1.0]]))[0])
 
-    def test_one_size_and_one_nu_per_block(self, rng):
+    def test_one_nu_per_block_of_any_sizes(self, rng):
         data = ou_data(30, rng)
-        mixed = ([OuEngine(data), OuEngine(ou_data(31, rng))],
-                 [DenseEngine(data, 0.5), DenseEngine(ou_data(31, rng), 0.5)],
-                 [DenseEngine(data, 0.5), DenseEngine(data, 1.5)],
-                 [OuEngine(data), DenseEngine(data, 2.5)])
-        for engines in mixed:
-            with pytest.raises(ValueError, match="one size and one nu"):
+        for engines in ([DenseEngine(data, 0.5), DenseEngine(data, 1.5)],
+                        [OuEngine(data), DenseEngine(data, 2.5)]):
+            with pytest.raises(ValueError, match="one nu"):
                 LikelihoodBlock(engines)
+        # sizes may mix: each row's terms are its engine's alone
+        alpha = np.array([0.7, 2.0, 0.3, 5.0])
+        for mixed in ([OuEngine(data), OuEngine(ou_data(31, rng)), OuEngine(data),
+                       OuEngine(ou_data(12, rng))],
+                      [DenseEngine(data, 0.5), DenseEngine(ou_data(31, rng), 0.5),
+                       DenseEngine(ou_data(12, rng), 0.5), DenseEngine(data, 0.5)]):
+            block = LikelihoodBlock(mixed)
+            assert list(block.n) == [e.n for e in mixed]
+            qf, log_det = block.terms(alpha)
+            for r, (e, a) in enumerate(zip(mixed, alpha)):
+                assert (qf[r], log_det[r]) == e._terms(a), r
 
 
 class TestInvalidRows:
@@ -578,44 +598,105 @@ class TestInvalidRows:
         assert np.all(np.isfinite(got[valid]))
         assert np.array_equal(got, alone)
 
+    def test_lockstep_rows_are_their_one_kind_values(self):
+        # one call over the joint, profile and tilted rows of two sizes,
+        # invalid rows included, gives each row its one-kind target's value
+        rng = np.random.default_rng(18)
+        engines = [OuEngine(ou_data(n, rng)) for n in (25, 40, 40)]
+        joint_rows = np.array([[0.6, 1.3], [0.0, 2.0], [0.4, np.nan]])
+        alpha_rows = np.array([[1.3, 1.0], [np.inf, 1.0], [2.5, 1.0]])
+        rows = np.vstack([joint_rows, alpha_rows, alpha_rows[::-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lockstep_target(self.prior, joint=engines, profile=engines,
+                                  tilted=engines)(rows)
+            want = np.concatenate([joint_target(engines, self.prior)(joint_rows),
+                                   profile_target(engines, self.prior)(alpha_rows[:, :1]),
+                                   tilted_target(engines, self.prior)(alpha_rows[::-1, :1])])
+        assert np.array_equal(got, want)
+        assert np.isfinite(got).sum() == 5
+
 
 class TestLockstep:
-    """R chains run in lockstep are bit for bit the chains run one by one."""
+    """R chains run in lockstep are bit for bit the chains run one by one,
+    whatever the widths, sizes and kinds of the other rows."""
 
     prior = PriorSpec()
+    kinds = {"joint": joint_target, "profile": profile_target, "tilted": tilted_target}
 
-    def _assert_rows_run_alone(self, target, engines, inits, seeds, steps):
-        draws, acc = rwm_chains(target(engines, self.prior), inits, seeds, steps, 250, 300)
-        for r, (e, init, seed) in enumerate(zip(engines, inits, seeds)):
-            alone, alone_acc = rwm_chains(target([e], self.prior), [init], [seed], steps, 250, 300)
-            assert np.array_equal(draws[r], alone[0])
-            assert acc[r] == alone_acc[0]
+    def _run(self, runs):
+        """One lockstep run of ``runs``, (kind, engine, start, seed, steps)
+        tuples in the row order of :func:`lockstep_target`."""
+        kinds = [kind for kind, *_ in runs]
+        assert kinds == sorted(kinds, key=list(self.kinds).index)
+        target = lockstep_target(self.prior, **{kind: [e for k, e, *_ in runs if k == kind]
+                                                for kind in self.kinds})
+        return rwm_chains(target, *[list(column) for column in zip(*runs)][2:], 250, 300)
 
-    def _check(self, engines, alpha_targets):
-        inits = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
-        inits = inits[:len(engines)]
-        seeds = [40 + i for i in range(len(engines))]
-        self._assert_rows_run_alone(joint_target, engines, inits, seeds, (0.3, 1.5))
-        inits = [[11.0], [1.0], [2.0]][:len(engines)]
-        # as the harness seeds them: the second stream spawned from each seed
-        seeds = [np.random.SeedSequence(70 + i).spawn(2)[1] for i in range(len(engines))]
-        for target in alpha_targets:
-            self._assert_rows_run_alone(target, engines, inits, seeds, (2.0,))
+    def _assert_rows_run_alone(self, runs):
+        draws, acc = self._run(runs)
+        for r, (kind, engine, init, seed, steps) in enumerate(runs):
+            alone, alone_acc = rwm_chains(self.kinds[kind]([engine], self.prior), [init],
+                                          [seed], [steps], 250, 300)
+            assert draws[r].shape == (250, len(steps)), (r, kind)
+            assert np.array_equal(draws[r], alone[0]), (r, kind)
+            assert acc[r] == alone_acc[0], (r, kind)
+        return draws
+
+    def _runs(self, engines, alpha_kinds):
+        """A joint chain of each engine, then an alpha chain of each engine
+        for each of ``alpha_kinds``, seeded as the harness seeds them."""
+        starts = [np.array([11.0, 11.0]), np.array([0.4, 2.0]), np.array([3.0, 0.7])]
+        runs = [("joint", e, starts[i % 3], 40 + i, (1.7 * np.sqrt(2.0 / e.n), 1.5))
+                for i, e in enumerate(engines)]
+        for kind in alpha_kinds:
+            # the second stream spawned from each seed
+            runs += [(kind, e, [[11.0], [1.0], [2.0]][i % 3],
+                      np.random.SeedSequence(70 + i).spawn(2)[1], (2.0,))
+                     for i, e in enumerate(engines)]
+        return runs
+
+    def _check(self, engines, alpha_kinds):
+        runs = self._runs(engines, alpha_kinds)
+        for kind in ("joint",) + alpha_kinds:
+            self._assert_rows_run_alone([run for run in runs if run[0] == kind])
+        self._assert_rows_run_alone(runs)
 
     def test_ou_block_equals_single_chains(self):
         rng = np.random.default_rng(21)
         engines = [OuEngine(ou_data(60, rng)) for _ in range(3)]
-        self._check(engines, (profile_target, tilted_target))
+        self._check(engines, ("profile", "tilted"))
+
+    def test_ou_sizes_and_kinds_in_one_run_equal_single_chains(self):
+        # n = 25 and 40 in one run: joint rows of width 2 with their own
+        # steps, then the profile and tilted rows of width 1
+        rng = np.random.default_rng(22)
+        engines = [OuEngine(ou_data(n, rng)) for n in (25, 40, 25, 40)]
+        self._check(engines, ("profile", "tilted"))
 
     def test_dense_block_equals_single_chains_through_cholesky_failures(self):
         # the d=1, n=100 perturbed grid of seed 0 at nu = 5/2: its correlation
         # matrix fails to factorize at alpha = 0.1 (pivot 5), and with a flat
-        # path the chains propose such alphas
+        # path the chains propose such alphas; an n = 60 dataset rides along
         from fixedgp.experiments import gen_perturbed_grid
         design = gen_perturbed_grid(1, 100, seed=0)
         rng = np.random.default_rng(5)
         paths = [np.ones(100), rng.standard_normal(100).cumsum() / 10.0, np.linspace(-1, 1, 100)]
         engines = [_CountingDenseEngine(GpDataset(design=design, x=x), 2.5) for x in paths]
+        engines.append(_CountingDenseEngine(GpDataset(design=gen_perturbed_grid(1, 60, seed=1),
+                                                      x=np.linspace(1, -1, 60)), 2.5))
         _CountingDenseEngine.failures = 0
-        self._check(engines, (profile_target,))
+        self._check(engines, ("profile",))
         assert _CountingDenseEngine.failures > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_noise_chunk_does_not_change_the_draws(self, chunk, monkeypatch):
+        # 7 does not divide the 550 steps, so the last chunk is partial
+        rng = np.random.default_rng(23)
+        runs = self._runs([OuEngine(ou_data(n, rng)) for n in (25, 40)], ("profile", "tilted"))
+        default = self._run(runs)
+        monkeypatch.setattr(posterior, "NOISE_CHUNK", chunk)
+        chunked = self._run(runs)
+        assert len(chunked[0]) == len(default[0])
+        assert all(np.array_equal(a, b) for a, b in zip(chunked[0], default[0]))
+        assert np.array_equal(chunked[1], default[1])
