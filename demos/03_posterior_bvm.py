@@ -15,13 +15,11 @@ import numpy as np
 from fixedgp import (
     ExperimentConfig,
     gen_perturbed_grid,
-    joint_target,
     likelihood_engine,
-    profile_target,
+    lockstep_target,
     rwm_chains,
     sample_gp_path,
     theta_limit_draws,
-    tilted_target,
     w2_distance,
 )
 
@@ -35,18 +33,18 @@ for n in (50, 200, 400):
 
     # the joint target maps (R, 2) rows of (theta, alpha) to R values; here
     # R = 1: one start, one seed, and one tuple of steps, for (theta, alpha)
-    (draws,), (acc,) = rwm_chains(joint_target([engine], prior), [[11.0, 11.0]], [n + 1],
-                                  [(1.7 * np.sqrt(2 / n), 1.5)], 5000, 1000)
+    (draws,), (acc,) = rwm_chains(lockstep_target(prior, joint=[engine]), [[11.0, 11.0]],
+                                  [n + 1], [(1.7 * np.sqrt(2 / n), 1.5)], 5000, 1000)
     theta, alpha = draws[:, 0], draws[:, 1]
 
     # both limits of this dataset share one i.i.d. normal theta part; their
     # alpha chains run on (R, 1) targets, here R = 1, from the same stream
     theta_ss, alpha_ss = np.random.SeedSequence(n + 1).spawn(2)
     thetas = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, 5000, theta_ss)
-    (profile,), _ = rwm_chains(profile_target([engine], prior), [[11.0]], [alpha_ss],
-                               [(1.5,)], 5000, 1000)
-    (tilted,), _ = rwm_chains(tilted_target([engine], prior), [[11.0]], [alpha_ss],
-                              [(1.5,)], 5000, 1000)
+    (profile,), _ = rwm_chains(lockstep_target(prior, profile=[engine]), [[11.0]], [alpha_ss],
+                               [(2.0,)], 5000, 1000)
+    (tilted,), _ = rwm_chains(lockstep_target(prior, tilted=[engine]), [[11.0]], [alpha_ss],
+                              [(2.0,)], 5000, 1000)
 
     print(f"n={n:>3}  E(theta)={theta.mean():.4f}  E(alpha)={alpha.mean():.3f}"
           f"  sd(alpha)={alpha.std():.3f}  acc={acc:.2f}")

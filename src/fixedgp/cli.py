@@ -230,11 +230,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _print_rows(rows, cols=None):
+def _print_rows(rows):
     for row in rows:
-        keys = cols or row.keys()
-        print("  ".join(f"{k}={row[k]:.4g}" if isinstance(row[k], float) else f"{k}={row[k]}"
-                        for k in keys))
+        print("  ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in row.items()))
 
 
 def _cmd_table(args, runner) -> int:

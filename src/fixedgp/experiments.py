@@ -48,12 +48,9 @@ from .posterior import (
     PriorSpec,
     chain_start,
     conditional_bvm_logdensity,
-    joint_target,
     lockstep_target,
-    profile_target,
     rwm_chains,
     theta_limit_draws,
-    tilted_target,
 )
 
 __all__ = [
@@ -224,7 +221,7 @@ def gen_perturbed_grid(d: int, n_or_m: int, seed, zero_noise: bool = False) -> D
         else:
             raise ValueError(f"gen_perturbed_grid supports d in {{1,2}}, got {d}")
         try:
-            return Design(points=pts, T=1.0)
+            return Design(points=pts)
         except ValueError:
             continue
     raise FailureBudgetExceededError("could not generate a distinct perturbed grid")
@@ -300,7 +297,6 @@ class _Setup:
 
     rep: int
     attempt: int
-    design: Design
     engine: object
     theta_limit: np.ndarray     # the theta draws both limits share
     joint: tuple
@@ -319,19 +315,19 @@ def _setup(cfg, n_or_m, rep, attempt) -> _Setup:
     def spawned(purpose):
         return np.random.SeedSequence(_seed_int(master, d, n, rep, attempt, purpose)).spawn(2)
 
-    def chain(target, mean, fallback, seed):
-        return _chain_init(target([engine], prior), mean, fallback), seed
+    def chain(kind, mean, fallback, seed):
+        return _chain_init(lockstep_target(prior, **{kind: [engine]}), mean, fallback), seed
 
-    joint = chain(joint_target, [prior.theta_prior.mean, alpha_mean],
+    joint = chain("joint", [prior.theta_prior.mean, alpha_mean],
                   lambda: [engine.profile(1.0).theta_tilde, 1.0],
                   _seed_int(master, d, n, rep, attempt, 3))
     # the theta limit and the profile alpha chain split purpose 4's stream
     theta_ss, profile_ss = spawned(4)
     theta_limit = theta_limit_draws(engine, cfg.theta_0, cfg.alpha_0, cfg.n_samples, theta_ss)
-    profile = chain(profile_target, [alpha_mean], lambda: [1.0], profile_ss)
-    tilted = (chain(tilted_target, [alpha_mean], lambda: [1.0], spawned(5)[1])
+    profile = chain("profile", [alpha_mean], lambda: [1.0], profile_ss)
+    tilted = (chain("tilted", [alpha_mean], lambda: [1.0], spawned(5)[1])
               if engine.is_ou else None)
-    return _Setup(rep, attempt, design, engine, theta_limit, joint, profile, tilted)
+    return _Setup(rep, attempt, engine, theta_limit, joint, profile, tilted)
 
 
 def _retried(cfg, pair, attempt, err):
@@ -405,8 +401,8 @@ def _replication_result(cfg, setup, theta, alpha, acceptance, limit_alpha, tilte
     if compute_ratios:
         points = gen_lhs_testpoints(
             cfg.d, cfg.test_point_count,
-            _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6), setup.design
-        )
+            _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6),
+            setup.engine.data.design)
         r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, theta, alpha, points)
     else:
         r1 = r2 = np.nan
@@ -632,20 +628,20 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     qf, _ = LikelihoodBlock([engine] * alpha_grid.shape[0]).terms(alpha_grid)
     ridge = np.where(np.isfinite(qf), qf / n * alpha_grid ** (2.0 * cfg.nu), np.nan)
     # one target row per theta, so each alpha column is one call
-    joint = joint_target([engine] * theta_grid.shape[0], prior)
+    joint = lockstep_target(prior, joint=[engine] * theta_grid.shape[0])
     log_true = np.column_stack([
         joint(np.column_stack([theta_grid, np.full_like(theta_grid, a)])) for a in alpha_grid
     ])
     # one target row per alpha
     alphas, alpha_engines = alpha_grid[:, None], [engine] * alpha_grid.shape[0]
     norm = conditional_bvm_logdensity(theta_grid, theta_tilde_alpha0, cfg.theta_0, n)[:, None]
-    tilted = (tilted_target(alpha_engines, prior)(alphas)
+    tilted = (lockstep_target(prior, tilted=alpha_engines)(alphas)
               if engine.is_ou else np.full(alpha_grid.shape, np.nan))
     surfaces = {
         "theta_grid": theta_grid,
         "alpha_grid": alpha_grid,
         "log_posterior": log_true,
-        "log_profile_limit": norm + profile_target(alpha_engines, prior)(alphas),
+        "log_profile_limit": norm + lockstep_target(prior, profile=alpha_engines)(alphas),
         "log_tilted_limit": norm + tilted,
         "ridge": ridge,
     }
@@ -667,7 +663,7 @@ def kl_check_sweep(n_values, alphas, alpha0: float = 0.5, out_path=None):
     equispaced unit-interval grid s_i = i/n."""
     rows = []
     for n in n_values:
-        design = Design(points=(np.arange(1, n + 1) / n)[:, None], T=1.0)
+        design = Design(points=(np.arange(1, n + 1) / n)[:, None])
         for a in alphas:
             rn = sym_kl_finite(design, 0.5, a, alpha0)
             rl = sym_kl_limit(a, alpha0)
@@ -678,10 +674,10 @@ def kl_check_sweep(n_values, alphas, alpha0: float = 0.5, out_path=None):
     return rows
 
 
-def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1,
-                       theta0: float = 0.5, out_path=None):
+def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1, out_path=None):
     """Random matched-theta instances with the generalized spectrum checked
-    against its min/max power bounds."""
+    against its min/max power bounds; the spectrum does not depend on the
+    shared microergodic value, here 0.5."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(count):
@@ -691,8 +687,7 @@ def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1,
         pts = rng.uniform(0.0, 1.0, (n, d))
         if d == 1:
             pts.sort(axis=0)
-        design = Design(points=pts, T=1.0)
-        lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+        lambdas = generalized_lambdas(Design(points=pts), nu, alpha, alpha0, 0.5)
         ratio = (alpha0 / alpha) ** (2.0 * nu + d)
         lo, hi = min(ratio, 1.0), max(ratio, 1.0)
         ok = (lambdas.min() >= lo - 1e-8) and (lambdas.max() <= hi + 1e-8)

@@ -62,7 +62,7 @@ class DegenerateDataError(Exception):
 
 @dataclass(frozen=True)
 class Design:
-    """Distinct sampling points in [0, T]^d, d in {1, 2, 3}.
+    """Distinct sampling points in the fixed domain [0, 1]^d, d in {1, 2, 3}.
 
     Points are stored as an (n, d) array in the order given, so the i-th
     point stays paired with the i-th observation of a dataset.  The OU fast
@@ -70,7 +70,6 @@ class Design:
     """
 
     points: np.ndarray
-    T: float = 1.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -80,19 +79,13 @@ class Design:
             raise ValueError(f"points must be (n, d) with d in {{1,2,3}}, got {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("a design needs at least one point, got none")
-        if not self.T > 0:
-            raise ValueError(f"domain size T must be positive, got {self.T}")
-        if np.any(pts < 0) or np.any(pts > self.T):
-            raise ValueError("all coordinates must lie in [0, T]")
-        if pts.shape[1] == 1:
-            if np.any(np.diff(np.sort(pts[:, 0])) <= 0):
-                raise ValueError("design points must be pairwise distinct")
-        else:
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            np.fill_diagonal(dist2, np.inf)
-            if dist2.min() <= 0.0:
-                raise ValueError("design points must be pairwise distinct")
+        # NaN fails both comparisons
+        outside = ~np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+        if outside.any():
+            raise ValueError(f"coordinates must be finite and lie in [0, 1]; {outside.sum()} of "
+                             f"{pts.shape[0]} points do not, the first {pts[outside][0].tolist()}")
+        if np.unique(pts, axis=0).shape[0] < pts.shape[0]:
+            raise ValueError("design points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -117,7 +110,8 @@ class Design:
 
 @dataclass(frozen=True)
 class GpDataset:
-    """A design together with the observed vector on it."""
+    """A design together with the finite observed vector on it: with
+    :class:`Design`, the one check of a dataset for every backend."""
 
     design: Design
     x: np.ndarray
@@ -128,6 +122,10 @@ class GpDataset:
             raise ValueError(
                 f"x must be a length-{self.design.n} vector, got shape {x.shape}"
             )
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(f"observations must be finite; {bad.sum()} of {x.shape[0]} are not, "
+                             f"the first {x[bad][0]}")
         object.__setattr__(self, "x", x)
 
     @property
@@ -239,8 +237,6 @@ class DenseEngine(_Engine):
     """
 
     def __init__(self, data: GpDataset, nu: float):
-        if not np.all(np.isfinite(data.x)):
-            raise ValueError("observations must be finite")
         self.data = data
         self.nu = float(nu)
         self.dist = data.design.distance_matrix()
@@ -362,7 +358,7 @@ def is_ou_model(d: int, nu: float) -> bool:
     return d == 1 and abs(nu - 0.5) < 1e-14
 
 
-def likelihood_engine(data: GpDataset, nu: float, likelihood: str = "dense") -> _Engine:
+def likelihood_engine(data: GpDataset, nu: float, likelihood: str) -> _Engine:
     """The engine of a dataset: :class:`OuEngine` when ``likelihood == "ou"``
     and the model is OU, :class:`DenseEngine` otherwise."""
     if likelihood not in ("ou", "dense"):
@@ -382,12 +378,12 @@ def ou_loglik_fast(data: GpDataset, sigma2: float, alpha: float) -> float:
     return OuEngine(data).loglik(sigma2, alpha)
 
 
-def load_dataset(path, T: float = 1.0) -> GpDataset:
+def load_dataset(path) -> GpDataset:
     """Read a dataset CSV with header ``s1[,s2[,s3]],x``.
 
-    Validates coordinate bounds and pairwise distinctness through
-    :class:`Design`; 1-d rows are sorted jointly with their observations, so
-    the OU engine accepts a file in any row order.
+    Validated by :class:`Design` and :class:`GpDataset`; 1-d rows are
+    sorted jointly with their observations, so the OU engine accepts a file
+    in any row order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -403,7 +399,7 @@ def load_dataset(path, T: float = 1.0) -> GpDataset:
     if pts.shape[1] == 1:
         order = np.argsort(pts[:, 0])
         pts, x = pts[order], x[order]
-    return GpDataset(design=Design(points=pts, T=T), x=x)
+    return GpDataset(design=Design(points=pts), x=x)
 
 
 def save_dataset(data: GpDataset, path) -> None:

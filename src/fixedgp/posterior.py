@@ -2,12 +2,11 @@
 
 Every chain follows one pattern: a target maps (R, K) rows to R log
 densities, and R chains started from checked points run on it in lockstep.
-One target, :func:`lockstep_target`, holds three kinds of rows: the joint
-(theta, alpha) posterior and the alpha parts of the two limiting posteriors,
-the profile limit and, for the OU model, the tilted limit;
-:func:`joint_target`, :func:`profile_target` and :func:`tilted_target` are
-its rows of one kind.  The theta part the limits share is an i.i.d. normal,
-drawn directly by :func:`theta_limit_draws`.
+Every target is built by :func:`lockstep_target`, from rows of three kinds:
+the joint (theta, alpha) posterior and the alpha parts of the two limiting
+posteriors, the profile limit and, for the OU model, the tilted limit.  The
+theta part the limits share is an i.i.d. normal, drawn directly by
+:func:`theta_limit_draws`.
 
 The limiting posteriors are theory objects: they are centered with the
 simulation truth (theta0, alpha0), which the experiment harness supplies.
@@ -27,9 +26,6 @@ __all__ = [
     "PriorSpec",
     "InitializationError",
     "lockstep_target",
-    "joint_target",
-    "profile_target",
-    "tilted_target",
     "rwm_chains",
     "theta_limit_draws",
     "conditional_bvm_logdensity",
@@ -274,22 +270,6 @@ def lockstep_target(prior: PriorSpec, joint=(), profile=(), tilted=()):
         return out if ok.all() else np.where(ok, out, -np.inf)
 
     return log_density
-
-
-def joint_target(engines, prior: PriorSpec):
-    """The joint rows of :func:`lockstep_target` alone, at (R, 2) rows of
-    (theta, alpha)."""
-    return lockstep_target(prior, joint=engines)
-
-
-def profile_target(engines, prior: PriorSpec):
-    """The profile rows of :func:`lockstep_target` alone, at (R, 1) alphas."""
-    return lockstep_target(prior, profile=engines)
-
-
-def tilted_target(engines, prior: PriorSpec):
-    """The tilted rows of :func:`lockstep_target` alone, at (R, 1) alphas."""
-    return lockstep_target(prior, tilted=engines)
 
 
 def conditional_bvm_logdensity(theta, theta_tilde_alpha: float, theta0: float, n: int) -> float:

@@ -6,7 +6,7 @@ import pytest
 from fixedgp.gp import DegenerateDataError, GpDataset
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import DenseMseFactors, efficiency_ratios
-from fixedgp.posterior import joint_target, profile_target
+from fixedgp.posterior import lockstep_target
 
 # Pass/fail lines recorded by the acceptance tests, echoed at the end of the
 # run so they are visible without -s.
@@ -48,8 +48,8 @@ def tilted_center_scale(data) -> tuple:
 def tilted_logdensity(u_star, v_star, prior, alpha):
     """Unnormalized log density of the tilted normal limit for alpha,
     (1/2) log alpha - (alpha - u*)^2 / (2 v*) + log prior(alpha), at positive
-    ``alpha``: the oracle :func:`fixedgp.posterior.tilted_target` is checked
-    against."""
+    ``alpha``: the oracle the tilted rows of
+    :func:`fixedgp.posterior.lockstep_target` are checked against."""
     a = np.asarray(alpha, dtype=float)
     return 0.5 * np.log(a) - (a - u_star) ** 2 / (2.0 * v_star) + prior.alpha_prior.logpdf(a)
 
@@ -73,19 +73,19 @@ def ou_profile_loglik(stats, n: int, alpha: float) -> float:
 
 def joint_posterior_logdensity(engine, prior, theta: float, alpha: float) -> float:
     """Unnormalized joint log posterior of (theta, alpha) as a one-row
-    :func:`fixedgp.posterior.joint_target` call; the oracle that the rows of
-    a larger block and the cells of a contour grid are checked against."""
+    :func:`fixedgp.posterior.lockstep_target` call; the oracle that the rows
+    of a larger block and the cells of a contour grid are checked against."""
     point = np.array([[theta, alpha]], dtype=float)
-    return float(joint_target([engine], prior)(point)[0])
+    return float(lockstep_target(prior, joint=[engine])(point)[0])
 
 
 def profile_posterior_logdensity(engine, prior, alpha: float) -> float:
     """Unnormalized log density of the profile posterior for alpha: the
     profile log-likelihood plus the log prior of alpha, as a one-row
-    :func:`fixedgp.posterior.profile_target` call; the oracle that the rows
-    of a larger block are checked against."""
+    :func:`fixedgp.posterior.lockstep_target` call; the oracle that the
+    rows of a larger block are checked against."""
     point = np.array([[alpha]], dtype=float)
-    return float(profile_target([engine], prior)(point)[0])
+    return float(lockstep_target(prior, profile=[engine])(point)[0])
 
 
 def sample_ou_path_markov(design, truth, seed) -> GpDataset:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,32 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.strip() and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("s1,x\n0.1,1\n0.3,-1\nnan,2\n0.7,1\n0.9,0\n",
+         "coordinates must be finite and lie in [0, 1]; 1 of 5 points do not, the first [nan]"),
+        ("s1,x\n0.1,1\n0.3,-1\n0.5,nan\n0.7,1\n0.9,0\n",
+         "observations must be finite; 1 of 5 are not, the first nan"),
+        ("s1,x\n0.1,1\n0.3,-1\n0.5,inf\n0.7,1\n0.9,0\n",
+         "observations must be finite; 1 of 5 are not, the first inf"),
+    ], ids=["nan coordinate", "nan observation", "inf observation"])
+    @pytest.mark.parametrize("likelihood", ["ou", "dense"])
+    def test_non_finite_dataset_exit_2_naming_it(self, text, message, likelihood, tmp_path,
+                                                   capsys):
+        # checked once, when the dataset is built, before any numpy math
+        # could warn; the contour command takes the backend from the config
+        (tmp_path / "data.csv").write_text(text)
+        cfg = tmp_path / "backend.cfg"
+        cfg.write_text(f"likelihood = {likelihood}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["contour", "--data", str(tmp_path / "data.csv"), "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == f"config error: contour: {message}"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["n_workers = -1", "n_test_points = -5",

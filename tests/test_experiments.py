@@ -26,8 +26,7 @@ from fixedgp.experiments import (
 from fixedgp.gp import (DegenerateDataError, DenseEngine, Design, NotPositiveDefiniteError,
                         OuEngine, build_correlation_matrix, cholesky, likelihood_engine)
 from fixedgp.kernels import MaternSpec, matern_correlation
-from fixedgp.posterior import (InitializationError, joint_target, profile_target, rwm_chains,
-                               tilted_target)
+from fixedgp.posterior import InitializationError, lockstep_target, rwm_chains
 from conftest import joint_posterior_logdensity, per_draw_mean_max_ratios, sample_ou_path_markov
 
 
@@ -389,10 +388,10 @@ def _joint_chain(cfg, n_or_m):
     and Table 3 test points."""
     setup = experiments._setup(cfg, n_or_m, 0, 0)
     init, seed = setup.joint
-    (draws,), (acc,) = rwm_chains(joint_target([setup.engine], cfg.prior), [init], [seed],
-                                  [experiments._default_steps(setup.engine.n)],
+    (draws,), (acc,) = rwm_chains(lockstep_target(cfg.prior, joint=[setup.engine]), [init],
+                                  [seed], [experiments._default_steps(setup.engine.n)],
                                   cfg.n_samples, cfg.n_burnin)
-    points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.design)
+    points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.engine.data.design)
     return setup.engine, draws[:, 0], draws[:, 1], acc, points
 
 
@@ -562,11 +561,14 @@ class TestChainInit:
     else a fallback."""
 
     @staticmethod
-    def _rejecting(make_target):
-        """``make_target`` with -inf in every row of alpha above 2, so at the
-        prior mean 11 but not at the fallback alpha 1."""
-        def make(engines, prior):
-            target = make_target(engines, prior)
+    def _rejecting(*kinds):
+        """:func:`lockstep_target`, with -inf in every row of alpha above 2
+        of a target with rows of ``kinds``, so at the prior mean 11 but not
+        at the fallback alpha 1."""
+        def make(prior, **engines):
+            target = lockstep_target(prior, **engines)
+            if not any(engines.get(kind) for kind in kinds):
+                return target
             return lambda p: np.where(p[:, -1] > 2.0, -np.inf, target(p))
         return make
 
@@ -589,7 +591,7 @@ class TestChainInit:
         # the dense model, so the fallback start must be its profile value
         cfg = ExperimentConfig(nu=1.5, **TINY)
         mean = cfg.prior.alpha_prior.mean
-        monkeypatch.setattr(experiments, "joint_target", self._rejecting(joint_target))
+        monkeypatch.setattr(experiments, "lockstep_target", self._rejecting("joint"))
         setup = experiments._setup(cfg, 40, 0, 0)
         data = setup.engine.data
         init, _ = setup.joint
@@ -601,8 +603,7 @@ class TestChainInit:
     def test_alpha_fallback_is_one(self, monkeypatch):
         cfg = ExperimentConfig(**TINY)
         mean = cfg.prior.alpha_prior.mean
-        for name, make in (("profile_target", profile_target), ("tilted_target", tilted_target)):
-            monkeypatch.setattr(experiments, name, self._rejecting(make))
+        monkeypatch.setattr(experiments, "lockstep_target", self._rejecting("profile", "tilted"))
         setup = experiments._setup(cfg, 40, 0, 0)
         assert setup.profile[0] == [1.0] and setup.tilted[0] == [1.0]
         assert np.array_equal(setup.joint[0], [cfg.prior.theta_prior.mean, mean])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from fixedgp.gp import (
@@ -18,21 +19,21 @@ from fixedgp.gp import (
     save_dataset,
 )
 from fixedgp.kernels import MaternSpec, matern_correlation
-from fixedgp.posterior import PriorSpec, tilted_target
+from fixedgp.posterior import PriorSpec, lockstep_target
 
 from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
                       profile_posterior_logdensity, tilted_logdensity)
 
 
 def equispaced_design(n):
-    return Design(points=(np.arange(1, n + 1) / n)[:, None], T=1.0)
+    return Design(points=(np.arange(1, n + 1) / n)[:, None])
 
 
 def ou_dataset(n, rng, alpha0=0.5, sigma2_0=1.0, perturb=True):
     pts = (2 * np.arange(1, n + 1) - 1) / (2 * n)
     if perturb:
         pts = pts + rng.uniform(-2e-4, 2e-4, n)
-    design = Design(points=pts[:, None], T=1.0)
+    design = Design(points=pts[:, None])
     r = np.exp(-alpha0 * np.abs(pts[:, None] - pts[None, :]))
     x = np.linalg.cholesky(sigma2_0 * r) @ rng.standard_normal(n)
     return GpDataset(design=design, x=x)
@@ -86,9 +87,32 @@ class TestDesign:
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
-            Design(points=np.array([[1.5]]), T=1.0)
+            Design(points=np.array([[1.5]]))
         with pytest.raises(ValueError):
-            Design(points=np.array([[-0.1]]), T=1.0)
+            Design(points=np.array([[-0.1]]))
+        # the domain is [0, 1]^d: NaN fails both bounds, and the message names
+        # the first bad point
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"1 of 3 points do not, the first \[0.4, "):
+                Design(points=np.array([[0.1, 0.2], [0.4, bad], [0.9, 0.9]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_distinct_exactly_when_no_two_rows_are_equal(self, d, data):
+        # few coordinate values, signed zeros and injected copies of drawn
+        # rows, so that equal rows are common
+        coord = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+        rows = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+        copies = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows = data.draw(st.permutations(rows + [rows[i] for i in copies]))
+        # the brute-force pairwise oracle: float ==, so -0.0 equals 0.0
+        distinct = not any(rows[i] == rows[j]
+                           for i in range(len(rows)) for j in range(i + 1, len(rows)))
+        if distinct:
+            assert Design(points=np.array(rows)).n == len(rows)
+        else:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                Design(points=np.array(rows))
 
     def test_dataset_length_check(self):
         d = Design(points=np.array([[0.1], [0.2]]))
@@ -257,7 +281,7 @@ class TestOuStats:
     alphas = np.array([0.05, 0.5, 1.0, 3.0, 12.0])
 
     def _tilted(self, data):
-        return tilted_target([OuEngine(data)], PriorSpec())(self.alphas[:, None])
+        return lockstep_target(PriorSpec(), tilted=[OuEngine(data)])(self.alphas[:, None])
 
     def test_examples(self):
         d3 = Design(points=np.array([[0.1], [0.2], [0.3]]))
@@ -292,8 +316,9 @@ class TestOuStats:
 
     def test_requires_1d(self, rng):
         d = Design(points=rng.uniform(0, 1, (5, 2)))
+        engine = DenseEngine(GpDataset(design=d, x=np.zeros(5)), 0.5)
         with pytest.raises(ValueError):
-            tilted_target([DenseEngine(GpDataset(design=d, x=np.zeros(5)), 0.5)], PriorSpec())
+            lockstep_target(PriorSpec(), tilted=[engine])
 
 
 class TestOuProfileLoglik:
@@ -458,6 +483,15 @@ class TestLikelihoodEngines:
         assert isinstance(likelihood_engine(data, 1.5, "ou"), DenseEngine)
         with pytest.raises(ValueError):
             likelihood_engine(data, 0.5, "banana")
+
+    @pytest.mark.parametrize("likelihood", ["ou", "dense"])
+    def test_non_finite_observation_raises_on_both_backends(self, likelihood):
+        # the dataset is checked once, for every backend
+        design = Design(points=np.array([[0.1], [0.2], [0.3]]))
+        with pytest.raises(ValueError, match="observations must be finite; 1 of 3 are not, "
+                                             "the first nan"):
+            likelihood_engine(GpDataset(design=design, x=np.array([0.5, np.nan, 1.0])), 0.5,
+                              likelihood)
 
     def test_geometry_checked_at_construction(self):
         design_2d = Design(points=np.array([[0.1, 0.2], [0.4, 0.9]]))

@@ -13,12 +13,9 @@ from fixedgp.posterior import (
     InitializationError,
     PriorSpec,
     conditional_bvm_logdensity,
-    joint_target,
     lockstep_target,
-    profile_target,
     rwm_chains,
     theta_limit_draws,
-    tilted_target,
 )
 from fixedgp.gp import log_likelihood
 from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
@@ -137,7 +134,7 @@ class TestRwmChain:
     def test_deterministic_given_seed(self, rng):
         data = ou_data(20, rng)
         prior = PriorSpec()
-        target = joint_target([OuEngine(data)], prior)
+        target = lockstep_target(prior, joint=[OuEngine(data)])
         a, acc_a = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
         b, acc_b = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
         assert np.array_equal(a, b)
@@ -146,7 +143,7 @@ class TestRwmChain:
     def test_acceptance_in_tuning_window(self, rng):
         data = ou_data(50, rng)
         prior = PriorSpec()
-        target = joint_target([OuEngine(data)], prior)
+        target = lockstep_target(prior, joint=[OuEngine(data)])
         _, (acc,) = rwm_chains(target, [np.array([11.0, 11.0])], [5],
                                [(1.7 * np.sqrt(2 / 50), 1.5)], 4000, 1000)
         assert 0.1 < acc < 0.6
@@ -218,7 +215,7 @@ class TestRwmChain:
 
     def test_seed_sequence_seed_equals_its_int(self, rng):
         # default_rng(s) and default_rng(SeedSequence(s)) are one stream
-        target = joint_target([OuEngine(ou_data(20, rng))], PriorSpec())
+        target = lockstep_target(PriorSpec(), joint=[OuEngine(ou_data(20, rng))])
         chains = [rwm_chains(target, [[11.0, 11.0]], [seed], [(0.5, 0.5)], 200, 50)[0][0]
                   for seed in (12, np.random.SeedSequence(12))]
         assert np.array_equal(chains[0], chains[1])
@@ -240,7 +237,7 @@ class TestRwmChain:
     def test_positivity_structural(self, rng):
         data = ou_data(10, rng)
         prior = PriorSpec()
-        target = joint_target([OuEngine(data)], prior)
+        target = lockstep_target(prior, joint=[OuEngine(data)])
         (ch,), _ = rwm_chains(target, [np.array([11.0, 11.0])], [1], [(2.0, 2.0)], 2000, 200)
         assert np.all(ch > 0)
 
@@ -334,7 +331,8 @@ class TestProfilePosterior:
 
 def tilted_values(data, alphas, prior=PriorSpec()):
     """The tilted target of one OU dataset at the 1-d ``alphas``."""
-    return tilted_target([OuEngine(data)], prior)(np.asarray(alphas, dtype=float)[:, None])
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    return lockstep_target(prior, tilted=[OuEngine(data)])(alphas)
 
 
 class TestTilted:
@@ -415,8 +413,9 @@ class TestTilted:
         # a constant path: A1 = 0 at zero, v* = 0 otherwise
         d = Design(points=np.linspace(0.1, 0.9, 5)[:, None])
         for level in (0.0, 3.0):
+            engine = OuEngine(GpDataset(design=d, x=np.full(5, level)))
             with pytest.raises(DegenerateDataError):
-                tilted_target([OuEngine(GpDataset(design=d, x=np.full(5, level)))], PriorSpec())
+                lockstep_target(PriorSpec(), tilted=[engine])
 
 
 class TestJointLimitSampler:
@@ -427,23 +426,23 @@ class TestJointLimitSampler:
         # theta and both alpha chains take the two streams spawned from seed 3
         self.theta_seed, self.alpha_seed = np.random.SeedSequence(3).spawn(2)
 
-    def _limits(self, targets, engine):
+    def _limits(self, kinds, engine):
         """The theta draws of the limits of ``engine``'s dataset, and the
-        alpha draws of each target's limit."""
+        alpha draws of the limit of each of ``kinds``."""
         thetas = theta_limit_draws(engine, 0.5, 0.5, 5000, self.theta_seed)
-        return thetas, [rwm_chains(target([engine], self.prior), [[11.0]], [self.alpha_seed],
-                                   [(2.0,)], 5000, 1000)[0][0][:, 0]
-                        for target in targets]
+        return thetas, [rwm_chains(lockstep_target(self.prior, **{kind: [engine]}), [[11.0]],
+                                   [self.alpha_seed], [(2.0,)], 5000, 1000)[0][0][:, 0]
+                        for kind in kinds]
 
     def test_theta_marginal_moments(self):
-        thetas, _ = self._limits([profile_target], OuEngine(self.data))
+        thetas, _ = self._limits(["profile"], OuEngine(self.data))
         center = DenseEngine(self.data, 0.5).profile(0.5).theta_tilde
         var = 2 * 0.25 / 100
         assert abs(np.mean(thetas) - center) < 3 * np.sqrt(var / 5000)
         assert np.var(thetas) == pytest.approx(var, rel=0.10)
 
     def test_theta_alpha_independent(self):
-        thetas, (alphas,) = self._limits([profile_target], OuEngine(self.data))
+        thetas, (alphas,) = self._limits(["profile"], OuEngine(self.data))
         corr = np.corrcoef(thetas, alphas)[0, 1]
         assert abs(corr) < 0.05
 
@@ -456,7 +455,7 @@ class TestJointLimitSampler:
             r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
             x = np.linalg.cholesky(r) @ rng.standard_normal(n)
             data = GpDataset(design=Design(points=pts[:, None]), x=x)
-            _, (prof, tilt) = self._limits([profile_target, tilted_target], OuEngine(data))
+            _, (prof, tilt) = self._limits(["profile", "tilted"], OuEngine(data))
             w2[n] = w2_distance(prof, tilt)
         assert w2[400] < w2[100]
 
@@ -464,10 +463,10 @@ class TestJointLimitSampler:
         ou = OuEngine(self.data)
         for engines in ([DenseEngine(self.data, 1.5)], [ou, DenseEngine(self.data, 1.5)]):
             with pytest.raises(ValueError, match="OU model"):
-                tilted_target(engines, self.prior)
+                lockstep_target(self.prior, tilted=engines)
         # the OU model on the dense backend has the tilted limit too
-        dense = tilted_target([DenseEngine(self.data, 0.5)], self.prior)(np.array([[0.7]]))
-        assert dense[0] == tilted_target([ou], self.prior)(np.array([[0.7]]))[0]
+        dense = lockstep_target(self.prior, tilted=[DenseEngine(self.data, 0.5)])(np.array([[0.7]]))
+        assert dense[0] == lockstep_target(self.prior, tilted=[ou])(np.array([[0.7]]))[0]
 
 
 class _CountingDenseEngine(DenseEngine):
@@ -486,12 +485,12 @@ class _CountingDenseEngine(DenseEngine):
 class TestEmptyBlock:
     """A block of no engines raises ValueError, not an index error."""
 
+    # the ids name each kind's target as before
     @pytest.mark.parametrize("make", [
         LikelihoodBlock,
-        lambda engines: joint_target(engines, PriorSpec()),
-        lambda engines: profile_target(engines, PriorSpec()),
-        lambda engines: tilted_target(engines, PriorSpec()),
-    ], ids=["LikelihoodBlock", "joint_target", "profile_target", "tilted_target"])
+        *(lambda engines, kind=kind: lockstep_target(PriorSpec(), **{kind: engines})
+          for kind in ("joint", "profile", "tilted")),
+    ], ids=["LikelihoodBlock"] + [f"{kind}_target" for kind in ("joint", "profile", "tilted")])
     def test_needs_an_engine(self, make):
         with pytest.raises(ValueError, match="needs at least one engine"):
             make([])
@@ -509,7 +508,8 @@ class TestLikelihoodBlock:
 
     def _check(self, engines):
         """The joint and profile targets of ``engines``, checked row by row."""
-        joint_of, profile_of = joint_target(engines, self.prior), profile_target(engines, self.prior)
+        joint_of = lockstep_target(self.prior, joint=engines)
+        profile_of = lockstep_target(self.prior, profile=engines)
         for p in self.points:
             rows = np.tile(p, (len(engines), 1))
             joint = joint_of(rows)
@@ -573,11 +573,11 @@ class TestInvalidRows:
 
     prior = PriorSpec()
 
-    @pytest.mark.parametrize("target", [joint_target, profile_target, tilted_target],
-                             ids=lambda t: t.__name__)
-    def test_invalid_rows_are_minus_inf(self, target):
+    # the ids name each kind's target as before
+    @pytest.mark.parametrize("kind", ["joint", "profile", "tilted"], ids=lambda k: f"{k}_target")
+    def test_invalid_rows_are_minus_inf(self, kind):
         first, last = [0.6, 1.3], [0.4, 2.5]
-        k = 2 if target is joint_target else 1
+        k = 2 if kind == "joint" else 1
         first, last = first[-k:], last[-k:]
         rows = [first]
         for col in range(k):
@@ -591,8 +591,8 @@ class TestInvalidRows:
         engines = [OuEngine(ou_data(40, rng)) for _ in rows]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = target(engines, self.prior)(rows)
-            alone = np.array([target([e], self.prior)(row[None])[0]
+            got = lockstep_target(self.prior, **{kind: engines})(rows)
+            alone = np.array([lockstep_target(self.prior, **{kind: [e]})(row[None])[0]
                               for e, row in zip(engines, rows)])
         assert np.array_equal(got[~valid], np.full((~valid).sum(), -np.inf))
         assert np.all(np.isfinite(got[valid]))
@@ -610,9 +610,10 @@ class TestInvalidRows:
             warnings.simplefilter("error")
             got = lockstep_target(self.prior, joint=engines, profile=engines,
                                   tilted=engines)(rows)
-            want = np.concatenate([joint_target(engines, self.prior)(joint_rows),
-                                   profile_target(engines, self.prior)(alpha_rows[:, :1]),
-                                   tilted_target(engines, self.prior)(alpha_rows[::-1, :1])])
+            want = np.concatenate([
+                lockstep_target(self.prior, joint=engines)(joint_rows),
+                lockstep_target(self.prior, profile=engines)(alpha_rows[:, :1]),
+                lockstep_target(self.prior, tilted=engines)(alpha_rows[::-1, :1])])
         assert np.array_equal(got, want)
         assert np.isfinite(got).sum() == 5
 
@@ -622,13 +623,13 @@ class TestLockstep:
     whatever the widths, sizes and kinds of the other rows."""
 
     prior = PriorSpec()
-    kinds = {"joint": joint_target, "profile": profile_target, "tilted": tilted_target}
+    kinds = ("joint", "profile", "tilted")
 
     def _run(self, runs):
         """One lockstep run of ``runs``, (kind, engine, start, seed, steps)
         tuples in the row order of :func:`lockstep_target`."""
         kinds = [kind for kind, *_ in runs]
-        assert kinds == sorted(kinds, key=list(self.kinds).index)
+        assert kinds == sorted(kinds, key=self.kinds.index)
         target = lockstep_target(self.prior, **{kind: [e for k, e, *_ in runs if k == kind]
                                                 for kind in self.kinds})
         return rwm_chains(target, *[list(column) for column in zip(*runs)][2:], 250, 300)
@@ -636,8 +637,8 @@ class TestLockstep:
     def _assert_rows_run_alone(self, runs):
         draws, acc = self._run(runs)
         for r, (kind, engine, init, seed, steps) in enumerate(runs):
-            alone, alone_acc = rwm_chains(self.kinds[kind]([engine], self.prior), [init],
-                                          [seed], [steps], 250, 300)
+            alone, alone_acc = rwm_chains(lockstep_target(self.prior, **{kind: [engine]}),
+                                          [init], [seed], [steps], 250, 300)
             assert draws[r].shape == (250, len(steps)), (r, kind)
             assert np.array_equal(draws[r], alone[0]), (r, kind)
             assert acc[r] == alone_acc[0], (r, kind)
