@@ -40,7 +40,7 @@ print(f"\nBLUP at s*=0.512: {pred:.4f} "
 print("\nMSE ratio deviations shrink with n:")
 for n in (25, 100, 400):
     d = Design(points=(np.arange(1, n + 1) / n)[:, None])
-    br = mse_breakdown(d, 0.5, assumed, truth, np.array([[0.5 + 0.37 / n]]))
+    br = mse_breakdown(d, assumed, truth, np.array([[0.5 + 0.37 / n]]))
     (r1,), (r2,) = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)
     print(f"  n={n:>3}: mse_assumed={br.mse_assumed[0]:.5f} "
           f"mse_truth={br.mse_under_truth[0]:.5f} oracle={br.mse_oracle[0]:.5f} "
@@ -50,7 +50,7 @@ print("\nsymmetrized KL increases to its closed-form limit:")
 r_lim = sym_kl_limit(alpha_wrong, truth.alpha)
 for n in (50, 100, 200, 400):
     d = Design(points=(np.arange(1, n + 1) / n)[:, None])
-    r_n = sym_kl_finite(d, 0.5, alpha_wrong, truth.alpha)
+    r_n = sym_kl_finite(d, alpha_wrong, truth.alpha)
     print(f"  n={n:>3}: r_n={r_n:.5f}  gap to limit {r_lim:.5f}: {r_lim - r_n:.5f}"
           f"  (n * gap = {n * (r_lim - r_n):.3f})")
 print("the gap decays like 1/n, which is exactly the efficiency rate.")

@@ -1,6 +1,5 @@
-"""One-dimensional Wasserstein-2 distance between equal-size samples, the
-generalized eigenvalue spectrum of a matched-theta covariance pair, and
-basic posterior summaries.
+"""One-dimensional Wasserstein-2 distance between equal-size samples and the
+generalized eigenvalue spectrum of a matched-theta covariance pair.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from .gp import Design, build_correlation_matrix, cholesky
 __all__ = [
     "w2_distance",
     "generalized_lambdas",
-    "summarize",
 ]
 
 
@@ -65,11 +63,3 @@ def generalized_lambdas(
     if np.any(lambdas <= 0):
         raise ValueError("generalized eigenvalues must be strictly positive")
     return lambdas
-
-
-def summarize(values) -> tuple[float, float]:
-    """Mean and sample standard deviation (n - 1 denominator)."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError("summarize needs a 1-d sample of size >= 2")
-    return float(np.mean(v)), float(np.std(v, ddof=1))

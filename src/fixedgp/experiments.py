@@ -227,29 +227,28 @@ def gen_perturbed_grid(d: int, n_or_m: int, seed, zero_noise: bool = False) -> D
     raise FailureBudgetExceededError("could not generate a distinct perturbed grid")
 
 
-def gen_lhs_testpoints(d: int, count: int, seed, design: Design | None = None) -> np.ndarray:
-    """Latin hypercube test points as a (count, d) array: one point per
-    stratum per axis, with in-stratum jitter and independent stratum
-    permutations across axes.  Points colliding with design points are
-    re-jittered, in index order."""
+def gen_lhs_testpoints(design: Design, count: int, seed) -> np.ndarray:
+    """Latin hypercube test points for ``design`` as a (count, design.d)
+    array: one point per stratum per axis, with in-stratum jitter and
+    independent stratum permutations across axes.  Points colliding with
+    design points are re-jittered, in index order."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     cols = []
-    for _ in range(d):
+    for _ in range(design.d):
         perm = rng.permutation(count)
         cols.append((perm + rng.uniform(0.0, 1.0, count)) / count)
     pts = np.column_stack(cols)
-    if design is not None:
-        hits = (pts[:, None, :] == design.points[None, :, :]).all(axis=2).any(axis=1)
-        for i in np.flatnonzero(hits):
-            guard = 0
-            while np.any(np.all(design.points == pts[i][None, :], axis=1)):
-                stratum = np.floor(pts[i] * count) / count
-                pts[i] = stratum + rng.uniform(0.0, 1.0, d) / count
-                guard += 1
-                if guard > 50:
-                    raise FailureBudgetExceededError("LHS collision resampling failed")
+    hits = (pts[:, None, :] == design.points[None, :, :]).all(axis=2).any(axis=1)
+    for i in np.flatnonzero(hits):
+        guard = 0
+        while np.any(np.all(design.points == pts[i][None, :], axis=1)):
+            stratum = np.floor(pts[i] * count) / count
+            pts[i] = stratum + rng.uniform(0.0, 1.0, design.d) / count
+            guard += 1
+            if guard > 50:
+                raise FailureBudgetExceededError("LHS collision resampling failed")
     return pts
 
 
@@ -400,9 +399,8 @@ def _replication_result(cfg, setup, theta, alpha, acceptance, limit_alpha, tilte
 
     if compute_ratios:
         points = gen_lhs_testpoints(
-            cfg.d, cfg.test_point_count,
-            _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6),
-            setup.engine.data.design)
+            setup.engine.data.design, cfg.test_point_count,
+            _seed_seq(cfg.master_seed, cfg.d, n, setup.rep, setup.attempt, 6))
         r1, r2 = _posterior_mean_max_ratios(cfg, setup.engine, theta, alpha, points)
     else:
         r1 = r2 = np.nan
@@ -658,14 +656,14 @@ def emit_contour_grid(data: GpDataset, cfg: ExperimentConfig, theta_grid,
     return surfaces
 
 
-def kl_check_sweep(n_values, alphas, alpha0: float = 0.5, out_path=None):
+def kl_check_sweep(n_values, alphas, alpha0: float, out_path=None):
     """Finite-n symmetrized KL against its closed-form limit on the
     equispaced unit-interval grid s_i = i/n."""
     rows = []
     for n in n_values:
         design = Design(points=(np.arange(1, n + 1) / n)[:, None])
         for a in alphas:
-            rn = sym_kl_finite(design, 0.5, a, alpha0)
+            rn = sym_kl_finite(design, a, alpha0)
             rl = sym_kl_limit(a, alpha0)
             rows.append({"n": n, "alpha": float(a), "alpha0": alpha0,
                          "r_n": rn, "r_limit": rl, "gap": rl - rn})
@@ -674,7 +672,7 @@ def kl_check_sweep(n_values, alphas, alpha0: float = 0.5, out_path=None):
     return rows
 
 
-def lambda_check_sweep(count: int, seed, n: int = 30, d: int = 1, out_path=None):
+def lambda_check_sweep(count: int, seed, n: int, d: int, out_path=None):
     """Random matched-theta instances with the generalized spectrum checked
     against its min/max power bounds; the spectrum does not depend on the
     shared microergodic value, here 0.5."""

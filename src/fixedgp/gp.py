@@ -84,7 +84,9 @@ class Design:
         if outside.any():
             raise ValueError(f"coordinates must be finite and lie in [0, 1]; {outside.sum()} of "
                              f"{pts.shape[0]} points do not, the first {pts[outside][0].tolist()}")
-        if np.unique(pts, axis=0).shape[0] < pts.shape[0]:
+        # equal rows are adjacent once the rows are sorted lexicographically
+        srt = pts[np.lexsort(pts.T)]
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
             raise ValueError("design points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
@@ -138,8 +140,6 @@ class ProfileStats:
     """Per-alpha profile quantities: the variance and microergodic maximizers
     and the profiled log-likelihood."""
 
-    alpha: float
-    nu: float
     sigma2_tilde: float
     theta_tilde: float
     profile_loglik: float
@@ -147,10 +147,7 @@ class ProfileStats:
 
 def build_correlation_matrix(design: Design, alpha: float, nu: float) -> np.ndarray:
     """Matern correlation matrix of a design; unit diagonal, symmetric."""
-    dist = design.distance_matrix()
-    r = matern_correlation(alpha, nu, dist)
-    np.fill_diagonal(r, 1.0)
-    return r
+    return matern_correlation(alpha, nu, design.distance_matrix())
 
 
 def cholesky(r: np.ndarray) -> np.ndarray:
@@ -173,8 +170,9 @@ def cholesky(r: np.ndarray) -> np.ndarray:
 class _Engine:
     """Likelihood of one dataset with its geometry validated once.
 
-    Subclasses provide ``_terms(alpha) -> (x' R^{-1} x, log|R|)``; the
-    log-likelihood and the profile are shared.
+    Subclasses provide ``_terms(alpha) -> (x' R^{-1} x, log|R|)`` for a
+    positive finite alpha; the log-likelihood and the profile, which check
+    alpha, are shared.
     """
 
     data: GpDataset
@@ -194,7 +192,7 @@ class _Engine:
         """-(1/2) log|sigma2 R| - (1/2) x' (sigma2 R)^{-1} x."""
         if not sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        return _loglik(self.n, sigma2, *self._terms(alpha))
+        return _loglik(self.n, sigma2, *self._checked_terms(alpha))
 
     def profile(self, alpha: float) -> ProfileStats:
         """Profile out the variance at fixed alpha.
@@ -202,17 +200,20 @@ class _Engine:
         sigma2_tilde = x' R^{-1} x / n,  theta_tilde = sigma2_tilde alpha^{2 nu},
         profile_loglik = -(n/2) log(x' R^{-1} x / n) - (1/2) log|R|.
         """
-        qf, log_det = self._terms(alpha)
+        qf, log_det = self._checked_terms(alpha)
         if qf <= 0.0:
             raise DegenerateDataError(f"x' R^{{-1}} x = {qf} is not positive")
         sigma2_tilde = qf / self.n
         return ProfileStats(
-            alpha=float(alpha),
-            nu=self.nu,
             sigma2_tilde=sigma2_tilde,
             theta_tilde=sigma2_tilde * alpha ** (2.0 * self.nu),
             profile_loglik=_profile_loglik(self.n, qf, log_det),
         )
+
+    def _checked_terms(self, alpha):
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        return self._terms(alpha)
 
 
 def _loglik(n, sigma2, qf, log_det):
@@ -243,11 +244,7 @@ class DenseEngine(_Engine):
         self._corr = matern_kernel(self.nu)
 
     def _terms(self, alpha):
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        r = self._corr(alpha * self.dist)
-        np.fill_diagonal(r, 1.0)
-        chol = cholesky(r)
+        chol = cholesky(self._corr(alpha * self.dist))
         # a successful dpotrf leaves a positive diagonal, so dtrtrs cannot fail
         y, _ = lapack.dtrtrs(chol, self.data.x, lower=1)
         return float(y @ y), 2.0 * np.sum(np.log(np.diag(chol)))
@@ -279,16 +276,13 @@ class OuEngine(_Engine):
         self._x0_sq, self._head, self._tail = x[0] ** 2, x[:-1], x[1:]
 
     def _terms(self, alpha):
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
         qf, log_det = _ou_terms(self.gaps, self._x0_sq, self._head, self._tail, alpha)
         return float(qf), float(log_det)
 
     def mse_factors(self, alpha0: float, points: np.ndarray):
         """:class:`fixedgp.kriging.OuMseFactors` at the (K, 1) ``points``."""
-        from .kriging import OuMseFactors, _test_point_array
-        points = _test_point_array(self.data.design, points)
-        return OuMseFactors(self.data.design.coords_1d, alpha0, points[:, 0])
+        from .kriging import OuMseFactors
+        return OuMseFactors(self.data.design, alpha0, points)
 
 
 def _ou_terms(gaps, x0_sq, head, tail, alpha):

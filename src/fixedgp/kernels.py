@@ -50,9 +50,9 @@ class MaternSpec:
     nu: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and self.alpha > 0 and self.nu > 0):
+        if not all(0 < v < np.inf for v in (self.sigma2, self.alpha, self.nu)):
             raise ValueError(
-                f"MaternSpec requires positive parameters, got "
+                f"MaternSpec requires positive finite parameters, got "
                 f"sigma2={self.sigma2}, alpha={self.alpha}, nu={self.nu}"
             )
 
@@ -122,8 +122,8 @@ def matern_kernel(nu: float):
     nonnegative array ``t`` to correlations and does no checking.  Its value
     at t = 0 is exactly 1 for every smoothness.
     """
-    if not nu > 0:
-        raise ValueError(f"matern_kernel requires nu > 0, got {nu}")
+    if not 0 < nu < np.inf:
+        raise ValueError(f"matern_kernel requires a positive finite nu, got {nu}")
     if abs(nu - 0.5) < 1e-14:
         return lambda t: np.exp(-t)
     if abs(nu - 1.5) < 1e-14:
@@ -156,7 +156,7 @@ def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
     Parameters
     ----------
     alpha, nu : float
-        Inverse range and smoothness, both positive.
+        Inverse range and smoothness, both positive and finite.
     h : float or ndarray
         Nonnegative distances.
 
@@ -165,8 +165,8 @@ def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
     float or ndarray
         Correlations in (0, 1], same shape as ``h``.
     """
-    if not (alpha > 0 and nu > 0):
-        raise ValueError(f"matern_correlation requires alpha, nu > 0, got {alpha}, {nu}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"matern_correlation requires a positive finite alpha, got {alpha}")
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValueError("matern_correlation requires h >= 0")

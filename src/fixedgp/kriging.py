@@ -93,18 +93,14 @@ def blup(data: GpDataset, alpha: float, nu: float, points: np.ndarray) -> np.nda
     return lapack.dtrtrs(chol, data.x, lower=1)[0] @ y
 
 
-def mse_breakdown(
-    design: Design,
-    nu: float,
-    assumed: MaternSpec,
-    truth: MaternSpec,
-    points: np.ndarray,
-) -> MseBreakdown:
+def mse_breakdown(design: Design, assumed: MaternSpec, truth: MaternSpec,
+                  points: np.ndarray) -> MseBreakdown:
     """The three prediction MSEs at the (K, d) ``points``; see the module
-    header."""
-    if abs(assumed.nu - nu) > 1e-14 or abs(truth.nu - nu) > 1e-14:
-        raise ValueError("assumed and truth specs must share the smoothness nu")
-    factors = DenseMseFactors(design, nu, truth.alpha, points)
+    header.  The two specs must share their smoothness."""
+    if assumed.nu != truth.nu:
+        raise ValueError(f"assumed and truth specs must share the smoothness nu, "
+                         f"got {assumed.nu} and {truth.nu}")
+    factors = DenseMseFactors(design, truth.nu, truth.alpha, points)
     m, q = factors(np.array([assumed.alpha]))
     return MseBreakdown(mse_assumed=assumed.sigma2 * m[0],
                         mse_under_truth=truth.sigma2 * q[0],
@@ -131,7 +127,7 @@ class DenseMseFactors:
         self._corr = matern_kernel(nu)
         self.dist_nn = design.distance_matrix()
         self.dist_nk = _cross_distances(design, points)
-        self.r0 = self._corr_nn(alpha0)
+        self.r0 = self._corr(alpha0 * self.dist_nn)
         self.rv0 = self._corr(alpha0 * self.dist_nk)
         y0, _ = lapack.dtrtrs(cholesky(self.r0.copy()), self.rv0, lower=1)
         self.m0 = 1.0 - np.sum(y0 * y0, axis=0)
@@ -141,13 +137,8 @@ class DenseMseFactors:
         m, q = zip(*(self._one(a) for a in alpha))
         return np.stack(m), np.stack(q)
 
-    def _corr_nn(self, alpha):
-        r = self._corr(alpha * self.dist_nn)
-        np.fill_diagonal(r, 1.0)
-        return r
-
     def _one(self, alpha):
-        chol = cholesky(self._corr_nn(alpha))
+        chol = cholesky(self._corr(alpha * self.dist_nn))
         rv = self._corr(alpha * self.dist_nk)
         y, _ = lapack.dtrtrs(chol, rv, lower=1)
         w, _ = lapack.dtrtrs(chol, y, lower=1, trans=1)
@@ -169,7 +160,7 @@ def efficiency_ratios(mse_assumed, mse_under_truth, mse_oracle):
     return np.abs(mse_assumed / mse_under_truth - 1.0), np.abs(mse_assumed / mse_oracle - 1.0)
 
 
-def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> float:
+def sym_kl_finite(design: Design, alpha: float, alpha0: float) -> float:
     """Finite-sample symmetrized KL divergence between the matched-theta
     models with inverse ranges alpha and alpha0:
 
@@ -179,41 +170,43 @@ def sym_kl_finite(design: Design, nu: float, alpha: float, alpha0: float) -> flo
     (:func:`fixedgp.diagnostics.generalized_lambdas`), in which the shared
     microergodic value cancels.  At alpha = alpha0 the two laws are one and
     r_n is exactly 0, which the computed spectrum gives only to rounding.
-    Only nu = 1/2 is accepted, the one smoothness whose limit is known in
-    closed form (:func:`sym_kl_limit`).
+    The models are the OU ones (nu = 1/2), the one smoothness whose limit
+    is known in closed form (:func:`sym_kl_limit`).
     """
-    if not (alpha > 0 and alpha0 > 0):
-        raise ValueError("alpha and alpha0 must be positive")
-    if abs(nu - 0.5) > 1e-14:
-        raise ValueError("sym_kl_finite is derived for nu = 1/2")
+    _check_ranges(alpha, alpha0)
     if alpha == alpha0:
         return 0.0
-    lam = generalized_lambdas(design, nu, alpha, alpha0, 1.0)
+    lam = generalized_lambdas(design, 0.5, alpha, alpha0, 1.0)
     return float(0.5 * np.sum((lam - 1.0) ** 2 / lam))
 
 
 def sym_kl_limit(alpha: float, alpha0: float) -> float:
     """Closed-form infill limit of the symmetrized KL for the unit-interval
     OU family: (alpha - alpha0)^2 (alpha + alpha0 + 2) / (4 alpha alpha0)."""
-    if not (alpha > 0 and alpha0 > 0):
-        raise ValueError("alpha and alpha0 must be positive")
+    _check_ranges(alpha, alpha0)
     return (alpha - alpha0) ** 2 * (alpha + alpha0 + 2.0) / (4.0 * alpha * alpha0)
+
+
+def _check_ranges(alpha, alpha0):
+    if not (0 < alpha < np.inf and 0 < alpha0 < np.inf):
+        raise ValueError(f"alpha and alpha0 must be positive and finite, got {alpha}, {alpha0}")
 
 
 class OuMseFactors:
     """The :class:`DenseMseFactors` quantities for the OU kernel in O(n + K).
 
     The OU predictor weights are supported on the (at most two) bracketing
-    neighbors of each test point, so for sorted 1-d coordinates every factor
-    is local; the bracketing gaps and the truth terms are computed once.
+    neighbors of each test point, so on a d = 1 design in ascending order
+    every factor is local; the bracketing gaps and the truth terms of the
+    (K, 1) ``points`` are computed once.
     Every operation on an alpha is elementwise, so a 1-d array of B alphas
     is evaluated at once as (B, K) arrays, each row equal bit for bit to a
     call with that alpha alone.
     """
 
-    def __init__(self, coords: np.ndarray, alpha0: float, test_points: np.ndarray):
-        coords = np.asarray(coords, dtype=float)
-        tp = np.asarray(test_points, dtype=float)
+    def __init__(self, design: Design, alpha0: float, points: np.ndarray):
+        coords = design.coords_1d
+        tp = _test_point_array(design, points)[:, 0]
         if np.any(np.isin(tp, coords)):
             raise CoincidentTestPointError("test points must avoid design points")
         idx = np.searchsorted(coords, tp)

@@ -44,8 +44,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError(f"gamma parameters must be positive, got {self}")
+        if not (0 < self.shape < np.inf and 0 < self.rate < np.inf):
+            raise ValueError(f"gamma parameters must be positive and finite, got {self}")
         object.__setattr__(
             self, "_log_norm", self.shape * np.log(self.rate) - special.gammaln(self.shape)
         )

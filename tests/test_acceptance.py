@@ -183,10 +183,10 @@ class TestCriterion5PropertySuite:
 
     def test_5d_sym_kl_behavior(self):
         d60 = Design(points=(np.arange(1, 61) / 60)[:, None])
-        exact_zero = sym_kl_finite(d60, 0.5, 0.8, 0.8)
+        exact_zero = sym_kl_finite(d60, 0.8, 0.8)
         ns = np.array([100, 200, 400, 800])
         rns = np.array([sym_kl_finite(Design(points=(np.arange(1, n + 1) / n)[:, None]),
-                                      0.5, 1.0, 0.5) for n in ns])
+                                      1.0, 0.5) for n in ns])
         gaps = sym_kl_limit(1.0, 0.5) - rns
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         ok = (abs(exact_zero) < 1e-10 and np.all(np.diff(rns) > 0)
@@ -217,7 +217,7 @@ class TestCriterion5PropertySuite:
         truth = MaternSpec(1.0, 0.5, 0.5)
         assumed = MaternSpec.from_theta(truth.theta, 1.4, 0.5)
         s = np.array([0.43])
-        (mse_under_truth,) = mse_breakdown(design, 0.5, assumed, truth, s[None, :]).mse_under_truth
+        (mse_under_truth,) = mse_breakdown(design, assumed, truth, s[None, :]).mse_under_truth
         pts = np.vstack([design.points, s[None, :]])
         dist = np.abs(pts[:, None, 0] - pts[None, :, 0])
         chol = np.linalg.cholesky(truth.sigma2 * np.exp(-truth.alpha * dist))

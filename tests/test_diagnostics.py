@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fixedgp.diagnostics import generalized_lambdas, summarize, w2_distance
+from fixedgp.diagnostics import generalized_lambdas, w2_distance
 from fixedgp.gp import DenseEngine, Design, GpDataset, build_correlation_matrix
 
 
@@ -113,23 +113,3 @@ class TestGeneralizedLambdas:
         lambdas = generalized_lambdas(d, 1.5, 2.0, 0.5, 0.5)
         assert np.all(lambdas > 0)
         assert np.all(np.diff(lambdas) >= 0)
-
-
-class TestSummarize:
-    def test_trivial_examples(self):
-        assert summarize([1.0, 1.0, 1.0]) == (1.0, 0.0)
-        mean, sd = summarize([0.0, 2.0])
-        assert mean == 1.0
-        assert sd == pytest.approx(np.sqrt(2.0), rel=1e-14)
-
-    def test_two_pass_oracle(self, rng):
-        v = rng.standard_normal(1000)
-        mean, sd = summarize(v)
-        m = sum(v) / len(v)
-        s = np.sqrt(sum((x - m) ** 2 for x in v) / (len(v) - 1))
-        assert mean == pytest.approx(m, rel=1e-12)
-        assert sd == pytest.approx(s, rel=1e-12)
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            summarize([1.0])

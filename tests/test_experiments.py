@@ -62,24 +62,30 @@ class TestPerturbedGrid:
         assert np.all((d.points >= 0) & (d.points <= 1))
 
 
+def corner(d):
+    """A one-point design at (1, ..., 1), which LHS points, all below 1,
+    never hit."""
+    return Design(points=np.ones((1, d)))
+
+
 class TestLhsTestpoints:
     def test_stratification_1d(self):
-        pts = gen_lhs_testpoints(1, 4, seed=5)
+        pts = gen_lhs_testpoints(corner(1), 4, seed=5)
         assert pts.shape == (4, 1)
         vals = np.sort(pts[:, 0])
         for k, v in enumerate(vals):
             assert k / 4.0 <= v < (k + 1) / 4.0
 
     def test_marginal_uniformity_2d(self):
-        arr = gen_lhs_testpoints(2, 100, seed=9)
+        arr = gen_lhs_testpoints(corner(2), 100, seed=9)
         for axis in range(2):
             hist, _ = np.histogram(arr[:, axis], bins=10, range=(0, 1))
             assert np.all(hist == 10)
 
     def test_deterministic_and_collision_free(self):
         design = gen_perturbed_grid(1, 30, seed=2)
-        a = gen_lhs_testpoints(1, 50, seed=4, design=design)
-        b = gen_lhs_testpoints(1, 50, seed=4, design=design)
+        a = gen_lhs_testpoints(design, 50, seed=4)
+        b = gen_lhs_testpoints(design, 50, seed=4)
         assert np.array_equal(a, b)
         for p in a:
             assert np.min(np.abs(design.coords_1d - p[0])) > 0
@@ -88,12 +94,13 @@ class TestLhsTestpoints:
     def test_collisions_rejittered_in_index_order(self, d):
         # a design that holds three of the points exactly: those are
         # re-jittered within their strata, with the draws the per-point loop
-        # made, and every other point is the point drawn without a design
+        # made, and every other point is the point drawn for a design that
+        # holds none of them
         count = 40
-        free = gen_lhs_testpoints(d, count, seed=6)
+        free = gen_lhs_testpoints(corner(d), count, seed=6)
         hit = [30, 3, 17]
         design = Design(points=free[hit])
-        got = gen_lhs_testpoints(d, count, seed=6, design=design)
+        got = gen_lhs_testpoints(design, count, seed=6)
         rng = np.random.default_rng(6)
         want = np.column_stack([(rng.permutation(count) + rng.uniform(0.0, 1.0, count)) / count
                                 for _ in range(d)])
@@ -391,7 +398,7 @@ def _joint_chain(cfg, n_or_m):
     (draws,), (acc,) = rwm_chains(lockstep_target(cfg.prior, joint=[setup.engine]), [init],
                                   [seed], [experiments._default_steps(setup.engine.n)],
                                   cfg.n_samples, cfg.n_burnin)
-    points = gen_lhs_testpoints(cfg.d, cfg.test_point_count, 6, setup.engine.data.design)
+    points = gen_lhs_testpoints(setup.engine.data.design, cfg.test_point_count, 6)
     return setup.engine, draws[:, 0], draws[:, 1], acc, points
 
 
@@ -441,7 +448,7 @@ class TestMseSweep:
     def test_synthetic_chains_match_the_per_draw_oracle(self, likelihood, rng):
         data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
         engine = likelihood_engine(data, 0.5, likelihood)
-        points = gen_lhs_testpoints(1, 150, 7, data.design)
+        points = gen_lhs_testpoints(data.design, 150, 7)
         for label, thin, chain in self._synthetic_chains(rng):
             cfg = ExperimentConfig(mse_draw_thin=thin)
             assert (experiments._posterior_mean_max_ratios(cfg, engine, chain.theta,
@@ -452,7 +459,7 @@ class TestMseSweep:
     def test_factors_see_each_run_once_in_draw_order(self, rng):
         data = sample_gp_path(gen_perturbed_grid(1, 30, seed=5), ExperimentConfig().truth, 6)
         engine = likelihood_engine(data, 0.5, "ou")
-        points = gen_lhs_testpoints(1, 50, 7, data.design)
+        points = gen_lhs_testpoints(data.design, 50, 7)
         calls = []
 
         class Spy:

@@ -141,6 +141,16 @@ class TestCorrelationMatrix:
                 expected = 1.0 if i == j else matern_correlation(1.3, 1.5, h)
                 assert r[i, j] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8, 3.7])
+    def test_unit_diagonal_with_no_reset(self, nu, rng):
+        # the diagonal distances are exactly 0, and every kernel is exactly 1
+        # there, so the correlation needs no diagonal patch
+        for d in (1, 2):
+            design = Design(points=rng.uniform(0, 1, (12, d)))
+            assert np.all(np.diag(design.distance_matrix()) == 0.0)
+            for alpha in (1e-8, 1.0, 1e3):
+                assert np.all(np.diag(build_correlation_matrix(design, alpha, nu)) == 1.0)
+
 
 def chol_log_det(chol):
     return 2.0 * np.sum(np.log(np.diag(chol)))
@@ -492,6 +502,14 @@ class TestLikelihoodEngines:
                                              "the first nan"):
             likelihood_engine(GpDataset(design=design, x=np.array([0.5, np.nan, 1.0])), 0.5,
                               likelihood)
+
+    @pytest.mark.parametrize("likelihood", ["ou", "dense"])
+    def test_infinite_alpha_raises_on_both_backends(self, likelihood, rng):
+        # both backends once returned the white-noise likelihood at alpha = inf
+        engine = likelihood_engine(ou_dataset(20, rng), 0.5, likelihood)
+        for call in (lambda: engine.loglik(1.0, np.inf), lambda: engine.profile(np.inf)):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                call()
 
     def test_geometry_checked_at_construction(self):
         design_2d = Design(points=np.array([[0.1, 0.2], [0.4, 0.9]]))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fixedgp.kernels import MaternSpec, bessel_k, matern_correlation, spectral_density
+from fixedgp.kernels import (MaternSpec, bessel_k, matern_correlation, matern_kernel,
+                             spectral_density)
 
 
 def bessel_k_quadrature(nu, x):
@@ -115,6 +116,11 @@ class TestMaternCorrelation:
             matern_correlation(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             matern_correlation(1.0, 0.5, -0.1)
+        # exp(-inf * 0) is NaN at lag 0, so an infinite alpha has no correlation
+        with pytest.raises(ValueError, match="positive finite alpha"):
+            matern_correlation(np.inf, 0.5, np.array([0.0, 0.3]))
+        with pytest.raises(ValueError, match="positive finite nu"):
+            matern_kernel(np.inf)
 
 
 class TestMaternSpec:
@@ -135,6 +141,10 @@ class TestMaternSpec:
             MaternSpec(sigma2=1.0, alpha=-1.0, nu=0.5)
         with pytest.raises(ValueError):
             MaternSpec.from_theta(-1.0, 1.0, 0.5)
+        for bad in (np.inf, np.nan):
+            for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError, match="positive finite parameters"):
+                    MaternSpec(*args)
 
 
 class TestSpectralDensity:

@@ -81,9 +81,11 @@ class TestTestPointShape:
         design = random_design(6, d, rng)
         data = GpDataset(design=design, x=rng.standard_normal(6))
         spec = MaternSpec(1.0, 0.5, 0.5)
-        calls = (lambda: blup(data, 0.5, 0.5, points),
-                 lambda: mse_breakdown(design, 0.5, spec, spec, points),
-                 lambda: DenseMseFactors(design, 0.5, 0.5, points))
+        calls = [lambda: blup(data, 0.5, 0.5, points),
+                 lambda: mse_breakdown(design, spec, spec, points),
+                 lambda: DenseMseFactors(design, 0.5, 0.5, points)]
+        if d == 1:
+            calls.append(lambda: OuMseFactors(design, 0.5, points))
         for call in calls:
             with pytest.raises(ValueError, match=r"\(K, %d\) array" % d):
                 call()
@@ -102,7 +104,7 @@ class TestMseBreakdown:
     def test_identity_case_zero_ratios(self, rng):
         d = random_design(7, 1, rng)
         spec = MaternSpec(1.0, 0.8, 0.5)
-        br = mse_breakdown(d, 0.5, spec, spec, np.array([[0.55]]))
+        br = mse_breakdown(d, spec, spec, np.array([[0.55]]))
         assert br.mse_assumed == pytest.approx(br.mse_under_truth, rel=1e-10)
         assert br.mse_assumed == pytest.approx(br.mse_oracle, rel=1e-10)
         r1, r2 = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)
@@ -112,7 +114,7 @@ class TestMseBreakdown:
     def test_single_point_closed_form(self):
         d = Design(points=np.array([[0.2]]))
         spec = MaternSpec(1.0, 1.0, 0.5)
-        br = mse_breakdown(d, 0.5, spec, spec, np.array([[0.2 + np.log(2.0)]]))
+        br = mse_breakdown(d, spec, spec, np.array([[0.2 + np.log(2.0)]]))
         assert br.mse_assumed == pytest.approx([0.75], rel=1e-12)
 
     def test_monte_carlo_oracle(self, rng):
@@ -122,7 +124,7 @@ class TestMseBreakdown:
         truth = MaternSpec(1.0, 0.5, 0.5)
         assumed = MaternSpec(0.5 / 1.3, 1.3, 0.5)
         s = np.array([0.47])
-        br = mse_breakdown(d, 0.5, assumed, truth, s[None, :])
+        br = mse_breakdown(d, assumed, truth, s[None, :])
 
         pts = np.vstack([d.points, s[None, :]])
         dist = np.abs(pts[:, None, 0] - pts[None, :, 0])
@@ -145,7 +147,7 @@ class TestMseBreakdown:
             d = random_design(10, int(rng.integers(1, 3)), rng)
             alpha = float(10 ** rng.uniform(-0.5, 0.7))
             assumed = MaternSpec.from_theta(truth.theta, alpha, 0.5)
-            br = mse_breakdown(d, 0.5, assumed, truth, rng.uniform(0, 1, (3, d.d)))
+            br = mse_breakdown(d, assumed, truth, rng.uniform(0, 1, (3, d.d)))
             assert br.mse_assumed.shape == (3,)
             assert np.all(br.mse_under_truth >= br.mse_oracle - 1e-10)
             assert np.all((0 < br.mse_assumed) & (br.mse_assumed <= assumed.sigma2))
@@ -164,7 +166,7 @@ class TestMseBreakdown:
     def test_validates_matching_nu(self, rng):
         d = random_design(4, 1, rng)
         with pytest.raises(ValueError):
-            mse_breakdown(d, 0.5, MaternSpec(1, 1, 1.5), MaternSpec(1, 1, 0.5),
+            mse_breakdown(d, MaternSpec(1, 1, 1.5), MaternSpec(1, 1, 0.5),
                           np.array([[0.5]]))
 
 
@@ -185,7 +187,7 @@ class TestEfficiencyRatios:
         r1 = {}
         for n in (50, 400):
             d = equispaced(n)
-            br = mse_breakdown(d, 0.5, assumed, truth, np.array([[1.0 / (2 * n) + 1e-4]]))
+            br = mse_breakdown(d, assumed, truth, np.array([[1.0 / (2 * n) + 1e-4]]))
             r1[n] = efficiency_ratios(br.mse_assumed, br.mse_under_truth, br.mse_oracle)[0]
         assert r1[400] < r1[50]
 
@@ -211,7 +213,7 @@ class TestEfficiencyEnvelope:
         d = random_design(9, 1, rng)
         pts = np.array([[0.315]])
         assumed = MaternSpec.from_theta(truth.theta, 2.0, 0.5)
-        br = mse_breakdown(d, 0.5, assumed, truth, pts)
+        br = mse_breakdown(d, assumed, truth, pts)
         direct = max(abs(br.mse_assumed[0] / br.mse_under_truth[0] - 1),
                      abs(br.mse_assumed[0] / br.mse_oracle[0] - 1))
         assert efficiency_envelope(d, 0.5, 2.0, truth, pts) == pytest.approx(direct, rel=1e-12)
@@ -251,12 +253,12 @@ class TestSymKl:
     def test_equals_the_frobenius_form(self, n):
         d = equispaced(n)
         for alpha in (0.25, 2.0):
-            assert sym_kl_finite(d, 0.5, alpha, 0.5) == pytest.approx(
+            assert sym_kl_finite(d, alpha, 0.5) == pytest.approx(
                 sym_kl_frobenius(d, 0.5, alpha, 0.5), rel=1e-12)
 
     def test_zero_at_alpha0(self):
         d = equispaced(60)
-        assert sym_kl_finite(d, 0.5, 0.7, 0.7) == pytest.approx(0.0, abs=1e-8)
+        assert sym_kl_finite(d, 0.7, 0.7) == pytest.approx(0.0, abs=1e-8)
 
     def test_limit_value_and_symmetry(self):
         assert sym_kl_limit(1.0, 0.5) == pytest.approx(0.4375, rel=1e-14)
@@ -264,24 +266,26 @@ class TestSymKl:
         assert sym_kl_limit(0.5, 0.5) == 0.0
 
     def test_monotone_in_n(self):
-        r100 = sym_kl_finite(equispaced(100), 0.5, 1.0, 0.5)
-        r200 = sym_kl_finite(equispaced(200), 0.5, 1.0, 0.5)
+        r100 = sym_kl_finite(equispaced(100), 1.0, 0.5)
+        r200 = sym_kl_finite(equispaced(200), 1.0, 0.5)
         assert r200 >= r100 - 1e-8
 
     def test_gap_shrinks_like_one_over_n(self):
         ns = np.array([100, 200, 400, 800])
-        gaps = np.array([sym_kl_limit(1.0, 0.5) - sym_kl_finite(equispaced(n), 0.5, 1.0, 0.5)
+        gaps = np.array([sym_kl_limit(1.0, 0.5) - sym_kl_finite(equispaced(n), 1.0, 0.5)
                          for n in ns])
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -1.3 <= slope <= -0.7
 
-    def test_general_nu_gated(self):
-        d = equispaced(10)
-        with pytest.raises(ValueError):
-            sym_kl_finite(d, 1.5, 1.0, 0.5)
+    def test_rejects_an_infinite_alpha(self):
+        for alpha, alpha0 in ((np.inf, 0.5), (0.5, np.inf), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sym_kl_limit(alpha, alpha0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                sym_kl_finite(equispaced(10), alpha, alpha0)
 
     def test_report_gap_nonnegative(self):
-        r_n = sym_kl_finite(equispaced(150), 0.5, 2.0, 0.5)
+        r_n = sym_kl_finite(equispaced(150), 2.0, 0.5)
         assert sym_kl_limit(2.0, 0.5) - r_n >= -1e-8
         assert r_n >= 0
 
@@ -293,9 +297,9 @@ class TestSymKl:
             assumed = MaternSpec.from_theta(truth.theta, alpha, 0.5)
             for n in (50, 100, 200):
                 d = equispaced(n)
-                gap = sym_kl_limit(alpha, 0.5) - sym_kl_finite(d, 0.5, alpha, 0.5)
+                gap = sym_kl_limit(alpha, 0.5) - sym_kl_finite(d, alpha, 0.5)
                 test_pts = np.linspace(0.5 / n + 1e-5, 1.0 - 0.5 / n, 40)[:, None]
-                br = mse_breakdown(d, 0.5, assumed, truth, test_pts)
+                br = mse_breakdown(d, assumed, truth, test_pts)
                 worst = np.max(np.abs(br.mse_under_truth / br.mse_assumed - 1.0))
                 assert worst <= 4.0 * gap + 1e-8
 
@@ -311,17 +315,17 @@ class TestOuMseProfiles:
         sigma2 = truth.theta / alpha
         assumed = MaternSpec(sigma2, alpha, 0.5)
         test_points = np.array([0.01, 0.5 * (pts[3] + pts[4]), pts[10] + 1e-4, 0.99])
-        factors = OuMseFactors(pts, truth.alpha, test_points)
+        factors = OuMseFactors(d, truth.alpha, test_points[:, None])
         (m, q), m0 = factors(np.array([alpha])), factors.m0
-        br = mse_breakdown(d, 0.5, assumed, truth, test_points[:, None])
+        br = mse_breakdown(d, assumed, truth, test_points[:, None])
         np.testing.assert_allclose(sigma2 * m[0], br.mse_assumed, rtol=1e-10)
         np.testing.assert_allclose(truth.sigma2 * q[0], br.mse_under_truth, rtol=1e-10)
         np.testing.assert_allclose(truth.sigma2 * m0, br.mse_oracle, rtol=1e-10)
         # the OU factors against the dense ones, on LHS test points; the
         # dense 1 - r' R^{-1} r carries an absolute round-off near 1e-13,
         # which is most of a factor of 1e-5 next to a design point
-        lhs = gen_lhs_testpoints(1, 300, 4, d)
-        ou = OuMseFactors(pts, truth.alpha, lhs[:, 0])
+        lhs = gen_lhs_testpoints(d, 300, 4)
+        ou = OuMseFactors(d, truth.alpha, lhs)
         dense = DenseMseFactors(d, 0.5, truth.alpha, lhs)
         np.testing.assert_allclose(ou.m0, dense.m0, rtol=1e-10, atol=1e-11)
         alphas = np.array([0.1, 0.7, 1.7, 3.0, 20.0])
@@ -335,8 +339,9 @@ class TestOuMseProfiles:
         # are single calls by construction
         pts = np.sort(rng.uniform(0.05, 0.95, 60))
         tp = np.concatenate([[0.01, 0.99], rng.uniform(0.0, 1.0, 997)])
-        ou = OuMseFactors(pts, 0.5, tp)
-        dense = DenseMseFactors(Design(points=pts[:, None]), 0.5, 0.5, tp[:, None])
+        design = Design(points=pts[:, None])
+        ou = OuMseFactors(design, 0.5, tp[:, None])
+        dense = DenseMseFactors(design, 0.5, 0.5, tp[:, None])
         alphas = np.exp(rng.uniform(-3.0, 3.0, 17))
         for factors in (ou, dense):
             batch = factors(alphas)
@@ -346,7 +351,8 @@ class TestOuMseProfiles:
 
     def test_rejects_coincident(self, rng):
         pts = np.sort(rng.uniform(0, 1, 10))
+        design = Design(points=pts[:, None])
         with pytest.raises(CoincidentTestPointError):
-            OuMseFactors(pts, 0.5, np.array([pts[2]]))
+            OuMseFactors(design, 0.5, pts[2:3, None])
         with pytest.raises(CoincidentTestPointError):
-            DenseMseFactors(Design(points=pts[:, None]), 0.5, 0.5, pts[2:3, None])
+            DenseMseFactors(design, 0.5, 0.5, pts[2:3, None])

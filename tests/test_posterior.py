@@ -66,6 +66,10 @@ class TestGammaPrior:
     def test_validation(self):
         with pytest.raises(ValueError):
             GammaPrior(0.0, 1.0)
+        # a rate of inf gave a NaN log density, with a RuntimeWarning
+        for shape, rate in ((1.1, np.inf), (np.inf, 0.1), (1.1, np.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GammaPrior(shape, rate)
 
 
 class TestLogJointPosterior:

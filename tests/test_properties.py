@@ -68,7 +68,7 @@ def test_mse_under_truth_is_at_least_the_oracle(design, at, alpha, alpha0):
     assume(np.min(np.abs(design.coords_1d - at)) >= MIN_GAP)
     truth = MaternSpec(1.0, alpha0, 0.5)
     assumed = MaternSpec.from_theta(truth.theta, alpha, 0.5)
-    br = mse_breakdown(design, 0.5, assumed, truth, np.array([[at]]))
+    br = mse_breakdown(design, assumed, truth, np.array([[at]]))
     assert br.mse_under_truth[0] >= br.mse_oracle[0] * (1.0 - 1e-12)
 
 
