@@ -254,12 +254,19 @@ def gen_lhs_testpoints(design: Design, count: int, seed) -> np.ndarray:
 
 def sample_gp_path(design: Design, truth: MaternSpec, seed) -> GpDataset:
     """Draw one path of the mean-zero process on the design via the dense
-    Cholesky factor of the true covariance."""
+    Cholesky factor of the true covariance.
+
+    The correlation is built, factorized, triangularized and scaled in one
+    n x n array, which must reach the matvec Fortran-ordered: the tables'
+    bits rest on it.
+    """
     rng = np.random.default_rng(seed)
     chol = cholesky(build_correlation_matrix(design, truth.alpha, truth.nu))
-    chol[np.triu_indices(design.n, 1)] = 0.0   # in place: np.tril would copy to C order
+    for j in range(1, design.n):
+        chol[:j, j] = 0.0   # the strict upper triangle, one contiguous column at a time
+    chol *= np.sqrt(truth.sigma2)
     z = rng.standard_normal(design.n)
-    return GpDataset(design=design, x=(np.sqrt(truth.sigma2) * chol) @ z)
+    return GpDataset(design=design, x=chol @ z)
 
 
 # ---------------------------------------------------------------------------

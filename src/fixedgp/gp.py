@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import MaternSpec, matern_correlation, matern_kernel
+from .kernels import MaternSpec, check_alphas, matern_kernel
 
 __all__ = [
     "Design",
@@ -41,6 +41,7 @@ __all__ = [
     "is_ou_model",
     "build_correlation_matrix",
     "cholesky",
+    "pairwise_distances",
     "log_likelihood",
     "ou_loglik_fast",
     "load_dataset",
@@ -106,8 +107,22 @@ class Design:
         return self.points[:, 0]
 
     def distance_matrix(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return pairwise_distances(self.points, self.points)
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The C-ordered (K, n) Euclidean distances between the rows of the
+    (K, d) ``a`` and the (n, d) ``b``.
+
+    At d = 1 the output is the one array built: the differences, then their
+    absolute values in place.  Larger d sums the squares of a (K, n, d)
+    difference array.
+    """
+    if a.shape[1] == 1:
+        out = np.subtract.outer(a[:, 0], b[:, 0])
+        return np.abs(out, out=out)
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
 
 
 @dataclass(frozen=True)
@@ -146,8 +161,15 @@ class ProfileStats:
 
 
 def build_correlation_matrix(design: Design, alpha: float, nu: float) -> np.ndarray:
-    """Matern correlation matrix of a design; unit diagonal, symmetric."""
-    return matern_correlation(alpha, nu, design.distance_matrix())
+    """Matern correlation matrix of a design; unit diagonal, symmetric.
+
+    The distances are scaled and turned into correlations in place; at
+    d = 1, nu = 1/2 the result is the one n x n array built.
+    """
+    check_alphas(alpha=alpha)
+    t = design.distance_matrix()
+    t *= alpha
+    return matern_kernel(nu)(t)
 
 
 def cholesky(r: np.ndarray) -> np.ndarray:
@@ -211,8 +233,7 @@ class _Engine:
         )
 
     def _checked_terms(self, alpha):
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        check_alphas(alpha=alpha)
         return self._terms(alpha)
 
 
@@ -244,6 +265,7 @@ class DenseEngine(_Engine):
         self._corr = matern_kernel(self.nu)
 
     def _terms(self, alpha):
+        # the kernel and the factorization overwrite the scaled distances
         chol = cholesky(self._corr(alpha * self.dist))
         # a successful dpotrf leaves a positive diagonal, so dtrtrs cannot fail
         y, _ = lapack.dtrtrs(chol, self.data.x, lower=1)

@@ -121,15 +121,19 @@ def matern_kernel(nu: float):
     The smoothness dispatch happens here, once; the returned callable maps a
     nonnegative array ``t`` to correlations and does no checking.  Its value
     at t = 0 is exactly 1 for every smoothness.
+
+    The callable overwrites ``t`` with the correlations and returns it, so
+    a caller passes an array it owns, such as a fresh ``alpha * h``.  At
+    nu = 1/2 it holds no array beyond ``t``.
     """
     if not 0 < nu < np.inf:
         raise ValueError(f"matern_kernel requires a positive finite nu, got {nu}")
     if abs(nu - 0.5) < 1e-14:
-        return lambda t: np.exp(-t)
+        return lambda t: np.exp(np.negative(t, out=t), out=t)
     if abs(nu - 1.5) < 1e-14:
-        return lambda t: (1.0 + t) * np.exp(-t)
+        return lambda t: np.multiply(1.0 + t, np.exp(-t), out=t)
     if abs(nu - 2.5) < 1e-14:
-        return lambda t: (1.0 + t + t**2 / 3.0) * np.exp(-t)
+        return lambda t: np.multiply(1.0 + t + t**2 / 3.0, np.exp(-t), out=t)
     coef = 2.0 ** (1.0 - nu) / special.gamma(nu)
 
     def general(t):
@@ -141,9 +145,23 @@ def matern_kernel(nu: float):
         if np.any(bad):
             out = np.where(bad & (t < 1.0), 1.0, out)
             out = np.where(bad & (t >= 1.0), 0.0, out)
-        return out
+        np.copyto(t, out)
+        return t
 
     return general
+
+
+def check_alphas(**alphas):
+    """Raise ``ValueError`` naming the first alpha, a scalar or an array of
+    them, that is not positive and finite (NaN fails both comparisons).
+
+    The one check of an inverse range wherever one enters the library.
+    """
+    for name, value in alphas.items():
+        value = np.asarray(value, dtype=float)
+        bad = ~((value > 0) & (value < np.inf))
+        if np.any(bad):
+            raise ValueError(f"{name} must be positive and finite, got {value[bad][0]}")
 
 
 def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
@@ -165,12 +183,12 @@ def matern_correlation(alpha: float, nu: float, h) -> np.ndarray | float:
     float or ndarray
         Correlations in (0, 1], same shape as ``h``.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"matern_correlation requires a positive finite alpha, got {alpha}")
+    check_alphas(alpha=alpha)
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0):
         raise ValueError("matern_correlation requires h >= 0")
-    out = matern_kernel(nu)(alpha * h_arr)
+    # a product of its own, even for a 0-d h, which the kernel overwrites
+    out = matern_kernel(nu)(np.multiply(alpha, h_arr, out=np.empty_like(h_arr)))
     if np.ndim(h) == 0:
         return float(out)
     return out

@@ -21,8 +21,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .diagnostics import generalized_lambdas
-from .gp import DegenerateDataError, Design, GpDataset, build_correlation_matrix, cholesky
-from .kernels import MaternSpec, matern_kernel
+from .gp import (DegenerateDataError, Design, GpDataset, build_correlation_matrix, cholesky,
+                 pairwise_distances)
+from .kernels import MaternSpec, check_alphas, matern_kernel
 
 __all__ = [
     "MseBreakdown",
@@ -72,9 +73,9 @@ def _test_point_array(design: Design, points) -> np.ndarray:
 def _cross_distances(design: Design, points: np.ndarray) -> np.ndarray:
     """The (n, K) distances from the design points to the (K, d) ``points``,
     none of which may coincide with a design point."""
-    points = _test_point_array(design, points)
-    diffs = design.points[None, :, :] - points[:, None, :]
-    dist = np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).T
+    # the transpose of a C-ordered (K, n) array: the axis-0 sums of the
+    # dense MSE factors add in an order that depends on this layout
+    dist = pairwise_distances(_test_point_array(design, points), design.points).T
     if np.any(dist == 0.0):
         raise CoincidentTestPointError("test points must avoid design points")
     return dist
@@ -116,7 +117,8 @@ class DenseMseFactors:
     oracle factor ``m0`` = mse_oracle / sigma0^2) is built once; calling the
     object with a 1-d array of B alphas gives the (B, K) arrays ``(m, q)``:
     m = mse_assumed / sigma2 and q = mse_under_truth / sigma0^2, one row per
-    alpha.  The alphas are factorized one at a time, in order.  A factor
+    alpha.  The alphas are factorized one at a time, in order.  ``alpha0``
+    and every called alpha must be positive and finite.  A factor
     that rounds to zero or below (or NaN) at any test point, as the smooth
     kernels' 1 - r' R^{-1} r can, raises
     :class:`fixedgp.gp.DegenerateDataError`: a ratio of such factors means
@@ -124,6 +126,7 @@ class DenseMseFactors:
     """
 
     def __init__(self, design: Design, nu: float, alpha0: float, points: np.ndarray):
+        check_alphas(alpha0=alpha0)
         self._corr = matern_kernel(nu)
         self.dist_nn = design.distance_matrix()
         self.dist_nk = _cross_distances(design, points)
@@ -134,6 +137,7 @@ class DenseMseFactors:
         _check_positive("m0", self.m0)
 
     def __call__(self, alpha: np.ndarray):
+        check_alphas(alpha=alpha)
         m, q = zip(*(self._one(a) for a in alpha))
         return np.stack(m), np.stack(q)
 
@@ -173,7 +177,7 @@ def sym_kl_finite(design: Design, alpha: float, alpha0: float) -> float:
     The models are the OU ones (nu = 1/2), the one smoothness whose limit
     is known in closed form (:func:`sym_kl_limit`).
     """
-    _check_ranges(alpha, alpha0)
+    check_alphas(alpha=alpha, alpha0=alpha0)
     if alpha == alpha0:
         return 0.0
     lam = generalized_lambdas(design, 0.5, alpha, alpha0, 1.0)
@@ -183,30 +187,29 @@ def sym_kl_finite(design: Design, alpha: float, alpha0: float) -> float:
 def sym_kl_limit(alpha: float, alpha0: float) -> float:
     """Closed-form infill limit of the symmetrized KL for the unit-interval
     OU family: (alpha - alpha0)^2 (alpha + alpha0 + 2) / (4 alpha alpha0)."""
-    _check_ranges(alpha, alpha0)
+    check_alphas(alpha=alpha, alpha0=alpha0)
     return (alpha - alpha0) ** 2 * (alpha + alpha0 + 2.0) / (4.0 * alpha * alpha0)
-
-
-def _check_ranges(alpha, alpha0):
-    if not (0 < alpha < np.inf and 0 < alpha0 < np.inf):
-        raise ValueError(f"alpha and alpha0 must be positive and finite, got {alpha}, {alpha0}")
 
 
 class OuMseFactors:
     """The :class:`DenseMseFactors` quantities for the OU kernel in O(n + K).
 
     The OU predictor weights are supported on the (at most two) bracketing
-    neighbors of each test point, so on a d = 1 design in ascending order
-    every factor is local; the bracketing gaps and the truth terms of the
-    (K, 1) ``points`` are computed once.
+    neighbors of each test point, so on a d = 1 design in ascending order,
+    which is checked, every factor is local; the bracketing gaps and the
+    truth terms of the (K, 1) ``points`` are computed once.  ``alpha0`` and
+    every called alpha must be positive and finite.
     Every operation on an alpha is elementwise, so a 1-d array of B alphas
     is evaluated at once as (B, K) arrays, each row equal bit for bit to a
     call with that alpha alone.
     """
 
     def __init__(self, design: Design, alpha0: float, points: np.ndarray):
+        check_alphas(alpha0=alpha0)
         coords = design.coords_1d
         tp = _test_point_array(design, points)[:, 0]
+        if np.any(np.diff(coords) <= 0):
+            raise ValueError("the OU MSE factors require strictly increasing points")
         if np.any(np.isin(tp, coords)):
             raise CoincidentTestPointError("test points must avoid design points")
         idx = np.searchsorted(coords, tp)
@@ -230,6 +233,7 @@ class OuMseFactors:
         return wl, wr
 
     def __call__(self, alpha: np.ndarray):
+        check_alphas(alpha=alpha)
         alpha = alpha[:, None]
         rho_l = np.exp(-alpha * self.dl)
         rho_r = np.where(self.interior, np.exp(-alpha * self.dr), 0.0)

@@ -89,7 +89,8 @@ class TestCriterion2TableTwoSpotCheck:
         # Known-red reproduction gap: the exact d=2 posterior (2-d quadrature,
         # MCMC-free) gives mean W2(theta) = 0.0465 over 100 replications of
         # this protocol, so the 0.0291 +/- 0.01 target is not attainable by a
-        # correct sampler; see the reviewer notes for the full analysis.
+        # correct sampler; ROADMAP.md open items 2-3 hold the analysis and the
+        # work that would make it a computed check.
         w = _cell(table2_rows, 100, "w2_theta")
         ok = abs(w - 0.0291) <= 0.01
         record_criterion("criterion 2 (Table 2 W2(theta), d=2, n=100)", ok,

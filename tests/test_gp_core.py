@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,15 @@ from fixedgp.gp import (
     build_correlation_matrix,
     cholesky,
     likelihood_engine,
+    pairwise_distances,
     load_dataset,
     log_likelihood,
     ou_loglik_fast,
     save_dataset,
 )
+from fixedgp.experiments import gen_perturbed_grid, sample_gp_path
 from fixedgp.kernels import MaternSpec, matern_correlation
+from fixedgp.kriging import DenseMseFactors
 from fixedgp.posterior import PriorSpec, lockstep_target
 
 from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
@@ -118,6 +123,68 @@ class TestDesign:
         d = Design(points=np.array([[0.1], [0.2]]))
         with pytest.raises(ValueError):
             GpDataset(design=d, x=np.array([1.0]))
+
+
+def einsum_distances(a, b):
+    """The (K, n) distances between the rows of ``a`` and ``b`` by the
+    difference-array formula, the oracle of :func:`pairwise_distances`."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_einsum_formula_bit_for_bit(self, d, rng):
+        for n, k in ((1, 1), (9, 4), (60, 25), (300, 7)):
+            design = Design(points=rng.uniform(0, 1, (n, d)))
+            points = rng.uniform(0, 1, (k, d))
+            dist = design.distance_matrix()
+            assert dist.flags.c_contiguous
+            assert np.array_equal(dist, einsum_distances(design.points, design.points))
+            cross = pairwise_distances(points, design.points)
+            assert np.array_equal(cross, einsum_distances(points, design.points))
+            # the MSE factors keep the (n, K) cross distances as the transpose
+            # of a C-ordered (K, n) array: their axis-0 sums depend on it
+            dist_nk = DenseMseFactors(design, 0.5, 0.5, points).dist_nk
+            assert dist_nk.flags.f_contiguous and np.array_equal(dist_nk, cross.T)
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates beyond what is live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseMemory:
+    """Each dense build is one n x n array, made and used in place: at d = 1,
+    n = 400 the difference array, the scaled copies and the triangle's index
+    arrays of a naive build hold three to four n^2 doubles."""
+
+    n = 400
+
+    def setup_method(self):
+        self.design = gen_perturbed_grid(1, self.n, seed=1)
+        self.truth = MaternSpec(1.0, 0.5, 0.5)
+        self.square = 8.0 * self.n**2
+
+    def test_path_draw(self):
+        peak = traced_peak(lambda: sample_gp_path(self.design, self.truth, 2))
+        assert peak <= 1.25 * self.square
+
+    def test_correlation_matrix(self):
+        peak = traced_peak(lambda: build_correlation_matrix(self.design, 0.5, 0.5))
+        assert peak <= 1.25 * self.square
+
+    def test_dense_evaluation_beyond_the_cached_distances(self):
+        engine = DenseEngine(sample_gp_path(self.design, self.truth, 2), 0.5)
+        peak = traced_peak(lambda: engine._terms(0.7))
+        assert peak <= 1.1 * self.square
 
 
 class TestCorrelationMatrix:

@@ -104,6 +104,29 @@ class TestMaternCorrelation:
         for i, hi in enumerate(h):
             assert vec[i] == pytest.approx(matern_correlation(0.8, 1.7, float(hi)), rel=1e-14)
 
+    @pytest.mark.parametrize("nu, formula", [
+        (0.5, lambda t: np.exp(-t)),
+        (1.5, lambda t: (1.0 + t) * np.exp(-t)),
+        (2.5, lambda t: (1.0 + t + t**2 / 3.0) * np.exp(-t)),
+        (0.8, lambda t: matern_correlation(1.0, 0.8, t)),
+    ])
+    def test_overwrites_t_with_the_formula_bits(self, nu, formula, rng):
+        # every nu writes into t and must give the bits of the plain
+        # expressions, in both memory orders the callers pass
+        for t in (rng.exponential(2.0, (40, 30)), np.asfortranarray(rng.exponential(2.0, (30, 40)))):
+            t[0, 0] = 0.0
+            want = formula(t)
+            got = matern_kernel(nu)(t)
+            assert got is t
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8])
+    def test_leaves_the_callers_distances_unchanged(self, nu, rng):
+        for h in (rng.uniform(0, 3, (5, 4)), np.array(0.3)):
+            before = h.copy()
+            matern_correlation(0.7, nu, h)
+            assert np.array_equal(h, before)
+
     def test_extreme_arguments_stay_finite(self):
         assert matern_correlation(1.0, 5.0, 1e-300) == 1.0
         assert matern_correlation(1e6, 5.0, 1e3) == 0.0
@@ -117,7 +140,7 @@ class TestMaternCorrelation:
         with pytest.raises(ValueError):
             matern_correlation(1.0, 0.5, -0.1)
         # exp(-inf * 0) is NaN at lag 0, so an infinite alpha has no correlation
-        with pytest.raises(ValueError, match="positive finite alpha"):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
             matern_correlation(np.inf, 0.5, np.array([0.0, 0.3]))
         with pytest.raises(ValueError, match="positive finite nu"):
             matern_kernel(np.inf)

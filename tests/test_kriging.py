@@ -349,6 +349,29 @@ class TestOuMseProfiles:
                 for got, want in zip(batch, factors(alphas[b:b + 1])):
                     assert np.array_equal(got[b], want[0])
 
+    def test_rejects_an_unsorted_design(self):
+        # the bracketing neighbours exist only in ascending order: unchecked,
+        # this design gave m0 = 0.0748 where the dense factors give 0.0500
+        design = Design(points=np.array([[0.9], [0.1], [0.5], [0.3], [0.7]]))
+        points = np.array([[0.2], [0.6]])
+        assert DenseMseFactors(design, 0.5, 0.5, points).m0 == pytest.approx(0.05, abs=1e-4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            OuMseFactors(design, 0.5, points)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("factors", [
+        lambda design, alpha0, points: OuMseFactors(design, alpha0, points),
+        lambda design, alpha0, points: DenseMseFactors(design, 0.5, alpha0, points),
+    ], ids=["ou", "dense"])
+    def test_rejects_an_alpha_that_is_not_positive_and_finite(self, factors, bad):
+        design = equispaced(8)
+        points = np.array([[0.33], [0.71]])
+        with pytest.raises(ValueError, match=r"alpha0 must be positive and finite, got %s" % bad):
+            factors(design, bad, points)
+        built = factors(design, 0.5, points)
+        with pytest.raises(ValueError, match=r"alpha must be positive and finite, got %s" % bad):
+            built(np.array([0.7, bad, 1.3]))
+
     def test_rejects_coincident(self, rng):
         pts = np.sort(rng.uniform(0, 1, 10))
         design = Design(points=pts[:, None])
