@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # The names the demos use (a test keeps the two in step); everything else is
 # imported from its module.
-from .kernels import MaternSpec, bessel_k, matern_correlation, spectral_density
+from .kernels import MaternSpec, matern_correlation, spectral_density
 from .gp import Design, likelihood_engine, log_likelihood, ou_loglik_fast
 from .posterior import lockstep_target, rwm_chains, theta_limit_draws
 from .kriging import blup, efficiency_ratios, mse_breakdown, sym_kl_finite, sym_kl_limit

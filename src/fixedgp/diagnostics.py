@@ -35,27 +35,19 @@ def w2_distance(a, b) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def generalized_lambdas(
-    design: Design,
-    nu: float,
-    alpha: float,
-    alpha0: float,
-    theta0: float,
-) -> np.ndarray:
+def generalized_lambdas(design: Design, nu: float, alpha: float, alpha0: float) -> np.ndarray:
     """Spectrum of the whitened matched-theta covariance pair, ascending.
 
-    With sigma0^2 R0 = L0 L0' the returned values are the eigenvalues of
-    L0^{-1} (sigma2 R_alpha) L0^{-'} where both variances are pinned to the
-    shared microergodic value theta0.  At alpha = alpha0 the spectrum is
-    identically one.  A spectrum that is not strictly positive raises
-    ``ValueError``.
+    Two Matern models with one microergodic value theta = sigma2 alpha^{2 nu}
+    have variances in the ratio sigma2 / sigma0^2 = (alpha0 / alpha)^{2 nu}
+    whatever theta is, so with R0 = L0 L0' at alpha0 the returned values are
+    the eigenvalues of (alpha0 / alpha)^{2 nu} L0^{-1} R_alpha L0^{-'}.  At
+    alpha = alpha0 the spectrum is identically one.  A spectrum that is not
+    strictly positive raises ``ValueError``.
     """
-    if not theta0 > 0:
-        raise ValueError(f"theta0 must be positive, got {theta0}")
-    sigma2 = theta0 / alpha ** (2.0 * nu)
-    sigma2_0 = theta0 / alpha0 ** (2.0 * nu)
-    l0 = np.sqrt(sigma2_0) * cholesky(build_correlation_matrix(design, alpha0, nu))
-    r_alpha = sigma2 * build_correlation_matrix(design, alpha, nu)
+    l0 = cholesky(build_correlation_matrix(design, alpha0, nu))
+    r_alpha = build_correlation_matrix(design, alpha, nu)
+    r_alpha *= (alpha0 / alpha) ** (2.0 * nu)
     half = solve_triangular(l0, r_alpha, lower=True)
     m = solve_triangular(l0, half.T, lower=True)
     m = 0.5 * (m + m.T)

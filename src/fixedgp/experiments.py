@@ -681,8 +681,7 @@ def kl_check_sweep(n_values, alphas, alpha0: float, out_path=None):
 
 def lambda_check_sweep(count: int, seed, n: int, d: int, out_path=None):
     """Random matched-theta instances with the generalized spectrum checked
-    against its min/max power bounds; the spectrum does not depend on the
-    shared microergodic value, here 0.5."""
+    against its min/max power bounds."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(count):
@@ -692,7 +691,7 @@ def lambda_check_sweep(count: int, seed, n: int, d: int, out_path=None):
         pts = rng.uniform(0.0, 1.0, (n, d))
         if d == 1:
             pts.sort(axis=0)
-        lambdas = generalized_lambdas(Design(points=pts), nu, alpha, alpha0, 0.5)
+        lambdas = generalized_lambdas(Design(points=pts), nu, alpha, alpha0)
         ratio = (alpha0 / alpha) ** (2.0 * nu + d)
         lo, hi = min(ratio, 1.0), max(ratio, 1.0)
         ok = (lambdas.min() >= lo - 1e-8) and (lambdas.max() <= hi + 1e-8)

@@ -1,5 +1,8 @@
-"""Isotropic Matern correlation, the underlying Bessel K function, and the
-Matern spectral density.
+"""Isotropic Matern correlation and spectral density.
+
+The correlation (2^{1-nu}/Gamma(nu)) t^nu K_nu(t) at t = alpha h is written
+once, in :func:`matern_kernel`: closed forms at nu = 1/2, 3/2 and 5/2, the
+exponentially scaled Bessel K of scipy at any other nu.
 
 The covariance family is parameterized by a variance ``sigma2``, an inverse
 range ``alpha``, and a smoothness ``nu``.  Under infill sampling in dimension
@@ -16,19 +19,10 @@ from scipy import special
 
 __all__ = [
     "MaternSpec",
-    "bessel_k",
     "matern_correlation",
     "matern_kernel",
     "spectral_density",
 ]
-
-# Half-integer smoothness values with polynomial-times-exponential closed
-# forms; these are the only values the reference experiments use.
-_HALF_INTEGER_NU = (0.5, 1.5, 2.5)
-
-
-def _is_half_integer(nu: float) -> bool:
-    return any(abs(nu - v) < 1e-14 for v in _HALF_INTEGER_NU)
 
 
 @dataclass(frozen=True)
@@ -67,52 +61,6 @@ class MaternSpec:
         if theta <= 0:
             raise ValueError(f"theta must be positive, got {theta}")
         return cls(sigma2=theta / alpha ** (2.0 * nu), alpha=alpha, nu=nu)
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, K_nu(x).
-
-    Half-integer orders (1/2, 3/2, 5/2) use exact closed forms; other orders
-    dispatch to the exponentially scaled routine ``scipy.special.kve`` so the
-    e^{-x} factor is applied last.
-
-    Parameters
-    ----------
-    nu : float
-        Order, must be positive.
-    x : float
-        Argument, must be positive.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` or ``nu <= 0``.
-    OverflowError
-        If K_nu(x) exceeds the double range (x below the small-argument
-        overflow guard for the given order).
-    """
-    if not x > 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    if not nu > 0:
-        raise ValueError(f"bessel_k requires nu > 0, got {nu}")
-    if _is_half_integer(nu):
-        base = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
-        if abs(nu - 0.5) < 1e-14:
-            poly = 1.0
-        elif abs(nu - 1.5) < 1e-14:
-            poly = 1.0 + 1.0 / x
-        else:
-            poly = 1.0 + 3.0 / x + 3.0 / x**2
-        val = base * poly
-    else:
-        val = special.kve(nu, x) * np.exp(-x)
-    if np.isinf(val):
-        raise OverflowError(f"bessel_k overflow at nu={nu}, x={x}")
-    return float(val)
 
 
 def matern_kernel(nu: float):

@@ -171,8 +171,8 @@ def sym_kl_finite(design: Design, alpha: float, alpha0: float) -> float:
         r_n = (1/2) sum_k (lambda_k - 1)^2 / lambda_k
 
     over the generalized eigenvalues lambda_k of the pair
-    (:func:`fixedgp.diagnostics.generalized_lambdas`), in which the shared
-    microergodic value cancels.  At alpha = alpha0 the two laws are one and
+    (:func:`fixedgp.diagnostics.generalized_lambdas`), which do not depend on
+    the shared microergodic value.  At alpha = alpha0 the two laws are one and
     r_n is exactly 0, which the computed spectrum gives only to rounding.
     The models are the OU ones (nu = 1/2), the one smoothness whose limit
     is known in closed form (:func:`sym_kl_limit`).
@@ -180,7 +180,7 @@ def sym_kl_finite(design: Design, alpha: float, alpha0: float) -> float:
     check_alphas(alpha=alpha, alpha0=alpha0)
     if alpha == alpha0:
         return 0.0
-    lam = generalized_lambdas(design, 0.5, alpha, alpha0, 1.0)
+    lam = generalized_lambdas(design, 0.5, alpha, alpha0)
     return float(0.5 * np.sum((lam - 1.0) ** 2 / lam))
 
 

@@ -76,8 +76,8 @@ class PriorSpec:
     condition on.
     """
 
-    theta_prior: GammaPrior = GammaPrior(1.1, 0.1)
-    alpha_prior: GammaPrior = GammaPrior(1.1, 0.1)
+    theta_prior: GammaPrior
+    alpha_prior: GammaPrior
 
 
 def chain_start(log_target, init):
@@ -232,12 +232,12 @@ def lockstep_target(prior: PriorSpec, joint=(), profile=(), tilted=()):
     a1, a2, a3 = np.array([(x[1:-1] @ x[1:-1], x[:-1] @ x[1:], x @ x)
                            for x in (e.data.x for e in tilted)]).reshape(-1, 3).T
     if not np.all(a1 > 0):
-        raise DegenerateDataError(f"A1 must be positive, got {a1}")
+        raise DegenerateDataError(f"A1 must be positive, got {a1[~(a1 > 0)][0]}")
     n = np.array([e.n for e in tilted])
     u_star = n * (a1 - a2) / a1
     v_star = n * (a1 - 2.0 * a2 + a3) / a1
     if not np.all(v_star > 0):
-        raise DegenerateDataError(f"v_star must be positive, got {v_star}")
+        raise DegenerateDataError(f"v_star must be positive, got {v_star[~(v_star > 0)][0]}")
     two_v_star = 2.0 * v_star
 
     def log_density(p):

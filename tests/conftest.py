@@ -3,6 +3,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from fixedgp.experiments import ExperimentConfig
 from fixedgp.gp import DegenerateDataError, GpDataset
 from fixedgp.kernels import MaternSpec
 from fixedgp.kriging import DenseMseFactors, efficiency_ratios
@@ -26,6 +27,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+
+# the priors of a default run, for the tests that need some prior
+DEFAULT_PRIOR = ExperimentConfig().prior
 
 OuStats = namedtuple("OuStats", "a1 a2 a3")
 

@@ -235,13 +235,14 @@ class TestCriterion5PropertySuite:
         assert ok
 
     def test_5g_bessel_half_integer(self):
-        from test_kernels import bessel_k_quadrature
-        from fixedgp.kernels import bessel_k
+        # the K_nu of the kernel the tables run, read back through
+        # K_nu(x) = Gamma(nu) 2^{nu-1} x^{-nu} k_nu(x)
+        from test_kernels import bessel_k_from_kernel, bessel_k_quadrature
         worst = 0.0
         for nu in (0.5, 1.5, 2.5):
             for x in (0.01, 0.3, 1.0, 5.0, 30.0):
                 q = bessel_k_quadrature(nu, x)
-                worst = max(worst, abs(bessel_k(nu, x) - q) / q)
+                worst = max(worst, abs(bessel_k_from_kernel(nu, x) - q) / q)
         ok = worst <= 1e-10
         record_criterion("criterion 5g (Bessel closed forms vs quadrature)", ok,
                          f"worst relative error {worst:.1e} <= 1e-10")

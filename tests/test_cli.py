@@ -363,6 +363,15 @@ class TestMalformedInput:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_contour_path_with_no_interior_exit_2_one_line(self, n, tmp_path, capsys):
+        # the tilted target holds a row per alpha-grid node; the message
+        # names the first failing A1, not the whole array of them
+        assert main(["contour", "--n", n, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: contour: A1 must be positive, got 0.0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", ["n_workers = -1", "n_test_points = -5",
                                       "master_seed = -1"])
     def test_negative_config_value_exit_2(self, line, tmp_path, capsys):

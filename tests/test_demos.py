@@ -2,7 +2,8 @@
 against the package in ``src`` with every warning an error (so the targets'
 "-inf, no warning" contract holds end to end), the package exports exactly
 the names the demos import from it, and no other module of the package
-imports a name it never reads."""
+imports a name it never reads; only ``kernels.matern_kernel`` evaluates
+scipy's Bessel K."""
 
 import ast
 import glob
@@ -69,3 +70,22 @@ def test_module_reads_every_name_it_imports(module):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= read, sorted(imported - read)
+
+
+def _bessel_k_users(path):
+    """The top-level definitions of a module (``<module>`` for its other
+    statements) that name scipy's Bessel K, ``kv`` or ``kve``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    bessel = ("kv", "kve")
+    return {getattr(stmt, "name", "<module>") for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr in bessel
+            or isinstance(node, ast.Name) and node.id in bessel
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] in bessel}
+
+
+def test_matern_kernel_is_the_one_bessel_k_path():
+    users = {f"{os.path.basename(path)}:{name}"
+             for path in glob.glob(os.path.join(ROOT, "src", "fixedgp", "*.py"))
+             for name in _bessel_k_users(path)}
+    assert users <= {"kernels.py:matern_kernel"}, sorted(users)

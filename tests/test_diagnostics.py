@@ -47,7 +47,7 @@ class TestW2Distance:
 class TestGeneralizedLambdas:
     def test_identity_at_alpha0(self, rng):
         d = Design(points=rng.uniform(0, 1, (20, 1)))
-        lambdas = generalized_lambdas(d, 0.5, 0.7, 0.7, 0.5)
+        lambdas = generalized_lambdas(d, 0.5, 0.7, 0.7)
         assert np.max(np.abs(lambdas - 1.0)) < 1e-10
 
     def test_power_ratio_bounds(self, rng):
@@ -59,7 +59,7 @@ class TestGeneralizedLambdas:
             nu = float(rng.choice([0.5, 1.5]))
             alpha = float(10 ** rng.uniform(-0.5, 0.5))
             alpha0 = float(10 ** rng.uniform(-0.5, 0.5))
-            lambdas = generalized_lambdas(design, nu, alpha, alpha0, 0.5)
+            lambdas = generalized_lambdas(design, nu, alpha, alpha0)
             ratio = (alpha0 / alpha) ** (2 * nu + d_dim)
             lo, hi = min(ratio, 1.0), max(ratio, 1.0)
             assert lambdas.min() >= lo - 1e-8
@@ -67,19 +67,25 @@ class TestGeneralizedLambdas:
 
     def test_three_by_three_characteristic_polynomial_oracle(self, rng):
         # independent route: fit det(A - lambda B) exactly from 4 evaluations
-        # and take its roots
+        # and take its roots; and the whitened pair with both variances
+        # pinned to theta0 explicitly, at two theta0, which cancels
         design = Design(points=np.array([[0.1], [0.45], [0.8]]))
-        nu, alpha, alpha0, theta0 = 0.5, 1.4, 0.6, 0.5
-        sigma2 = theta0 / alpha ** (2 * nu)
-        sigma2_0 = theta0 / alpha0 ** (2 * nu)
-        a = sigma2 * build_correlation_matrix(design, alpha, nu)
-        b = sigma2_0 * build_correlation_matrix(design, alpha0, nu)
-        lam_eval = np.array([0.0, 0.5, 1.0, 2.0])
-        dets = np.array([np.linalg.det(a - l * b) for l in lam_eval])
-        coeffs = np.polyfit(lam_eval, dets, 3)
-        roots = np.sort(np.roots(coeffs).real)
-        lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
-        assert np.allclose(lambdas, roots, rtol=1e-8)
+        nu, alpha, alpha0 = 0.5, 1.4, 0.6
+        lambdas = generalized_lambdas(design, nu, alpha, alpha0)
+        for theta0 in (0.5, 3.0):
+            sigma2 = theta0 / alpha ** (2 * nu)
+            sigma2_0 = theta0 / alpha0 ** (2 * nu)
+            a = sigma2 * build_correlation_matrix(design, alpha, nu)
+            b = sigma2_0 * build_correlation_matrix(design, alpha0, nu)
+            lam_eval = np.array([0.0, 0.5, 1.0, 2.0])
+            dets = np.array([np.linalg.det(a - l * b) for l in lam_eval])
+            coeffs = np.polyfit(lam_eval, dets, 3)
+            roots = np.sort(np.roots(coeffs).real)
+            assert np.allclose(lambdas, roots, rtol=1e-8)
+            l0 = np.linalg.cholesky(b)
+            whitened = np.linalg.solve(l0, np.linalg.solve(l0, a).T)
+            oracle = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+            assert lambdas == pytest.approx(oracle, rel=1e-12)
 
     def test_whitened_reconstruction_identity(self, rng):
         # n (theta_tilde(alpha) - theta_tilde(alpha0)) / theta0 equals
@@ -95,7 +101,7 @@ class TestGeneralizedLambdas:
         engine = DenseEngine(data, nu)
         l0 = np.linalg.cholesky(sigma2_0 * r0)
         for alpha in (0.3, 1.1, 2.4):
-            lambdas = generalized_lambdas(design, nu, alpha, alpha0, theta0)
+            lambdas = generalized_lambdas(design, nu, alpha, alpha0)
             # whitened coordinates V' L0^{-1} x, V the eigenvectors of the
             # whitened pair in the ascending order of the spectrum
             sigma2 = theta0 / alpha ** (2 * nu)
@@ -110,6 +116,6 @@ class TestGeneralizedLambdas:
 
     def test_spectrum_sorted_positive(self, rng):
         d = Design(points=rng.uniform(0, 1, (15, 2)))
-        lambdas = generalized_lambdas(d, 1.5, 2.0, 0.5, 0.5)
+        lambdas = generalized_lambdas(d, 1.5, 2.0, 0.5)
         assert np.all(lambdas > 0)
         assert np.all(np.diff(lambdas) >= 0)

@@ -24,9 +24,9 @@ from fixedgp.gp import (
 from fixedgp.experiments import gen_perturbed_grid, sample_gp_path
 from fixedgp.kernels import MaternSpec, matern_correlation
 from fixedgp.kriging import DenseMseFactors
-from fixedgp.posterior import PriorSpec, lockstep_target
+from fixedgp.posterior import lockstep_target
 
-from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
+from conftest import (DEFAULT_PRIOR, joint_posterior_logdensity, ou_profile_loglik, ou_stats,
                       profile_posterior_logdensity, tilted_logdensity)
 
 
@@ -358,7 +358,7 @@ class TestOuStats:
     alphas = np.array([0.05, 0.5, 1.0, 3.0, 12.0])
 
     def _tilted(self, data):
-        return lockstep_target(PriorSpec(), tilted=[OuEngine(data)])(self.alphas[:, None])
+        return lockstep_target(DEFAULT_PRIOR, tilted=[OuEngine(data)])(self.alphas[:, None])
 
     def test_examples(self):
         d3 = Design(points=np.array([[0.1], [0.2], [0.3]]))
@@ -367,7 +367,7 @@ class TestOuStats:
         assert (s.a1, s.a2, s.a3) == (1.0, 0.0, 1.0)
         # u* = 3 (1 - 0) / 1 and v* = 3 (1 - 0 + 1) / 1
         assert self._tilted(data) == pytest.approx(
-            tilted_logdensity(3.0, 6.0, PriorSpec(), self.alphas), rel=1e-14)
+            tilted_logdensity(3.0, 6.0, DEFAULT_PRIOR, self.alphas), rel=1e-14)
         d4 = Design(points=np.array([[0.1], [0.2], [0.3], [0.4]]))
         data = GpDataset(design=d4, x=np.ones(4))
         s = ou_stats(data)
@@ -389,13 +389,13 @@ class TestOuStats:
         assert s.a3 == pytest.approx(a3, rel=1e-14)
         u_star, v_star = 50 * (a1 - a2) / a1, 50 * (a1 - 2 * a2 + a3) / a1
         assert self._tilted(data) == pytest.approx(
-            tilted_logdensity(u_star, v_star, PriorSpec(), self.alphas), rel=1e-12)
+            tilted_logdensity(u_star, v_star, DEFAULT_PRIOR, self.alphas), rel=1e-12)
 
     def test_requires_1d(self, rng):
         d = Design(points=rng.uniform(0, 1, (5, 2)))
         engine = DenseEngine(GpDataset(design=d, x=np.zeros(5)), 0.5)
         with pytest.raises(ValueError):
-            lockstep_target(PriorSpec(), tilted=[engine])
+            lockstep_target(DEFAULT_PRIOR, tilted=[engine])
 
 
 class TestOuProfileLoglik:
@@ -588,7 +588,6 @@ class TestLikelihoodEngines:
 
     def test_cholesky_failure_surfaces_with_pivot(self):
         from fixedgp.experiments import gen_perturbed_grid
-        from fixedgp.posterior import PriorSpec
 
         data = GpDataset(design=gen_perturbed_grid(1, 100, seed=0), x=np.ones(100))
         engine = DenseEngine(data, 2.5)
@@ -598,7 +597,7 @@ class TestLikelihoodEngines:
             with pytest.raises(NotPositiveDefiniteError) as err:
                 call()
             assert err.value.pivot == dense_err.value.pivot > 0
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         assert joint_posterior_logdensity(engine, prior, 1e-5 * 0.1**5, 0.1) == -np.inf
         assert profile_posterior_logdensity(engine, prior, 0.1) == -np.inf
         assert np.isfinite(profile_posterior_logdensity(engine, prior, 0.5))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,13 @@ from fixedgp.kernels import MaternSpec
 from fixedgp.posterior import (
     GammaPrior,
     InitializationError,
-    PriorSpec,
     conditional_bvm_logdensity,
     lockstep_target,
     rwm_chains,
     theta_limit_draws,
 )
 from fixedgp.gp import log_likelihood
-from conftest import (joint_posterior_logdensity, ou_profile_loglik, ou_stats,
+from conftest import (DEFAULT_PRIOR, joint_posterior_logdensity, ou_profile_loglik, ou_stats,
                       profile_posterior_logdensity, tilted_center_scale, tilted_logdensity)
 
 
@@ -75,7 +75,7 @@ class TestGammaPrior:
 class TestLogJointPosterior:
     def test_ratio_matches_direct_density(self, rng):
         data = ou_data(12, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         t1, t2, a = 0.6, 0.9, 1.3
         engine = DenseEngine(data, 0.5)
         diff = (joint_posterior_logdensity(engine, prior, t1, a)
@@ -108,7 +108,7 @@ class TestLogJointPosterior:
 
     def test_invalid_parameters_give_minus_inf(self, rng):
         data = ou_data(5, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         engine = DenseEngine(data, 0.5)
         assert joint_posterior_logdensity(engine, prior, -1.0, 1.0) == -np.inf
         assert joint_posterior_logdensity(engine, prior, 1.0, 0.0) == -np.inf
@@ -116,7 +116,7 @@ class TestLogJointPosterior:
 
     def test_ou_matches_dense(self, rng):
         data = ou_data(30, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         for theta, alpha in [(0.5, 0.5), (1.2, 3.0)]:
             ou = joint_posterior_logdensity(OuEngine(data), prior, theta, alpha)
             dense = joint_posterior_logdensity(DenseEngine(data, 0.5), prior, theta, alpha)
@@ -125,7 +125,7 @@ class TestLogJointPosterior:
 
 class TestRwmChain:
     def test_prior_only_target_recovers_gamma_moments(self):
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         def target(p):
             return prior.theta_prior.logpdf(p[:, 0]) + prior.alpha_prior.logpdf(p[:, 1])
         (ch,), _ = rwm_chains(target, [np.array([5.0, 5.0])], [11], [(1.2, 1.2)], 30000, 2000)
@@ -137,7 +137,7 @@ class TestRwmChain:
 
     def test_deterministic_given_seed(self, rng):
         data = ou_data(20, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         target = lockstep_target(prior, joint=[OuEngine(data)])
         a, acc_a = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
         b, acc_b = rwm_chains(target, [np.array([11.0, 11.0])], [99], [(0.4, 1.0)], 500, 100)
@@ -146,7 +146,7 @@ class TestRwmChain:
 
     def test_acceptance_in_tuning_window(self, rng):
         data = ou_data(50, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         target = lockstep_target(prior, joint=[OuEngine(data)])
         _, (acc,) = rwm_chains(target, [np.array([11.0, 11.0])], [5],
                                [(1.7 * np.sqrt(2 / 50), 1.5)], 4000, 1000)
@@ -219,7 +219,7 @@ class TestRwmChain:
 
     def test_seed_sequence_seed_equals_its_int(self, rng):
         # default_rng(s) and default_rng(SeedSequence(s)) are one stream
-        target = lockstep_target(PriorSpec(), joint=[OuEngine(ou_data(20, rng))])
+        target = lockstep_target(DEFAULT_PRIOR, joint=[OuEngine(ou_data(20, rng))])
         chains = [rwm_chains(target, [[11.0, 11.0]], [seed], [(0.5, 0.5)], 200, 50)[0][0]
                   for seed in (12, np.random.SeedSequence(12))]
         assert np.array_equal(chains[0], chains[1])
@@ -240,7 +240,7 @@ class TestRwmChain:
 
     def test_positivity_structural(self, rng):
         data = ou_data(10, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         target = lockstep_target(prior, joint=[OuEngine(data)])
         (ch,), _ = rwm_chains(target, [np.array([11.0, 11.0])], [1], [(2.0, 2.0)], 2000, 200)
         assert np.all(ch > 0)
@@ -282,7 +282,7 @@ class TestConditionalBvm:
 class TestProfilePosterior:
     def test_difference_identity(self, rng):
         data = ou_data(18, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         a1, a2 = 0.7, 2.2
         engine = DenseEngine(data, 0.5)
         diff = (profile_posterior_logdensity(engine, prior, a1)
@@ -296,8 +296,8 @@ class TestProfilePosterior:
         # with independent priors the density minus the alpha prior depends
         # only on the data, across different prior settings
         data = ou_data(15, rng)
-        p1 = PriorSpec(alpha_prior=GammaPrior(1.1, 0.1))
-        p2 = PriorSpec(alpha_prior=GammaPrior(3.0, 1.5))
+        p1 = replace(DEFAULT_PRIOR, alpha_prior=GammaPrior(1.1, 0.1))
+        p2 = replace(DEFAULT_PRIOR, alpha_prior=GammaPrior(3.0, 1.5))
         engine = DenseEngine(data, 0.5)
         for a in (0.3, 1.0, 4.0):
             v1 = profile_posterior_logdensity(engine, p1, a) - p1.alpha_prior.logpdf(a)
@@ -306,7 +306,7 @@ class TestProfilePosterior:
 
     def test_proper_and_vanishing_left_tail(self, rng):
         data = ou_data(20, rng)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         grid = np.logspace(-8, 2, 400)
         logd = np.array([profile_posterior_logdensity(OuEngine(data), prior, a)
                          for a in grid])
@@ -324,7 +324,7 @@ class TestProfilePosterior:
         x = np.linalg.cholesky(r) @ rng.standard_normal(n)
         data = GpDataset(design=Design(points=pts[:, None]), x=x)
         stats = ou_stats(data)
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         diffs = []
         for a in (0.4, 1.1, 3.0):
             closed = ou_profile_loglik(stats, n, a) + prior.alpha_prior.logpdf(a)
@@ -333,7 +333,7 @@ class TestProfilePosterior:
         assert np.ptp(diffs) < 1e-8
 
 
-def tilted_values(data, alphas, prior=PriorSpec()):
+def tilted_values(data, alphas, prior=DEFAULT_PRIOR):
     """The tilted target of one OU dataset at the 1-d ``alphas``."""
     alphas = np.asarray(alphas, dtype=float)[:, None]
     return lockstep_target(prior, tilted=[OuEngine(data)])(alphas)
@@ -352,7 +352,7 @@ class TestTilted:
         assert u_star == pytest.approx(3.0)
         assert v_star == pytest.approx(6.0)
         assert tilted_values(self.bump, self.alphas) == pytest.approx(
-            tilted_logdensity(3.0, 6.0, PriorSpec(), self.alphas), rel=1e-14)
+            tilted_logdensity(3.0, 6.0, DEFAULT_PRIOR, self.alphas), rel=1e-14)
 
     def test_params_match_naive_formula(self, rng):
         x = rng.standard_normal(30)
@@ -362,7 +362,7 @@ class TestTilted:
         u_star = 30 * (stats.a1 - stats.a2) / stats.a1
         v_star = 30 * (stats.a1 - 2 * stats.a2 + stats.a3) / stats.a1
         assert tilted_values(data, self.alphas) == pytest.approx(
-            tilted_logdensity(u_star, v_star, PriorSpec(), self.alphas), rel=1e-14)
+            tilted_logdensity(u_star, v_star, DEFAULT_PRIOR, self.alphas), rel=1e-14)
 
     def test_v_star_order_one_across_seeds(self):
         # scale parameter is order one for OU paths at theta0 = 0.5; the
@@ -376,7 +376,7 @@ class TestTilted:
         r = np.exp(-0.5 * np.abs(pts[:, None] - pts[None, :]))
         chol = np.linalg.cholesky(r)
         design = Design(points=pts[:, None])
-        prior, a = PriorSpec(), np.array([1.0, 2.0, 3.0])
+        prior, a = DEFAULT_PRIOR, np.array([1.0, 2.0, 3.0])
         vs = []
         for seed in range(100):
             z = np.random.default_rng(seed).standard_normal(n)
@@ -393,14 +393,14 @@ class TestTilted:
         # with an effectively flat prior the mode solves
         # alpha^2 - u* alpha - v*/2 = 0
         u_star, v_star = tilted_center_scale(self.bump)
-        flat = PriorSpec(alpha_prior=GammaPrior(1.0, 1e-12))
+        flat = replace(DEFAULT_PRIOR, alpha_prior=GammaPrior(1.0, 1e-12))
         grid = np.linspace(1e-4, 12.0, 400001)
         vals = tilted_values(self.bump, grid, flat)
         root = (u_star + np.sqrt(u_star**2 + 2 * v_star)) / 2.0
         assert grid[np.argmax(vals)] == pytest.approx(root, abs=1e-3)
 
     def test_logdensity_ratio_hand_computed(self):
-        prior = PriorSpec()
+        prior = DEFAULT_PRIOR
         a = 0.8
         low, high = tilted_values(self.bump, [a, 2 * a])
         expected = (0.5 * np.log(2.0)
@@ -414,19 +414,22 @@ class TestTilted:
         assert zero == -np.inf
 
     def test_degenerate_data_rejected(self):
-        # a constant path: A1 = 0 at zero, v* = 0 otherwise
+        # a constant path: A1 = 0 at zero, v* = 0 otherwise; behind a sound
+        # row, the message names the one failing value
         d = Design(points=np.linspace(0.1, 0.9, 5)[:, None])
-        for level in (0.0, 3.0):
+        sound = OuEngine(GpDataset(design=d, x=np.array([1.0, -1.0, 2.0, 0.0, 1.0])))
+        for level, message in ((0.0, "A1 must be positive, got 0.0$"),
+                               (3.0, "v_star must be positive, got 0.0$")):
             engine = OuEngine(GpDataset(design=d, x=np.full(5, level)))
-            with pytest.raises(DegenerateDataError):
-                lockstep_target(PriorSpec(), tilted=[engine])
+            with pytest.raises(DegenerateDataError, match=message):
+                lockstep_target(DEFAULT_PRIOR, tilted=[sound, engine])
 
 
 class TestJointLimitSampler:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.data = ou_data(100, rng)
-        self.prior = PriorSpec()
+        self.prior = DEFAULT_PRIOR
         # theta and both alpha chains take the two streams spawned from seed 3
         self.theta_seed, self.alpha_seed = np.random.SeedSequence(3).spawn(2)
 
@@ -492,7 +495,7 @@ class TestEmptyBlock:
     # the ids name each kind's target as before
     @pytest.mark.parametrize("make", [
         LikelihoodBlock,
-        *(lambda engines, kind=kind: lockstep_target(PriorSpec(), **{kind: engines})
+        *(lambda engines, kind=kind: lockstep_target(DEFAULT_PRIOR, **{kind: engines})
           for kind in ("joint", "profile", "tilted")),
     ], ids=["LikelihoodBlock"] + [f"{kind}_target" for kind in ("joint", "profile", "tilted")])
     def test_needs_an_engine(self, make):
@@ -504,7 +507,7 @@ class TestLikelihoodBlock:
     """Each row of a block's targets equals the one-row call on its engine
     bit for bit, -inf rows included, on both backends."""
 
-    prior = PriorSpec()
+    prior = DEFAULT_PRIOR
     # valid points, theta <= 0, alpha = inf and alpha = 0.1, where the nu = 5/2
     # correlation of the dense design below fails to factorize
     points = np.array([[0.8, 1.3], [0.3, 0.1], [2.0, 7.5], [0.0, 1.0], [-1.0, 0.5],
@@ -575,7 +578,7 @@ class TestInvalidRows:
     {0, -1, inf, nan}, raises nothing and warns nothing, and gives every
     other row its value alone."""
 
-    prior = PriorSpec()
+    prior = DEFAULT_PRIOR
 
     # the ids name each kind's target as before
     @pytest.mark.parametrize("kind", ["joint", "profile", "tilted"], ids=lambda k: f"{k}_target")
@@ -626,7 +629,7 @@ class TestLockstep:
     """R chains run in lockstep are bit for bit the chains run one by one,
     whatever the widths, sizes and kinds of the other rows."""
 
-    prior = PriorSpec()
+    prior = DEFAULT_PRIOR
     kinds = ("joint", "profile", "tilted")
 
     def _run(self, runs):
